@@ -172,7 +172,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     try:
         with open(config_path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise IngestError(f"{config_path}: expected a JSON object of flag values")
@@ -297,7 +297,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         allow_out_of_domain_active=args.allow_out_of_domain_active,
         drop_values=frozenset(args.drop_value),
     )
-    n = load_domain(domain).size
+    sampler = load_domain(domain)
+    n = sampler.size
     for epsilon in config.epsilons:
         for rho in config.rhos:
             if not threshold_defined(rho, n):
@@ -305,7 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"cell epsilon={epsilon} rho={rho}: invalid, rho^(1/n) < 1/2 for n={n}",
                     file=sys.stderr,
                 )
-    rows = run_sweep(config, jobs=args.jobs)
+    rows = run_sweep(config, jobs=args.jobs, sampler=sampler)
     write_sweep_csv(rows, output)
     print(f"wrote {len(rows)} grid cells to {output}", file=sys.stderr)
     return EXIT_OK

@@ -8,7 +8,9 @@ write -> read reproduces counts exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import sys
 import warnings
@@ -21,7 +23,7 @@ from .core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin, Vali
 
 CSV_HEADER = ("category", "count", "origin")
 
-# Characters read per block when checking a CSV source for NUL.
+# Characters read per block when checking a CSV source for NUL and bad bytes.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -45,10 +47,23 @@ class ColumnSelector:
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
 
 
-def _open_source(source: str | Path) -> IO[str]:
-    if source == "-":
-        return sys.stdin
-    return open(source, encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _open_source(source: str | Path) -> Iterator[IO[str]]:
+    """The source ("-" for stdin) as UTF-8 text, invalid bytes kept as escapes.
+
+    _csv_rows rejects the escapes with their line number.
+    """
+    if source != "-":
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            yield fh
+    elif not hasattr(sys.stdin, "buffer"):  # a text stream with no bytes under it
+        yield sys.stdin
+    else:
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape", newline="")
+        try:
+            yield fh
+        finally:
+            fh.detach()  # leaves sys.stdin open
 
 
 def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = frozenset()) -> Histogram:
@@ -58,8 +73,7 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     many); values in drop_values are skipped silently. Bin order is first
     appearance.
     """
-    fh = _open_source(selector.source)
-    try:
+    with _open_source(selector.source) as fh:
         reader, rows = _csv_rows(fh, selector.source, selector.delimiter)
         index = _resolve_column(rows, selector)
         counts: dict[str, int] = {}
@@ -79,33 +93,47 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
             if cell in drop_values:
                 continue
             counts[cell] = counts.get(cell, 0) + 1
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
     return Histogram((label, float(count)) for label, count in counts.items())
 
 
-class _NulLine(Exception):
-    """The next line holds a NUL, which the csv module accepts from Python 3.11 on."""
+class _BadLine(Exception):
+    """The next line cannot be CSV input; the message says why."""
+
+
+def _line_fault(text: str) -> str | None:
+    """Why text holds no valid CSV line, or None.
+
+    The csv module accepts NUL from Python 3.11 on, and _open_source decodes
+    invalid UTF-8 bytes to escapes instead of raising.
+    """
+    if "\x00" in text:
+        return "line contains NUL"
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # an escape: U+DC80..U+DCFF holds the byte
+            return f"invalid UTF-8 byte 0x{ord(text[exc.start]) & 0xFF:02x}"
+    return None
 
 
 def _csv_rows(fh: IO[str], source: str | Path, delimiter: str = ",") -> tuple[Any, Iterator[list[str]]]:
     """A csv.reader over fh, and its rows with malformed lines as IngestError.
 
-    csv.Error (an oversized field, a bad quote) and a NUL anywhere in a line
-    both give "<source>: malformed CSV at line N", N counted as the reader's
-    line_num. NUL is looked for one block of lines at a time, which keeps
-    the check off the per-row path.
+    csv.Error (an oversized field, a bad quote), a NUL and an invalid UTF-8
+    byte anywhere in a line all give "<source>: malformed CSV at line N", N
+    counted as the reader's line_num. NUL and bad bytes are looked for one
+    block of lines at a time, which keeps the check off the per-row path.
     """
 
     def blocks() -> Iterator[list[str]]:
         while block := fh.readlines(_BLOCK_CHARS):
-            if "\x00" in "".join(block):
-                # Stop before the first NUL line; the reader asks for it next.
-                yield list(takewhile(lambda line: "\x00" not in line, block))
-                raise _NulLine
+            if _line_fault("".join(block)):
+                # Stop before the first bad line; the reader asks for it next.
+                good = list(takewhile(lambda line: _line_fault(line) is None, block))
+                yield good
+                raise _BadLine(_line_fault(block[len(good)]))
             yield block
 
     reader = csv.reader(chain.from_iterable(blocks()), delimiter=delimiter)
@@ -113,10 +141,8 @@ def _csv_rows(fh: IO[str], source: str | Path, delimiter: str = ",") -> tuple[An
     def rows() -> Iterator[list[str]]:
         try:
             yield from reader
-        except _NulLine:
-            raise IngestError(
-                f"{source}: malformed CSV at line {reader.line_num + 1}: line contains NUL"
-            ) from None
+        except _BadLine as bad:
+            raise IngestError(f"{source}: malformed CSV at line {reader.line_num + 1}: {bad}") from None
         except csv.Error as exc:
             raise IngestError(f"{source}: malformed CSV at line {reader.line_num}: {exc}") from exc
 
@@ -216,7 +242,7 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise IngestError(f"{path}: invalid JSON: {exc}") from exc
         bins = payload.get("bins")
         if not isinstance(bins, list):
@@ -229,7 +255,7 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
                 raise IngestError(f"{path}: bad bin at index {i}: {exc}") from exc
         return _assemble(path, triples)
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader, rows = _csv_rows(fh, path)
         try:
             header = next(rows)

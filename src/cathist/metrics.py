@@ -10,10 +10,15 @@ F = 1 exactly when the two category sets agree (every released category is a
 true active one and nothing was lost); F = 0 when they are disjoint. Counts
 on either side only matter through their normalized masses, so the score is
 scale-invariant.
+
+Sums over the intersection use math.fsum: it is exact, so a score does not
+depend on the set's iteration order, which follows the interpreter's hash
+seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Histogram, NoisyHistogram, normalize
@@ -37,8 +42,8 @@ def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> Fidelity
         return FidelityScore(0.0, 0, 0.0, 0.0)
     synth_dist = normalize(synth_h)
     intersection = true_h.active_domain() & set(synth_dist)
-    true_mass = sum(true_dist[c] for c in intersection)
-    synth_mass = sum(synth_dist[c] for c in intersection)
+    true_mass = math.fsum(true_dist[c] for c in intersection)
+    synth_mass = math.fsum(synth_dist[c] for c in intersection)
     return FidelityScore(true_mass * synth_mass, len(intersection), true_mass, synth_mass)
 
 
@@ -54,4 +59,4 @@ def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -
         return 0.0
     synth_dist = normalize(synth_h)
     intersection = true_h.active_domain() & set(synth_dist)
-    return sum(true_dist[c] * synth_dist[c] for c in intersection)
+    return math.fsum(true_dist[c] * synth_dist[c] for c in intersection)

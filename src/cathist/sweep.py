@@ -63,84 +63,86 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class _CellTask:
+class _SweepState:
+    """What every cell of one sweep reads: the config, the column, the domain."""
+
+    config: SweepConfig
     hist: Histogram
-    domain: DomainSpec
-    epsilon: float
-    rho: float
-    eps_index: int
-    rho_index: int
-    repetitions: int
-    base_seed: int
-    trials: TrialsConvention
-    allow_out_of_domain_active: bool
+    sampler: DomainSampler
 
 
-def _run_cell(task: _CellTask, sampler: DomainSampler | None = None) -> SweepRow:
-    if sampler is None:
-        sampler = load_domain(task.domain)
-    if not threshold_defined(task.rho, sampler.size):
-        return SweepRow(task.epsilon, task.rho, None, None, None, None, task.repetitions, "invalid")
+def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
+    config = state.config
+    epsilon, rho = config.epsilons[eps_index], config.rhos[rho_index]
+    if not threshold_defined(rho, state.sampler.size):
+        return SweepRow(epsilon, rho, None, None, None, None, config.repetitions, "invalid")
     fs = []
     injected = []
     surviving = []
-    privacy = PrivacyParams(task.epsilon, task.rho)
-    for rep in range(task.repetitions):
-        seed = derive_seed(task.base_seed, task.eps_index, task.rho_index, rep)
-        config = CatHistConfig(
+    privacy = PrivacyParams(epsilon, rho)
+    for rep in range(config.repetitions):
+        seed = derive_seed(config.base_seed, eps_index, rho_index, rep)
+        cell_config = CatHistConfig(
             privacy=privacy,
-            domain=task.domain,
+            domain=config.domain,
             seed=seed,
-            trials=task.trials,
-            allow_out_of_domain_active=task.allow_out_of_domain_active,
+            trials=config.trials,
+            allow_out_of_domain_active=config.allow_out_of_domain_active,
         )
-        noisy = cat_hist(config, task.hist, sampler=sampler)
-        fs.append(fidelity(task.hist, noisy).value)
+        noisy = cat_hist(cell_config, state.hist, sampler=state.sampler)
+        fs.append(fidelity(state.hist, noisy).value)
         injected.append(len(noisy.injected_bins()))
         surviving.append(len(noisy.active_bins()))
     return SweepRow(
-        epsilon=task.epsilon,
-        rho=task.rho,
+        epsilon=epsilon,
+        rho=rho,
         mean_f=statistics.fmean(fs),
         stddev_f=statistics.pstdev(fs),
         mean_injected=statistics.fmean(injected),
         mean_surviving=statistics.fmean(surviving),
-        repetitions=task.repetitions,
+        repetitions=config.repetitions,
         status="ok",
     )
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRow]:
+# Set once in each pool worker by _init_worker; the parent never sets it.
+_worker_state: _SweepState | None = None
+
+
+def _init_worker(state: _SweepState) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _run_worker_cell(eps_index: int, rho_index: int) -> SweepRow:
+    return _run_cell(_worker_state, eps_index, rho_index)
+
+
+def run_sweep(
+    config: SweepConfig, jobs: int = 1, sampler: DomainSampler | None = None
+) -> list[SweepRow]:
     """Run the full grid and return rows ordered by (epsilon, rho).
 
-    jobs > 1 distributes cells over a process pool; results are identical to
-    the serial run.
+    The column is read and the domain loaded once per sweep; a pre-loaded
+    sampler for config.domain may be passed to skip the load. jobs > 1
+    spreads cells over at most min(jobs, cells) worker processes, each
+    handed the column and the loaded domain once when it starts. The rows
+    are identical for any jobs and any hash seed, so the CSV is too.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    hist = read_histogram(config.column, config.drop_values)
-    tasks = [
-        _CellTask(
-            hist=hist,
-            domain=config.domain,
-            epsilon=epsilon,
-            rho=rho,
-            eps_index=ei,
-            rho_index=ri,
-            repetitions=config.repetitions,
-            base_seed=config.base_seed,
-            trials=config.trials,
-            allow_out_of_domain_active=config.allow_out_of_domain_active,
-        )
-        for ei, epsilon in enumerate(config.epsilons)
-        for ri, rho in enumerate(config.rhos)
-    ]
-    if jobs == 1:
-        sampler = load_domain(config.domain)
-        rows = [_run_cell(task, sampler) for task in tasks]
+    state = _SweepState(
+        config=config,
+        hist=read_histogram(config.column, config.drop_values),
+        sampler=load_domain(config.domain) if sampler is None else sampler,
+    )
+    cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
+    workers = min(jobs, len(cells))
+    if workers == 1:
+        rows = [_run_cell(state, ei, ri) for ei, ri in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, tasks))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
+            rows = list(pool.map(_run_worker_cell, *zip(*cells)))
     return sorted(rows, key=lambda row: (row.epsilon, row.rho))
 
 

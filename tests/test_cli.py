@@ -7,13 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cathist.cli import main
+from cathist.domain import load_domain
 from cathist.ingest import load_histogram
 from cathist.numerics import noisy_threshold
 
 from oracles import tau_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -26,6 +30,18 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_process(argv, hash_seed):
+    """cathist in a fresh interpreter with the given PYTHONHASHSEED."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cathist.cli", *argv], capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def parse_report(out):
@@ -209,6 +225,15 @@ class TestSynth:
         assert code == 3
         assert "malformed CSV at line 3" in err
 
+    def test_invalid_utf8_in_input_exits_three(self, capsys, tmp_path):
+        column = tmp_path / "latin1.csv"
+        column.write_bytes(b"v\na\n\xff\n")
+        code, _, err = run(
+            capsys, "synth", *self.synth_args(tmp_path, **{"--input": str(column)})
+        )
+        assert code == 3
+        assert "malformed CSV at line 3: invalid UTF-8 byte 0xff" in err
+
     def test_empty_column_is_fine(self, capsys, tmp_path):
         column = write(tmp_path, "empty.csv", "v\n")
         code, _, _ = run(
@@ -298,6 +323,38 @@ class TestSweep:
         assert code == 3
         assert "no column named" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_domain_loaded_once(self, capsys, tmp_path, monkeypatch, jobs):
+        # Loads are logged to a file, so that a load in a pool worker counts too.
+        log = tmp_path / "loads.log"
+
+        def logging_load(spec):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{spec}\n")
+            return load_domain(spec)
+
+        monkeypatch.setattr("cathist.cli.load_domain", logging_load)
+        monkeypatch.setattr("cathist.sweep.load_domain", logging_load)
+        code, _, _ = run(capsys, "sweep", *self.sweep_args(tmp_path, **{"--jobs": jobs}))
+        assert code == 0
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_csv_independent_of_hash_seed(self, tmp_path):
+        # Many in-domain labels with uneven counts, so sum order shows in the bits.
+        cells = [f"w-{i}" for i in range(60) for _ in range(2 + (7 * i) % 23)]
+        column = write(tmp_path, "many.csv", "v\n" + "\n".join(cells) + "\n")
+        outputs = []
+        for hash_seed in (0, 1):
+            out = tmp_path / f"sweep-{hash_seed}.csv"
+            run_process(
+                ["sweep", "--input", column, "--column", "v", "--domain-size", "1000",
+                 "--domain-prefix", "w", "--epsilons", "0.5,2", "--rhos", "0.5,0.9",
+                 "--repetitions", "10", "--seed", "3", "--output", str(out)],
+                hash_seed,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestFidelity:
     def test_identical_files_score_one(self, capsys, tmp_path):
@@ -365,6 +422,24 @@ class TestFidelity:
         assert code == 0
         assert parse_report(out)["fidelity"] == 1.0
 
+    @pytest.mark.parametrize("variant", ["product", "pointwise"])
+    def test_output_independent_of_hash_seed(self, tmp_path, variant):
+        rng = np.random.default_rng(11)
+        true_rows = "".join(f"w-{i},{rng.uniform(1, 50)!r},\n" for i in range(300))
+        synth_rows = "".join(f"w-{i},{rng.uniform(1, 50)!r},active\n" for i in range(100, 400))
+        t = write(tmp_path, "t.csv", "category,count,origin\n" + true_rows)
+        s = write(tmp_path, "s.csv", "category,count,origin\n" + synth_rows)
+        argv = ["fidelity", "--true-file", t, "--synth-file", s, "--variant", variant]
+        assert run_process(argv, 0).stdout == run_process(argv, 1).stdout
+
+    def test_invalid_utf8_synth_file_exits_three(self, capsys, tmp_path):
+        t = write(tmp_path, "t.csv", "category,count,origin\na,1.0,\n")
+        s = tmp_path / "s.json"
+        s.write_bytes(b'{"bins": [{"label": "\xff", "count": 1.0, "origin": "active"}]}')
+        code, _, err = run(capsys, "fidelity", "--true-file", t, "--synth-file", str(s))
+        assert code == 3
+        assert "invalid JSON" in err
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):
@@ -388,6 +463,13 @@ class TestConfigFile:
     def test_invalid_json_exits_three(self, capsys, tmp_path):
         cfg = write(tmp_path, "c.json", "{oops")
         code, _, err = run(capsys, "tau", "--config", cfg)
+        assert code == 3
+        assert "invalid JSON" in err
+
+    def test_invalid_utf8_config_exits_three(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"epsilon": 1, "rho": "\xff"}')
+        code, _, err = run(capsys, "tau", "--config", str(cfg))
         assert code == 3
         assert "invalid JSON" in err
 

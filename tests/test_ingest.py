@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from cathist.ingest import (
 from cathist.numerics import noisy_threshold
 
 from conftest import SEX_COUNTS, WORKCLASS_COUNTS
+
+
+# Fields that make a line malformed CSV. "\udcff" is written as the single
+# byte 0xff, which is not UTF-8.
+MALFORMED = ["\x00", "x" * (csv.field_size_limit() + 1), "\udcff"]
+MALFORMED_IDS = ["nul", "oversized", "invalid-utf8"]
+WRITE_RAW = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
 def write_csv(path, rows):
@@ -100,12 +108,39 @@ class TestReadHistogram:
         with pytest.raises(IngestError, match="malformed CSV at line 100002:"):
             read_histogram(ColumnSelector(str(path), "v"))
 
-    @pytest.mark.parametrize("bad", ["\x00", "x" * (csv.field_size_limit() + 1)], ids=["nul", "oversized"])
+    @pytest.mark.parametrize("bad", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_header_reports_malformed_csv(self, tmp_path, bad):
         path = (tmp_path / "t.csv")
-        path.write_text(f"v,w{bad}\nok,y\n", encoding="utf-8")
+        path.write_text(f"v,w{bad}\nok,y\n", **WRITE_RAW)
         with pytest.raises(IngestError, match="malformed CSV at line 1"):
             read_histogram(ColumnSelector(str(path), "v"))
+
+    def test_invalid_utf8_reports_malformed_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"v,w\nok,x\na,b\xffc\nd,e\n")
+        with pytest.raises(IngestError, match="malformed CSV at line 3: invalid UTF-8 byte 0xff"):
+            read_histogram(ColumnSelector(str(path), "v"))
+
+    def test_invalid_utf8_far_into_the_input_reports_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("v\n".encode() + "\u00e9\n".encode() * 100_000 + b"\xc3(\nc\n")
+        with pytest.raises(IngestError, match="malformed CSV at line 100002: invalid UTF-8 byte 0xc3"):
+            read_histogram(ColumnSelector(str(path), "v"))
+
+    def test_invalid_utf8_on_stdin_reports_malformed_csv(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"v\nq\n\xff\n")))
+        with pytest.raises(IngestError, match="-: malformed CSV at line 3: invalid UTF-8 byte 0xff"):
+            read_histogram(ColumnSelector("-", "v"))
+        assert not sys.stdin.closed
+
+    def test_non_ascii_utf8_is_counted(self, tmp_path, monkeypatch):
+        data = "v\nsí\nsí\n\u00e9t\u00e9\n"
+        path = tmp_path / "t.csv"
+        path.write_text(data, encoding="utf-8")
+        h = read_histogram(ColumnSelector(str(path), "v"))
+        assert list(h.items()) == [("sí", 2.0), ("été", 1.0)]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data.encode("utf-8"))))
+        assert list(read_histogram(ColumnSelector("-", "v")).items()) == list(h.items())
 
     def test_headerless_by_index(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [["x", "10"], ["y", "20"], ["x", "5"]])
@@ -267,11 +302,17 @@ class TestLoadHistogramErrors:
         with pytest.raises(IngestError):
             load_histogram(path)
 
-    @pytest.mark.parametrize("bad", ["\x00", "x" * (csv.field_size_limit() + 1)], ids=["nul", "oversized"])
+    @pytest.mark.parametrize("bad", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_row_reports_malformed_csv(self, tmp_path, bad):
         path = tmp_path / "h.csv"
-        path.write_text(f"category,count,origin\na,1.0,\nb{bad},2.0,\n", encoding="utf-8")
+        path.write_text(f"category,count,origin\na,1.0,\nb{bad},2.0,\n", **WRITE_RAW)
         with pytest.raises(IngestError, match="malformed CSV at line 3"):
+            load_histogram(path)
+
+    def test_invalid_utf8_in_json_is_invalid_json(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_bytes(b'{"bins": [{"label": "\xff", "count": 1.0}]}')
+        with pytest.raises(IngestError, match="invalid JSON: 'utf-8' codec can't decode byte 0xff"):
             load_histogram(path)
 
     def test_invalid_json(self, tmp_path):

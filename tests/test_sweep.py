@@ -1,8 +1,12 @@
 import csv
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from cathist.core import ExplicitList, SizeOnly
+from cathist.core import ExplicitList, SizeOnly, WordList
+from cathist.domain import load_domain
 from cathist.ingest import ColumnSelector
 from cathist.sweep import (
     DEFAULT_EPSILONS,
@@ -59,6 +63,55 @@ class TestRunSweep:
     def test_parallel_equals_serial(self, column_file):
         cfg = config(column_file)
         assert run_sweep(cfg, jobs=1) == run_sweep(cfg, jobs=2)
+
+    def test_parallel_equals_serial_with_invalid_cells(self, column_file):
+        cfg = config(
+            column_file,
+            domain=ExplicitList(labels=tuple(f"cat-{i}" for i in range(12))),
+            rhos=(1e-4, 0.5),
+        )
+        serial = run_sweep(cfg, jobs=1)
+        assert [r.status for r in serial] == ["invalid", "ok", "invalid", "ok"]
+        assert run_sweep(cfg, jobs=2) == serial
+
+    def test_pool_capped_at_cell_count(self, column_file, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", RecordingPool)
+        cfg = config(column_file, rhos=(0.5,))
+        assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
+        assert sizes == [2]
+
+    def test_single_cell_starts_no_pool(self, column_file, monkeypatch):
+        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", None)
+        cfg = config(column_file, epsilons=(1.0,), rhos=(0.5,))
+        assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
+
+    def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch):
+        cfg = config(column_file)
+        expected = run_sweep(cfg)
+        sampler = load_domain(cfg.domain)
+
+        def no_load(spec):
+            raise AssertionError(f"domain {spec} loaded although a sampler was passed")
+
+        monkeypatch.setattr("cathist.sweep.load_domain", no_load)
+        assert run_sweep(cfg, sampler=sampler) == expected
+        assert run_sweep(cfg, jobs=2, sampler=sampler) == expected
+
+    def test_spawned_workers_equal_serial(self, column_file, tmp_path, monkeypatch):
+        # Spawned workers get the state pickled, and hash seeds of their own.
+        words = tmp_path / "words.txt"
+        words.write_text("".join(f"cat-{i}\n" for i in range(500)), encoding="utf-8")
+        cfg = config(column_file, domain=WordList(str(words)))
+        spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", spawn_pool)
+        assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
 
     def test_appending_grid_points_preserves_existing_cells(self, column_file):
         small = run_sweep(config(column_file, epsilons=(1.0,), rhos=(0.5,)))
