@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+from typing import Iterable
 
 from .core import (
     CatHistError,
@@ -274,12 +276,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     if args.records:
         records = synthesize_records(make_rng(args.seed, 2), noisy, args.records)
+        lines = _csv_lines(noisy.labels())
         with open(args.records_output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["category"])
-            for record in records:
-                writer.writerow([record])
+            fh.write("category\n")
+            fh.writelines(map(lines.__getitem__, records))
     return EXIT_OK
+
+
+def _csv_lines(labels: Iterable[str]) -> dict[str, str]:
+    """Each label's one-field CSV line, as csv.writer writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    lines = {}
+    for label in labels:
+        writer.writerow((label,))
+        lines[label] = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    return lines
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -38,18 +38,24 @@ class DomainSampler:
             return False
         return True
 
+    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
+        """The labels that are not in the domain."""
+        return {label for label in labels if not self.contains(label)}
+
     def sample_distinct(self, rng: Rng, k: int, exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
         """Draw k distinct uniform categories, none of them in exclude."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        excluded_members = sum(1 for label in exclude if self.contains(label))
-        if k > self.size - excluded_members:
-            raise ValidityError(
-                f"domain exhausted: requested {k} distinct categories from a domain of "
-                f"size {self.size} with {excluded_members} excluded"
-            )
+        # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
+        if k > self.size - len(exclude):
+            excluded_members = len(exclude) - len(self.non_members(exclude))
+            if k > self.size - excluded_members:
+                raise ValidityError(
+                    f"domain exhausted: requested {k} distinct categories from a domain of "
+                    f"size {self.size} with {excluded_members} excluded"
+                )
         chosen: list[str] = []
         rejected = set(exclude)
         attempts = 0
@@ -68,12 +74,14 @@ class DomainSampler:
         return chosen
 
 
-class _ExplicitSampler(DomainSampler):
-    def __init__(self, spec: ExplicitList) -> None:
+class _LabelSampler(DomainSampler):
+    """An explicit label list or a wordlist: the labels and a label -> index dict."""
+
+    def __init__(self, spec: ExplicitList | WordList, labels: tuple[str, ...]) -> None:
         self.spec = spec
-        self._labels = spec.labels
-        self._index = {label: i for i, label in enumerate(spec.labels)}
-        self.size = len(spec.labels)
+        self._labels = labels
+        self._index = dict(zip(labels, range(len(labels))))
+        self.size = len(labels)
 
     def decode(self, index: int) -> str:
         return self._labels[index]
@@ -84,22 +92,8 @@ class _ExplicitSampler(DomainSampler):
         except KeyError:
             raise ValidityError(f"category {label!r} is not in the domain") from None
 
-
-class _WordListSampler(DomainSampler):
-    def __init__(self, spec: WordList, words: tuple[str, ...]) -> None:
-        self.spec = spec
-        self._words = words
-        self._index = {w: i for i, w in enumerate(words)}
-        self.size = len(words)
-
-    def decode(self, index: int) -> str:
-        return self._words[index]
-
-    def encode(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValidityError(f"category {label!r} is not in the word domain") from None
+    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
+        return labels.difference(self._index)
 
 
 class _WordPairSampler(DomainSampler):
@@ -108,7 +102,7 @@ class _WordPairSampler(DomainSampler):
     def __init__(self, spec: WordPairs, words: tuple[str, ...]) -> None:
         self.spec = spec
         self._words = words
-        self._index = {w: i for i, w in enumerate(words)}
+        self._index = dict(zip(words, range(len(words))))
         self._m = len(words)
         self.size = self._m * self._m
 
@@ -148,7 +142,7 @@ def load_words(path: Path) -> tuple[str, ...]:
     """Read a UTF-8 wordlist, one word per line, trimmed, blanks ignored,
     duplicates removed keeping first occurrence."""
     with open(path, encoding="utf-8") as fh:
-        words = dict.fromkeys(w for line in fh if (w := line.strip()))
+        words = dict.fromkeys(filter(None, map(str.strip, fh)))
     if not words:
         raise ValidityError(f"wordlist {path} contains no words")
     return tuple(words)
@@ -157,9 +151,9 @@ def load_words(path: Path) -> tuple[str, ...]:
 def load_domain(spec: DomainSpec) -> DomainSampler:
     """Materialize a sampler for a domain description (reads wordlist files)."""
     if isinstance(spec, ExplicitList):
-        return _ExplicitSampler(spec)
+        return _LabelSampler(spec, spec.labels)
     if isinstance(spec, WordList):
-        return _WordListSampler(spec, load_words(spec.path))
+        return _LabelSampler(spec, load_words(spec.path))
     if isinstance(spec, WordPairs):
         return _WordPairSampler(spec, load_words(spec.path))
     if isinstance(spec, SizeOnly):

@@ -14,8 +14,10 @@ import io
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, takewhile, tee
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterator
 
@@ -51,7 +53,7 @@ class ColumnSelector:
 def _open_source(source: str | Path) -> Iterator[IO[str]]:
     """The source ("-" for stdin) as UTF-8 text, invalid bytes kept as escapes.
 
-    _csv_rows rejects the escapes with their line number.
+    _csv_reader rejects the escapes with their line number.
     """
     if source != "-":
         with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -73,26 +75,28 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     many); values in drop_values are skipped silently. Bin order is first
     appearance.
     """
-    with _open_source(selector.source) as fh:
-        reader, rows = _csv_rows(fh, selector.source, selector.delimiter)
-        index = _resolve_column(rows, selector)
-        counts: dict[str, int] = {}
-        skipped_empty = 0
-        for row in rows:
-            if not row:
-                continue
-            if index >= len(row):
-                raise IngestError(
-                    f"{selector.source}: line {reader.line_num}: expected at least "
-                    f"{index + 1} fields, got {len(row)}"
-                )
-            cell = row[index].strip()
-            if cell == "":
-                skipped_empty += 1
-                continue
-            if cell in drop_values:
-                continue
-            counts[cell] = counts.get(cell, 0) + 1
+    with _open_source(selector.source) as fh, _csv_reader(fh, selector.source, selector.delimiter) as reader:
+        index = _resolve_column(reader, selector)
+        # Raw cells are counted in C. The second tee branch trails the first
+        # by one row, so it still holds the row that was too short.
+        rows, trailing = tee(filter(None, reader))
+        try:
+            raw = Counter(map(itemgetter(0), zip(map(itemgetter(index), rows), trailing)))
+        except IndexError:
+            raise IngestError(
+                f"{selector.source}: line {reader.line_num}: expected at least "
+                f"{index + 1} fields, got {len(next(trailing))}"
+            ) from None
+    # Trimming and dropping run once per distinct raw cell. The first raw
+    # variant of a trimmed cell is its first appearance, so order is kept.
+    counts: dict[str, int] = {}
+    skipped_empty = 0
+    for raw_cell, n in raw.items():
+        cell = raw_cell.strip()
+        if cell == "":
+            skipped_empty += n
+        elif cell not in drop_values:
+            counts[cell] = counts.get(cell, 0) + n
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
     return Histogram((label, float(count)) for label, count in counts.items())
@@ -118,8 +122,9 @@ def _line_fault(text: str) -> str | None:
     return None
 
 
-def _csv_rows(fh: IO[str], source: str | Path, delimiter: str = ",") -> tuple[Any, Iterator[list[str]]]:
-    """A csv.reader over fh, and its rows with malformed lines as IngestError.
+@contextlib.contextmanager
+def _csv_reader(fh: IO[str], source: str | Path, delimiter: str = ",") -> Iterator[Any]:
+    """A csv.reader over fh; a malformed line read inside the block is IngestError.
 
     csv.Error (an oversized field, a bad quote), a NUL and an invalid UTF-8
     byte anywhere in a line all give "<source>: malformed CSV at line N", N
@@ -137,16 +142,12 @@ def _csv_rows(fh: IO[str], source: str | Path, delimiter: str = ",") -> tuple[An
             yield block
 
     reader = csv.reader(chain.from_iterable(blocks()), delimiter=delimiter)
-
-    def rows() -> Iterator[list[str]]:
-        try:
-            yield from reader
-        except _BadLine as bad:
-            raise IngestError(f"{source}: malformed CSV at line {reader.line_num + 1}: {bad}") from None
-        except csv.Error as exc:
-            raise IngestError(f"{source}: malformed CSV at line {reader.line_num}: {exc}") from exc
-
-    return reader, rows()
+    try:
+        yield reader
+    except _BadLine as bad:
+        raise IngestError(f"{source}: malformed CSV at line {reader.line_num + 1}: {bad}") from None
+    except csv.Error as exc:
+        raise IngestError(f"{source}: malformed CSV at line {reader.line_num}: {exc}") from exc
 
 
 def _resolve_column(rows: Iterator[list[str]], selector: ColumnSelector) -> int:
@@ -255,16 +256,15 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
                 raise IngestError(f"{path}: bad bin at index {i}: {exc}") from exc
         return _assemble(path, triples)
 
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader, rows = _csv_rows(fh, path)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh, _csv_reader(fh, path) as reader:
         try:
-            header = next(rows)
+            header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty histogram file") from None
         if tuple(header) != CSV_HEADER:
             raise IngestError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
         triples = []
-        for row in rows:
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3:

@@ -24,6 +24,7 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,19 +79,20 @@ class CatHistConfig:
     allow_out_of_domain_active: bool = False
 
 
-def _check_active_membership(config: CatHistConfig, active: set[str], sampler: DomainSampler) -> None:
-    outside = sorted(label for label in active if not sampler.contains(label))
+def _check_active_membership(config: CatHistConfig, outside: set[str]) -> None:
+    """Reject (or, when allowed, warn about) active categories outside the domain."""
     if not outside:
         return
+    listed = sorted(outside)
     if config.allow_out_of_domain_active:
         warnings.warn(
-            f"{len(outside)} active categories are outside the declared domain "
-            f"and are being treated as members: {outside[:10]}",
+            f"{len(listed)} active categories are outside the declared domain "
+            f"and are being treated as members: {listed[:10]}",
             stacklevel=3,
         )
         return
     raise ValidityError(
-        f"active categories outside the declared domain: {outside}; "
+        f"active categories outside the declared domain: {listed}; "
         f"declare a larger domain or pass allow_out_of_domain_active"
     )
 
@@ -112,7 +114,7 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     """
     sampler = _sampler_for(config, sampler)
     active = h.active_domain()
-    _check_active_membership(config, active, sampler)
+    _check_active_membership(config, sampler.non_members(active))
 
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
@@ -124,11 +126,19 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     rng_noise = make_rng(config.seed, 0)
     rng_inject = make_rng(config.seed, 1)
 
+    # One uniform per active bin, drawn in one call: the same doubles, in the
+    # same order, that one sample_laplace call per bin would take, put through
+    # the same arithmetic. A 0.0 is redrawn by sample_laplace, as it would be.
+    # Labels are unique, so len(active) is the number of positive bins.
     survivors = []
-    for label, count in h.items():
-        if count <= 0:
-            continue
-        noisy = sample_laplace(rng_noise, count, scale)
+    positive = (item for item in h.items() if item[1] > 0)
+    for (label, count), u in zip(positive, rng_noise.random(len(active)).tolist()):
+        if u == 0.0:
+            noisy = sample_laplace(rng_noise, count, scale)
+        else:
+            u -= 0.5
+            magnitude = -math.log1p(-2.0 * abs(u))
+            noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
         if noisy >= threshold and noisy > 0:
             survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
 
@@ -138,10 +148,14 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
         trials = max(sampler.size - len(active), 0)
     num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
     labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
-    injected = [
-        NoisyBin(label, sample_shifted_exponential(rng_inject, epsilon, threshold), Origin.INJECTED)
-        for label in labels
-    ]
+    # As above: the doubles sample_shifted_exponential would take, one per label.
+    injected = []
+    for label, u in zip(labels, rng_inject.random(num_injected).tolist()):
+        if u == 0.0:
+            weight = sample_shifted_exponential(rng_inject, epsilon, threshold)
+        else:
+            weight = threshold - math.log1p(-u) / epsilon
+        injected.append(NoisyBin(label, weight, Origin.INJECTED))
 
     return NoisyHistogram(survivors + injected)
 
@@ -160,7 +174,7 @@ def naive_full_domain_oracle(
             f"domain size {sampler.size} exceeds the brute-force limit {ORACLE_MAX_DOMAIN}"
         )
     active = h.active_domain()
-    _check_active_membership(config, active, sampler)
+    _check_active_membership(config, sampler.non_members(active))
 
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
@@ -194,7 +208,7 @@ def synthesize_records(rng: Rng, noisy: NoisyHistogram, m: int) -> list[str]:
     if len(noisy) == 0:
         raise CatHistError("nothing to sample: the noisy histogram is empty")
     dist = normalize(noisy)
-    labels = list(dist)
-    probs = np.array([dist[label] for label in labels])
+    labels = np.array(list(dist), dtype=object)
+    probs = np.fromiter(dist.values(), dtype=float, count=len(dist))
     draws = rng.choice(len(labels), size=m, p=probs)
-    return [labels[i] for i in draws]
+    return labels[draws].tolist()

@@ -1,12 +1,29 @@
-"""Independent arbitrary-precision oracles for expected test values.
+"""Reference values and reference implementations for the tests.
 
-Everything here is computed straight from the defining formulas with mpmath
-at 60 significant digits, sharing no code with the package under test.
+The mpmath oracles compute expected values straight from the defining
+formulas at 60 significant digits, sharing no code with the package under
+test. The loop references below them are the plain per-row and per-bin
+forms of code the package runs in bulk; the tests require bulk and loop to
+give identical results.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import mpmath as mp
+
+from cathist.core import NoisyBin, NoisyHistogram, Origin
+from cathist.mechanism import TrialsConvention
+from cathist.numerics import (
+    inclusion_probability,
+    make_rng,
+    noisy_threshold,
+    sample_binomial,
+    sample_laplace,
+    sample_shifted_exponential,
+)
 
 DPS = 60
 
@@ -46,3 +63,69 @@ def survival_oracle(count: float, epsilon: float, rho: float, n: int) -> float:
         if gap >= 0:
             return float(1 - mp.exp(-gap) / 2)
         return float(mp.exp(gap) / 2)
+
+
+def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_values=frozenset()):
+    """read_histogram as one loop over the rows of a valid UTF-8 CSV file.
+
+    Returns the (label, count) bins and the number of empty cells skipped.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        index = column
+        if has_header:
+            names = [name.strip() for name in next(reader)]
+            if isinstance(column, str):
+                index = names.index(column)
+        counts: dict[str, int] = {}
+        skipped_empty = 0
+        for row in reader:
+            if not row:
+                continue
+            cell = row[index].strip()
+            if cell == "":
+                skipped_empty += 1
+                continue
+            if cell in drop_values:
+                continue
+            counts[cell] = counts.get(cell, 0) + 1
+    return tuple((label, float(count)) for label, count in counts.items()), skipped_empty
+
+
+def cat_hist_per_bin(config, h, sampler):
+    """cat_hist with one sample_laplace call per active bin and one
+    sample_shifted_exponential call per injected label."""
+    active = h.active_domain()
+    epsilon = config.privacy.epsilon
+    threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
+    p = inclusion_probability(epsilon, threshold)
+    rng_noise = make_rng(config.seed, 0)
+    rng_inject = make_rng(config.seed, 1)
+    survivors = []
+    for label, count in h.items():
+        if count <= 0:
+            continue
+        noisy = sample_laplace(rng_noise, count, 1.0 / epsilon)
+        if noisy >= threshold and noisy > 0:
+            survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
+    if config.trials is TrialsConvention.FULL_N:
+        trials = sampler.size
+    else:
+        trials = max(sampler.size - len(active), 0)
+    num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
+    labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
+    injected = [
+        NoisyBin(label, sample_shifted_exponential(rng_inject, epsilon, threshold), Origin.INJECTED)
+        for label in labels
+    ]
+    return NoisyHistogram(survivors + injected)
+
+
+def records_csv_per_row(records):
+    """A records file as one csv.writer row per record, in bytes."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["category"])
+    for record in records:
+        writer.writerow([record])
+    return out.getvalue().encode("utf-8")

@@ -13,9 +13,10 @@ import pytest
 from cathist.cli import main
 from cathist.domain import load_domain
 from cathist.ingest import load_histogram
-from cathist.numerics import noisy_threshold
+from cathist.mechanism import synthesize_records
+from cathist.numerics import make_rng, noisy_threshold
 
-from oracles import tau_oracle
+from oracles import records_csv_per_row, tau_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -162,6 +163,37 @@ class TestSynth:
         assert lines[0] == "category"
         assert len(lines) == 51
         assert set(lines[1:]) <= {"a", "b", "c", "d", "e", "f", "g", "h"}
+
+    def test_records_bytes_match_per_row_writer(self, capsys, tmp_path):
+        # Labels a CSV writer must quote, and injected labels with a leading
+        # space (from the generated domain's prefix).
+        special = ["a,b", 'say "hi"', "line\nbreak"]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([["v"]] + [[label] for label in special] * 300)
+        column = write(tmp_path, "col.csv", text.getvalue())
+        records = tmp_path / "records.csv"
+        with pytest.warns(UserWarning, match="outside the declared domain"):
+            code, _, err = run(
+                capsys,
+                "synth",
+                "--input", column,
+                "--column", "v",
+                "--domain-size", "1000000",
+                "--domain-prefix", " p",
+                "--allow-out-of-domain-active",
+                "--epsilon", "1",
+                "--rho", "1e-200",
+                "--seed", "4",
+                "--output", str(tmp_path / "out.json"),
+                "--records", "5000",
+                "--records-output", str(records),
+            )
+        assert code == 0, err
+        release = load_histogram(tmp_path / "out.json")
+        expected = synthesize_records(make_rng(4, 2), release, 5000)
+        assert set(special) <= set(expected)
+        assert any(label.startswith(" p-") for label in expected)
+        assert records.read_bytes() == records_csv_per_row(expected)
 
     def test_records_without_destination_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", *self.synth_args(tmp_path), "--records", "5")

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cathist.ingest import (
 from cathist.numerics import noisy_threshold
 
 from conftest import SEX_COUNTS, WORKCLASS_COUNTS
+from oracles import read_histogram_per_row
 
 
 # Fields that make a line malformed CSV. "\udcff" is written as the single
@@ -87,8 +90,13 @@ class TestReadHistogram:
     def test_short_row_reports_line_number(self, tmp_path):
         path = (tmp_path / "t.csv")
         path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
-        with pytest.raises(IngestError, match="line 3"):
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: expected at least 2 fields, got 1")):
             read_histogram(ColumnSelector(str(path), "b"))
+        # After a quoted field spanning two lines and a blank line, with two
+        # of three fields: the line is the short row's last, the count its own.
+        path.write_text('a,b,c\n1,"x\ny",3\n\n4,5\n6,7,8\n', encoding="utf-8")
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 5: expected at least 3 fields, got 2")):
+            read_histogram(ColumnSelector(str(path), "c"))
 
     def test_nul_byte_reports_malformed_csv(self, tmp_path):
         path = (tmp_path / "t.csv")
@@ -178,6 +186,34 @@ class TestReadHistogram:
             for v in column:
                 reference[v] = reference.get(v, 0) + 1
             assert dict(h.items()) == {k: float(v) for k, v in reference.items()}
+
+    @pytest.mark.parametrize(
+        "text, column, options, drop",
+        [
+            ("v\n a\nb\na\n a \nb \n", "v", {}, ()),
+            ("v\n  \nx\n\t\nx\n \t \n", "v", {}, ()),
+            ("v\n NA\nNA \nx\n NA \nNAN\n", "v", {}, ("NA",)),
+            ("v\na\n\n\nb\n\na\n\n", "v", {}, ()),
+            ('v,w\n1,"a,b\nc"\n2,"a,b\nc"\n3,x\n4," a,b\nc "\n', "w", {}, ()),
+            ("a,1\nb,2\na,3\n, 4\n", 1, {"has_header": False}, ()),
+            ("a,1\nb,2\na,3\n, 4\n", 0, {"has_header": False}, ()),
+            ("k;v\n1;x\n2; y\n3;x\n4;a,b\n", "v", {"delimiter": ";"}, ()),
+            ("v\né\nÅngström\n é\n 日本\n日本\n", "v", {}, ()),
+        ],
+        ids=["leading-space-first", "whitespace-only", "drop-after-trim", "blank-lines",
+             "quoted-delimiter-newline", "headerless-index-1", "headerless-index-0",
+             "semicolon", "non-ascii"],
+    )
+    def test_matches_per_row_loop(self, tmp_path, text, column, options, drop):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        bins, skipped = read_histogram_per_row(path, column, drop_values=frozenset(drop), **options)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = read_histogram(ColumnSelector(str(path), column, **options), frozenset(drop))
+        assert h.bins == bins
+        messages = [str(w.message) for w in caught]
+        assert messages == ([f"{path}: skipped {skipped} empty cells"] if skipped else [])
 
     def test_census_fixture_marginals(self, census_csv):
         sex = read_histogram(ColumnSelector(census_csv, "sex"))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cathist.core import (
@@ -13,6 +14,7 @@ from cathist.core import (
     SizeOnly,
     ValidityError,
     WordList,
+    WordPairs,
 )
 from cathist.domain import load_domain
 from cathist.mechanism import (
@@ -24,6 +26,8 @@ from cathist.mechanism import (
     synthesize_records,
 )
 from cathist.numerics import make_rng, noisy_threshold
+
+from oracles import cat_hist_per_bin
 
 
 def config_for(epsilon, rho, domain, seed, **kw):
@@ -200,6 +204,40 @@ class TestDomainMembership:
         cfg = config_for(1.0, 0.6, ExplicitList(labels=("a", "c")), seed=0)
         with pytest.raises(ValueError, match="different domain"):
             cat_hist(cfg, Histogram([("a", 5.0)]), sampler=sampler)
+
+
+class TestMatchesPerBinLoop:
+    """cat_hist draws each release's uniforms in one call per stream; the
+    per-call samplers must give the same release, bit for bit."""
+
+    SEEDS = range(50)
+
+    @staticmethod
+    def trials(seed):
+        return TrialsConvention.FULL_N if seed % 2 else TrialsConvention.N_MINUS_ACTIVE
+
+    def test_word_list_many_active_bins(self, wordlist_path):
+        domain = WordList(wordlist_path)
+        sampler = load_domain(domain)
+        rng = np.random.default_rng(501)
+        words = [sampler.decode(int(i)) for i in rng.choice(sampler.size, size=1_500, replace=False)]
+        h = Histogram(zip(words, rng.integers(0, 40, size=len(words)).tolist()))
+        assert len(h.active_domain()) >= 1_000
+        for seed in self.SEEDS:
+            cfg = config_for(0.5, 0.3, domain, seed=seed, trials=self.trials(seed))
+            assert cat_hist(cfg, h, sampler=sampler) == cat_hist_per_bin(cfg, h, sampler), seed
+
+    def test_word_pairs_many_injected_bins(self, wordlist_path):
+        domain = WordPairs(wordlist_path)
+        sampler = load_domain(domain)
+        h = Histogram([("Male Female", 300.0), ("Female Male", 2.0), ("Male Male", 0.0)])
+        injected = []
+        for seed in self.SEEDS:
+            cfg = config_for(1.0, 1e-200, domain, seed=seed, trials=self.trials(seed))
+            release = cat_hist(cfg, h, sampler=sampler)
+            assert release == cat_hist_per_bin(cfg, h, sampler), seed
+            injected.append(len(release.injected_bins()))
+        assert min(injected) >= 300
 
 
 class TestNaiveOracle:
