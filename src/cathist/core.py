@@ -8,6 +8,7 @@ construction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,9 +80,17 @@ class Histogram:
     def total(self) -> float:
         return sum(count for _, count in self.bins)
 
-    def active_domain(self) -> set[str]:
-        """Categories with strictly positive count."""
-        return {label for label, count in self.bins if count > 0}
+    def active_domain(self) -> frozenset[str]:
+        """Categories with strictly positive count.
+
+        Built on the first call and shared by every later one: a release, its
+        summary and its fidelity score all read the same set.
+        """
+        return self._active
+
+    @functools.cached_property
+    def _active(self) -> frozenset[str]:
+        return frozenset(label for label, count in self.bins if count > 0)
 
     def __len__(self) -> int:
         return len(self.bins)

@@ -4,11 +4,14 @@ A domain is never materialized. Each sampler pairs an exact size with an
 integer indexer (a bijection between [0, size) and labels), so drawing a
 uniform category is drawing a uniform index. Distinctness and exclusion are
 handled by rejection, which stays cheap while the number of requested
-categories is far below the domain size.
+categories is far below the domain size. A listed domain with almost all of
+its slots excluded draws from its absent labels instead.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import filterfalse
 from pathlib import Path
 
 from .core import DomainSpec, ExplicitList, SizeOnly, ValidityError, WordList, WordPairs
@@ -16,6 +19,12 @@ from .numerics import Rng
 
 # Rejection attempts allowed per requested category before giving up.
 RETRY_FACTOR = 10_000
+
+# A listed domain with fewer than one absent slot in DENSE_RATIO samples its
+# absent labels directly. Above that, a label takes under DENSE_RATIO draws on
+# average and the chance of hitting RETRY_FACTOR is below (1 - 1/100)**10_000,
+# about 2e-44; below it, rejection slows down and eventually fails.
+DENSE_RATIO = 100
 
 
 class DomainSampler:
@@ -50,12 +59,7 @@ class DomainSampler:
             return []
         # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
         if k > self.size - len(exclude):
-            excluded_members = len(exclude) - len(self.non_members(exclude))
-            if k > self.size - excluded_members:
-                raise ValidityError(
-                    f"domain exhausted: requested {k} distinct categories from a domain of "
-                    f"size {self.size} with {excluded_members} excluded"
-                )
+            self._require_room(k, len(exclude) - len(self.non_members(exclude)))
         chosen: list[str] = []
         rejected = set(exclude)
         attempts = 0
@@ -73,15 +77,31 @@ class DomainSampler:
             chosen.append(label)
         return chosen
 
+    def _require_room(self, k: int, excluded_members: int) -> None:
+        if k > self.size - excluded_members:
+            raise ValidityError(
+                f"domain exhausted: requested {k} distinct categories from a domain of "
+                f"size {self.size} with {excluded_members} excluded"
+            )
+
 
 class _LabelSampler(DomainSampler):
-    """An explicit label list or a wordlist: the labels and a label -> index dict."""
+    """An explicit label list or a wordlist: the labels in order and as a set.
 
-    def __init__(self, spec: ExplicitList | WordList, labels: tuple[str, ...]) -> None:
+    The label -> index dict only encode needs is built on its first call.
+    """
+
+    def __init__(
+        self, spec: ExplicitList | WordList, labels: tuple[str, ...], members: frozenset[str] | dict[str, None]
+    ) -> None:
         self.spec = spec
         self._labels = labels
-        self._index = dict(zip(labels, range(len(labels))))
+        self._members = members
         self.size = len(labels)
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self._labels, range(self.size)))
 
     def decode(self, index: int) -> str:
         return self._labels[index]
@@ -92,8 +112,22 @@ class _LabelSampler(DomainSampler):
         except KeyError:
             raise ValidityError(f"category {label!r} is not in the domain") from None
 
+    def contains(self, label: str) -> bool:
+        return label in self._members
+
     def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
-        return labels.difference(self._index)
+        return labels.difference(self._members)
+
+    def sample_distinct(self, rng: Rng, k: int, exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
+        # Rejection takes size / absent draws per label, so with fewer than one
+        # absent slot in DENSE_RATIO its RETRY_FACTOR cap comes within reach.
+        if k > 0 and DENSE_RATIO * (self.size - len(exclude)) < self.size:
+            excluded_members = len(exclude) - len(self.non_members(exclude))
+            if DENSE_RATIO * (self.size - excluded_members) < self.size:
+                self._require_room(k, excluded_members)
+                absent = list(filterfalse(exclude.__contains__, self._labels))
+                return [absent[i] for i in rng.choice(len(absent), size=k, replace=False).tolist()]
+        return super().sample_distinct(rng, k, exclude)
 
 
 class _WordPairSampler(DomainSampler):
@@ -138,22 +172,27 @@ class _SizeOnlySampler(DomainSampler):
         raise ValidityError(f"category {label!r} is not in the generated domain")
 
 
-def load_words(path: Path) -> tuple[str, ...]:
-    """Read a UTF-8 wordlist, one word per line, trimmed, blanks ignored,
-    duplicates removed keeping first occurrence."""
+def _read_words(path: Path) -> dict[str, None]:
     with open(path, encoding="utf-8") as fh:
         words = dict.fromkeys(filter(None, map(str.strip, fh)))
     if not words:
         raise ValidityError(f"wordlist {path} contains no words")
-    return tuple(words)
+    return words
+
+
+def load_words(path: Path) -> tuple[str, ...]:
+    """Read a UTF-8 wordlist, one word per line, trimmed, blanks ignored,
+    duplicates removed keeping first occurrence."""
+    return tuple(_read_words(path))
 
 
 def load_domain(spec: DomainSpec) -> DomainSampler:
     """Materialize a sampler for a domain description (reads wordlist files)."""
     if isinstance(spec, ExplicitList):
-        return _LabelSampler(spec, spec.labels)
+        return _LabelSampler(spec, spec.labels, frozenset(spec.labels))
     if isinstance(spec, WordList):
-        return _LabelSampler(spec, load_words(spec.path))
+        words = _read_words(spec.path)
+        return _LabelSampler(spec, tuple(words), words)
     if isinstance(spec, WordPairs):
         return _WordPairSampler(spec, load_words(spec.path))
     if isinstance(spec, SizeOnly):

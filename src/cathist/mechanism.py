@@ -110,8 +110,27 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
 
     Deterministic given (config, h): the same seed reproduces the same
     release. A pre-loaded sampler for config.domain may be passed to avoid
-    re-reading wordlist files in tight loops.
+    re-reading wordlist files in tight loops. This is cat_hist_batch's batch
+    of one.
     """
+    return cat_hist_batch(config, h, 1, sampler)[0]
+
+
+def cat_hist_batch(
+    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler | None = None
+) -> list[NoisyHistogram]:
+    """reps independent releases of h from one seed and one stream pair.
+
+    The domain check, the threshold and the two generators are set up once
+    for the batch; each repetition then takes the next draws of each stream.
+    Deterministic given (config, h, reps). The first repetition is the
+    release cat_hist gives for the same config, unless a uniform draw is
+    exactly 0.0 (probability 2**-53 per draw). A sweep runs each grid cell as
+    one batch, so all repetitions of a cell share one seed and one stream
+    pair.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     sampler = _sampler_for(config, sampler)
     active = h.active_domain()
     _check_active_membership(config, sampler.non_members(active))
@@ -120,44 +139,48 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
     scale = 1.0 / epsilon
+    if config.trials is TrialsConvention.FULL_N:
+        trials = sampler.size
+    else:
+        trials = max(sampler.size - len(active), 0)
 
     # Independent streams so the injection draws depend only on the seed and
     # the active set, never on the active counts.
     rng_noise = make_rng(config.seed, 0)
     rng_inject = make_rng(config.seed, 1)
 
-    # One uniform per active bin, drawn in one call: the same doubles, in the
-    # same order, that one sample_laplace call per bin would take, put through
-    # the same arithmetic. A 0.0 is redrawn by sample_laplace, as it would be.
-    # Labels are unique, so len(active) is the number of positive bins.
-    survivors = []
-    positive = (item for item in h.items() if item[1] > 0)
-    for (label, count), u in zip(positive, rng_noise.random(len(active)).tolist()):
-        if u == 0.0:
-            noisy = sample_laplace(rng_noise, count, scale)
-        else:
-            u -= 0.5
-            magnitude = -math.log1p(-2.0 * abs(u))
-            noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
-        if noisy >= threshold and noisy > 0:
-            survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
+    # One uniform per active bin and repetition, drawn in one call: the same
+    # doubles, in the same order, that one sample_laplace call per bin would
+    # take, put through the same arithmetic. A 0.0 is redrawn by
+    # sample_laplace. Labels are unique, so len(active) bins are positive.
+    positive = [item for item in h.items() if item[1] > 0]
+    uniforms = rng_noise.random((reps, len(active)))
+    releases = []
+    for row in uniforms:
+        survivors = []
+        for (label, count), u in zip(positive, row.tolist()):
+            if u == 0.0:
+                noisy = sample_laplace(rng_noise, count, scale)
+            else:
+                u -= 0.5
+                magnitude = -math.log1p(-2.0 * abs(u))
+                noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
+            if noisy >= threshold and noisy > 0:
+                survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
 
-    if config.trials is TrialsConvention.FULL_N:
-        trials = sampler.size
-    else:
-        trials = max(sampler.size - len(active), 0)
-    num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
-    labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
-    # As above: the doubles sample_shifted_exponential would take, one per label.
-    injected = []
-    for label, u in zip(labels, rng_inject.random(num_injected).tolist()):
-        if u == 0.0:
-            weight = sample_shifted_exponential(rng_inject, epsilon, threshold)
-        else:
-            weight = threshold - math.log1p(-u) / epsilon
-        injected.append(NoisyBin(label, weight, Origin.INJECTED))
+        num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
+        labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
+        # As above: the doubles sample_shifted_exponential would take, one per label.
+        injected = []
+        for label, u in zip(labels, rng_inject.random(num_injected).tolist()):
+            if u == 0.0:
+                weight = sample_shifted_exponential(rng_inject, epsilon, threshold)
+            else:
+                weight = threshold - math.log1p(-u) / epsilon
+            injected.append(NoisyBin(label, weight, Origin.INJECTED))
 
-    return NoisyHistogram(survivors + injected)
+        releases.append(NoisyHistogram(survivors + injected))
+    return releases
 
 
 def naive_full_domain_oracle(

@@ -41,7 +41,7 @@ def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> Fidelity
     if len(synth_h) == 0:
         return FidelityScore(0.0, 0, 0.0, 0.0)
     synth_dist = normalize(synth_h)
-    intersection = true_h.active_domain() & set(synth_dist)
+    intersection = true_h.active_domain().intersection(synth_dist)
     true_mass = math.fsum(true_dist[c] for c in intersection)
     synth_mass = math.fsum(synth_dist[c] for c in intersection)
     return FidelityScore(true_mass * synth_mass, len(intersection), true_mass, synth_mass)
@@ -58,5 +58,5 @@ def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -
     if len(synth_h) == 0:
         return 0.0
     synth_dist = normalize(synth_h)
-    intersection = true_h.active_domain() & set(synth_dist)
+    intersection = true_h.active_domain().intersection(synth_dist)
     return math.fsum(true_dist[c] * synth_dist[c] for c in intersection)

@@ -2,9 +2,12 @@
 
 Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
-counts. Per-repetition seeds are derived from (base_seed, epsilon index, rho
-index, repetition index), so every cell is reproducible in isolation and the
-CSV is byte-identical no matter how many workers ran it or in what order.
+counts. A cell's repetitions are one cat_hist_batch call: one seed, derived
+from (base_seed, epsilon index, rho index), and one stream pair shared by all
+of them. So every cell is reproducible in isolation and the CSV is
+byte-identical no matter how many workers ran it or in what order. (Sharing
+the streams changed the CSV values once, against versions that seeded every
+repetition on its own.)
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from pathlib import Path
 from .core import DomainSpec, Histogram, PrivacyParams
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, TrialsConvention, cat_hist
+from .mechanism import CatHistConfig, TrialsConvention, cat_hist_batch
+# Bound here although unused: bench/layers.py traces the mechanism at the
+# names the sweep imports.
+from .mechanism import cat_hist  # noqa: F401
 from .metrics import fidelity
 from .numerics import derive_seed, threshold_defined
 
@@ -76,23 +82,17 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
     epsilon, rho = config.epsilons[eps_index], config.rhos[rho_index]
     if not threshold_defined(rho, state.sampler.size):
         return SweepRow(epsilon, rho, None, None, None, None, config.repetitions, "invalid")
-    fs = []
-    injected = []
-    surviving = []
-    privacy = PrivacyParams(epsilon, rho)
-    for rep in range(config.repetitions):
-        seed = derive_seed(config.base_seed, eps_index, rho_index, rep)
-        cell_config = CatHistConfig(
-            privacy=privacy,
-            domain=config.domain,
-            seed=seed,
-            trials=config.trials,
-            allow_out_of_domain_active=config.allow_out_of_domain_active,
-        )
-        noisy = cat_hist(cell_config, state.hist, sampler=state.sampler)
-        fs.append(fidelity(state.hist, noisy).value)
-        injected.append(len(noisy.injected_bins()))
-        surviving.append(len(noisy.active_bins()))
+    cell_config = CatHistConfig(
+        privacy=PrivacyParams(epsilon, rho),
+        domain=config.domain,
+        seed=derive_seed(config.base_seed, eps_index, rho_index),
+        trials=config.trials,
+        allow_out_of_domain_active=config.allow_out_of_domain_active,
+    )
+    releases = cat_hist_batch(cell_config, state.hist, config.repetitions, sampler=state.sampler)
+    fs = [fidelity(state.hist, noisy).value for noisy in releases]
+    injected = [len(noisy.injected_bins()) for noisy in releases]
+    surviving = [len(noisy.active_bins()) for noisy in releases]
     return SweepRow(
         epsilon=epsilon,
         rho=rho,

@@ -95,30 +95,39 @@ def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_va
 def cat_hist_per_bin(config, h, sampler):
     """cat_hist with one sample_laplace call per active bin and one
     sample_shifted_exponential call per injected label."""
+    return cat_hist_batch_per_rep(config, h, sampler, 1)[0]
+
+
+def cat_hist_batch_per_rep(config, h, sampler, reps):
+    """cat_hist_batch as one cat_hist_per_bin release per repetition, all of
+    them drawing from the same two generators in turn."""
     active = h.active_domain()
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
-    rng_noise = make_rng(config.seed, 0)
-    rng_inject = make_rng(config.seed, 1)
-    survivors = []
-    for label, count in h.items():
-        if count <= 0:
-            continue
-        noisy = sample_laplace(rng_noise, count, 1.0 / epsilon)
-        if noisy >= threshold and noisy > 0:
-            survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
     if config.trials is TrialsConvention.FULL_N:
         trials = sampler.size
     else:
         trials = max(sampler.size - len(active), 0)
-    num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
-    labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
-    injected = [
-        NoisyBin(label, sample_shifted_exponential(rng_inject, epsilon, threshold), Origin.INJECTED)
-        for label in labels
-    ]
-    return NoisyHistogram(survivors + injected)
+    rng_noise = make_rng(config.seed, 0)
+    rng_inject = make_rng(config.seed, 1)
+    releases = []
+    for _ in range(reps):
+        survivors = []
+        for label, count in h.items():
+            if count <= 0:
+                continue
+            noisy = sample_laplace(rng_noise, count, 1.0 / epsilon)
+            if noisy >= threshold and noisy > 0:
+                survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
+        num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
+        labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
+        injected = [
+            NoisyBin(label, sample_shifted_exponential(rng_inject, epsilon, threshold), Origin.INJECTED)
+            for label in labels
+        ]
+        releases.append(NoisyHistogram(survivors + injected))
+    return releases
 
 
 def records_csv_per_row(records):

@@ -48,6 +48,12 @@ class TestHistogram:
         assert len(h) == 2
         assert h.active_domain() == {"b"}
 
+    def test_active_domain_is_one_shared_frozenset(self):
+        h = Histogram([("a", 0.0), ("b", 5.0), ("c", 1.0)])
+        assert isinstance(h.active_domain(), frozenset)
+        assert h.active_domain() is h.active_domain()
+        assert h == Histogram([("a", 0.0), ("b", 5.0), ("c", 1.0)])
+
     def test_missing_label_counts_zero(self):
         h = Histogram([("a", 1.0)])
         assert h.count("nope") == 0.0

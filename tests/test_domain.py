@@ -68,6 +68,33 @@ class TestExplicitSampler:
     def test_k_zero(self):
         assert self.sampler.sample_distinct(make_rng(207), 0) == []
 
+    @pytest.mark.parametrize("excluded, foreign", [(0, 1), (3, 1), (58, 1), (99, 1), (5, 990)])
+    def test_rejection_kept_while_one_slot_in_a_hundred_is_absent(self, excluded, foreign):
+        # Down to one absent slot in DENSE_RATIO, draws are the rejection
+        # draws exactly, as the base sampler makes them. Excluded labels that
+        # are not in the domain leave its slots absent.
+        sampler = load_domain(ExplicitList(labels=tuple(f"x{i}" for i in range(100))))
+        exclude = {f"x{i}" for i in range(excluded)} | {f"y{i}" for i in range(foreign)}
+        for seed in range(20):
+            k = 1 + seed % (100 - excluded)
+            drawn = sampler.sample_distinct(make_rng(208, seed), k, exclude)
+            assert drawn == domain_mod.DomainSampler.sample_distinct(sampler, make_rng(208, seed), k, exclude)
+
+    def test_nearly_covered_domain_draws_uniformly_from_absent_labels(self):
+        labels = tuple(f"x{i}" for i in range(500))
+        sampler = load_domain(ExplicitList(labels=labels))
+        exclude = set(labels[4:])
+        rng = make_rng(209)
+        counts = dict.fromkeys(labels[:4], 0)
+        for _ in range(10_000):
+            counts[sampler.sample_distinct(rng, 1, exclude)[0]] += 1
+        for label, c in counts.items():
+            assert c / 10_000 == pytest.approx(0.25, abs=0.02), label
+        drawn = sampler.sample_distinct(rng, 4, exclude)
+        assert sorted(drawn) == list(labels[:4])
+        with pytest.raises(ValidityError, match="requested 5 distinct categories .* with 496 excluded"):
+            sampler.sample_distinct(rng, 5, exclude)
+
 
 class TestWordListSampler:
     def test_loads_trims_and_dedupes(self, tmp_path):
@@ -75,6 +102,15 @@ class TestWordListSampler:
         path.write_text("  alpha  \nbeta\n\nalpha\ngamma\n   \n", encoding="utf-8")
         words = load_words(path)
         assert words == ("alpha", "beta", "gamma")
+
+    def test_label_index_built_only_for_encode(self, small_wordlist_path):
+        sampler = load_domain(WordList(small_wordlist_path))
+        assert sampler.contains("Male") and not sampler.contains("nope")
+        assert sampler.non_members({"Male", "nope"}) == {"nope"}
+        sampler.sample_distinct(make_rng(211), 3, {"Male"})
+        assert "_index" not in vars(sampler)
+        assert sampler.encode(sampler.decode(7)) == 7
+        assert "_index" in vars(sampler)
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "w.txt"

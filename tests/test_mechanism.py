@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,12 +23,19 @@ from cathist.mechanism import (
     CatHistConfig,
     TrialsConvention,
     cat_hist,
+    cat_hist_batch,
     naive_full_domain_oracle,
     synthesize_records,
 )
 from cathist.numerics import make_rng, noisy_threshold
 
-from oracles import cat_hist_per_bin
+from conftest import WORKCLASS_COUNTS
+from oracles import (
+    cat_hist_batch_per_rep,
+    cat_hist_per_bin,
+    expected_injected_oracle,
+    injected_sd_oracle,
+)
 
 
 def config_for(epsilon, rho, domain, seed, **kw):
@@ -184,6 +192,21 @@ class TestTrialsConvention:
         assert saw_error
 
 
+    def test_n_minus_active_on_nearly_covered_listed_domain(self):
+        # One absent slot in 20 000: rejection sampling used to give up after
+        # RETRY_FACTOR draws (seeds 4 and 101 failed). The absent label is the
+        # only one that can be injected.
+        labels = tuple(f"w{i}" for i in range(20_000))
+        domain = ExplicitList(labels)
+        sampler = load_domain(domain)
+        h = Histogram([(label, 1.0) for label in labels[:-1]])
+        injected = set()
+        for seed in range(200):
+            cfg = config_for(1.0, 1e-300, domain, seed=seed, trials=TrialsConvention.N_MINUS_ACTIVE)
+            injected.update(b.label for b in cat_hist(cfg, h, sampler=sampler).injected_bins())
+        assert injected == {labels[-1]}
+
+
 class TestDomainMembership:
     def test_out_of_domain_active_is_an_error(self):
         domain = ExplicitList(labels=("a", "b"))
@@ -238,6 +261,80 @@ class TestMatchesPerBinLoop:
             assert release == cat_hist_per_bin(cfg, h, sampler), seed
             injected.append(len(release.injected_bins()))
         assert min(injected) >= 300
+
+
+class TestBatch:
+    """cat_hist_batch shares one seed and one stream pair across its
+    repetitions; each repetition must be the per-bin release that the
+    shared generators give in turn."""
+
+    # The census workclass column against a 1 000-label domain holding it.
+    CENSUS = Histogram(WORKCLASS_COUNTS.items())
+    CENSUS_DOMAIN = ExplicitList(list(WORKCLASS_COUNTS) + [f"pad-{i}" for i in range(991)])
+
+    @staticmethod
+    def trials(seed):
+        return TrialsConvention.FULL_N if seed % 2 else TrialsConvention.N_MINUS_ACTIVE
+
+    @pytest.mark.parametrize("reps", [1, 7, 100])
+    def test_census_matches_per_rep_loop(self, reps):
+        sampler = load_domain(self.CENSUS_DOMAIN)
+        injected = 0
+        for seed in range(4):
+            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed, trials=self.trials(seed))
+            batch = cat_hist_batch(cfg, self.CENSUS, reps, sampler=sampler)
+            assert batch == cat_hist_batch_per_rep(cfg, self.CENSUS, sampler, reps), seed
+            assert batch[0] == cat_hist(cfg, self.CENSUS, sampler=sampler)
+            injected += sum(len(release.injected_bins()) for release in batch)
+        if reps > 1:
+            assert injected > 0
+
+    @pytest.mark.parametrize("reps", [1, 7, 100])
+    def test_word_pairs_match_per_rep_loop(self, reps, wordlist_path):
+        domain = WordPairs(wordlist_path)
+        sampler = load_domain(domain)
+        h = Histogram([("Male Female", 300.0), ("Female Male", 2.0), ("Male Male", 0.0)])
+        for seed in range(2):
+            cfg = config_for(1.0, 1e-200, domain, seed=seed, trials=self.trials(seed))
+            batch = cat_hist_batch(cfg, h, reps, sampler=sampler)
+            assert batch == cat_hist_batch_per_rep(cfg, h, sampler, reps), seed
+            assert min(len(release.injected_bins()) for release in batch) >= 300
+
+    def test_batch_of_one_is_cat_hist(self):
+        sampler = load_domain(self.CENSUS_DOMAIN)
+        for seed in range(50):
+            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed, trials=self.trials(seed))
+            assert cat_hist(cfg, self.CENSUS) == cat_hist_batch(cfg, self.CENSUS, 1, sampler)[0], seed
+
+    def test_reps_must_be_positive(self):
+        cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=0)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            cat_hist_batch(cfg, self.CENSUS, 0)
+
+    def test_out_of_domain_warning_once_per_batch(self):
+        cfg = config_for(
+            1.0, 0.6, ExplicitList(labels=tuple("abcd")), seed=0,
+            trials=TrialsConvention.N_MINUS_ACTIVE, allow_out_of_domain_active=True,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            releases = cat_hist_batch(cfg, Histogram([("a", 500.0), ("zzz", 400.0)]), 20)
+        assert len(caught) == 1 and "outside the declared domain" in str(caught[0].message)
+        assert all("zzz" in release.labels() for release in releases)
+
+    def test_shared_streams_calibration(self):
+        # Criteria 1 and 2 on one 10^4-repetition batch at n = 1e8: the
+        # fraction of releases with nothing injected is rho, and the mean
+        # injected count is n * (1 - rho**(1/n)) within 3 sigma.
+        epsilon, rho, n, runs = 1.0, 0.5, 10**8, 10_000
+        domain = SizeOnly(size=n)
+        h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
+        releases = cat_hist_batch(config_for(epsilon, rho, domain, seed=20251018), h, runs)
+        injected = [len(release.injected_bins()) for release in releases]
+        zero_fraction = injected.count(0) / runs
+        assert zero_fraction == pytest.approx(rho, abs=0.015)
+        se = injected_sd_oracle(epsilon, rho, n) / math.sqrt(runs)
+        assert abs(sum(injected) / runs - expected_injected_oracle(epsilon, rho, n)) <= 3 * se
 
 
 class TestNaiveOracle:

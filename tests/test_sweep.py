@@ -1,6 +1,7 @@
 import csv
 import functools
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -112,6 +113,23 @@ class TestRunSweep:
         spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
         monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", spawn_pool)
         assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
+
+    def test_out_of_domain_warning_once_per_valid_cell(self, column_file):
+        # "cat-2" is active but not declared; the 1e-4 cells are invalid.
+        cfg = config(
+            column_file,
+            domain=ExplicitList(labels=("cat-0", "cat-1", *(f"pad-{i}" for i in range(10)))),
+            rhos=(1e-4, 0.5),
+            allow_out_of_domain_active=True,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = run_sweep(cfg)
+        assert [r.status for r in rows] == ["invalid", "ok", "invalid", "ok"]
+        assert [str(w.message) for w in caught] == [
+            "1 active categories are outside the declared domain and are being "
+            "treated as members: ['cat-2']"
+        ] * 2
 
     def test_appending_grid_points_preserves_existing_cells(self, column_file):
         small = run_sweep(config(column_file, epsilons=(1.0,), rhos=(0.5,)))
