@@ -2,12 +2,22 @@
 
 Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
-counts. A cell's repetitions are one cat_hist_batch call: one seed, derived
-from (base_seed, epsilon index, rho index), and one stream pair shared by all
-of them. So every cell is reproducible in isolation and the CSV is
-byte-identical no matter how many workers ran it or in what order. (Sharing
-the streams changed the CSV values once, against versions that seeded every
-repetition on its own.)
+counts. A cell's repetitions are one batch (see mechanism.cat_hist_batch):
+one seed, derived from (base_seed, epsilon index, rho index), and one stream
+pair shared by all of them. So every cell is reproducible in isolation and
+the CSV is byte-identical no matter how many workers ran it or in what order.
+
+A cell builds no releases. Injected labels are drawn outside the active set,
+so a release meets the column in its surviving active bins S only, and its
+fidelity is
+
+    F = true_mass(S) * noisy_mass(S) / (noisy_mass(S) + m*tau + sum of m Exp)
+
+with m injected bins weighted tau + Exponential(epsilon). The cell takes the
+batch's draws (the active-bin uniforms, each repetition's m and weight
+uniforms) and computes F for all repetitions as whole-array work, in blocks
+of rows; it never picks labels. Its rows are what cat_hist_batch followed by
+metrics.fidelity give for the same seed, up to the rounding of the sums.
 """
 
 from __future__ import annotations
@@ -18,14 +28,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import DomainSpec, Histogram, PrivacyParams
+import numpy as np
+
+from .core import DomainSpec, Histogram, PrivacyParams, ValidityError
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, TrialsConvention, cat_hist_batch
-# Bound here although unused: bench/layers.py traces the mechanism at the
-# names the sweep imports.
+from .mechanism import CatHistConfig, TrialsConvention, _draw_batch
+# Bound here although unused: bench/layers.py traces the mechanism and the
+# score at the names the sweep imports.
 from .mechanism import cat_hist  # noqa: F401
-from .metrics import fidelity
+from .metrics import fidelity  # noqa: F401
 from .numerics import derive_seed, threshold_defined
 
 SWEEP_CSV_HEADER = (
@@ -89,17 +101,49 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
         trials=config.trials,
         allow_out_of_domain_active=config.allow_out_of_domain_active,
     )
-    releases = cat_hist_batch(cell_config, state.hist, config.repetitions, sampler=state.sampler)
-    fs = [fidelity(state.hist, noisy).value for noisy in releases]
-    injected = [len(noisy.injected_bins()) for noisy in releases]
-    surviving = [len(noisy.active_bins()) for noisy in releases]
+    total = state.hist.total
+    # As fidelity would: a column with no records cannot be scored.
+    if total <= 0:
+        raise ValidityError("empty distribution: nothing to normalize")
+    draws = _draw_batch(cell_config, state.hist, config.repetitions, state.sampler)
+    counts = np.array([count for _, count in draws.positive])
+    shares = counts / total
+    scale = 1.0 / epsilon
+    true_mass, noisy_mass, surviving = [], [], []
+    for u in draws.uniforms:
+        # cat_hist_batch's per-bin arithmetic on the whole block, in place:
+        # noisy = count + sign(u - 1/2) * scale * -log1p(-2|u - 1/2|).
+        u -= 0.5
+        noisy = np.abs(u)
+        noisy *= -2.0
+        np.log1p(noisy, out=noisy)
+        noisy *= -scale
+        np.copysign(noisy, u, out=noisy)
+        noisy += counts
+        kept = (noisy >= draws.threshold) & (noisy > 0)
+        noisy *= kept
+        true_mass.append(np.where(kept, shares, 0.0).sum(axis=1))
+        noisy_mass.append(noisy.sum(axis=1))
+        surviving.append(np.count_nonzero(kept, axis=1))
+    injected = np.array([weights.size for weights in draws.weights])
+    # Each injected weight is threshold + Exponential(epsilon).
+    exponentials = -np.log1p(-np.concatenate(draws.weights)) / epsilon
+    injected_mass = injected * draws.threshold + np.bincount(
+        np.repeat(np.arange(config.repetitions), injected), exponentials, config.repetitions
+    )
+    # Injected labels are never active, so a release meets the column in its
+    # surviving bins only; an empty release scores 0.
+    noisy_mass = np.concatenate(noisy_mass)
+    release_mass = noisy_mass + injected_mass
+    synth_mass = np.divide(noisy_mass, release_mass, out=np.zeros_like(release_mass), where=release_mass > 0)
+    fs = (np.concatenate(true_mass) * synth_mass).tolist()
     return SweepRow(
         epsilon=epsilon,
         rho=rho,
         mean_f=statistics.fmean(fs),
         stddev_f=statistics.pstdev(fs),
-        mean_injected=statistics.fmean(injected),
-        mean_surviving=statistics.fmean(surviving),
+        mean_injected=statistics.fmean(injected.tolist()),
+        mean_surviving=statistics.fmean(np.concatenate(surviving).tolist()),
         repetitions=config.repetitions,
         status="ok",
     )

@@ -92,6 +92,17 @@ def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_va
     return tuple((label, float(count)) for label, count in counts.items()), skipped_empty
 
 
+def load_words_per_line(path):
+    """load_words as one loop over the lines of the file."""
+    words = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            word = line.strip()
+            if word:
+                words.setdefault(word, None)
+    return tuple(words)
+
+
 def cat_hist_per_bin(config, h, sampler):
     """cat_hist with one sample_laplace call per active bin and one
     sample_shifted_exponential call per injected label."""
@@ -100,7 +111,9 @@ def cat_hist_per_bin(config, h, sampler):
 
 def cat_hist_batch_per_rep(config, h, sampler, reps):
     """cat_hist_batch as one cat_hist_per_bin release per repetition, all of
-    them drawing from the same two generators in turn."""
+    them drawing from the same two generators in turn. On the injection
+    stream every repetition's count and weights come first, then every
+    repetition's labels."""
     active = h.active_domain()
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
@@ -108,10 +121,10 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
     if config.trials is TrialsConvention.FULL_N:
         trials = sampler.size
     else:
-        trials = max(sampler.size - len(active), 0)
+        trials = sampler.size - len(active - sampler.non_members(active))
     rng_noise = make_rng(config.seed, 0)
     rng_inject = make_rng(config.seed, 1)
-    releases = []
+    survivors_per_rep = []
     for _ in range(reps):
         survivors = []
         for label, count in h.items():
@@ -120,12 +133,17 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
             noisy = sample_laplace(rng_noise, count, 1.0 / epsilon)
             if noisy >= threshold and noisy > 0:
                 survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
+        survivors_per_rep.append(survivors)
+    weights_per_rep = []
+    for _ in range(reps):
         num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
-        labels = sampler.sample_distinct(rng_inject, num_injected, exclude=active)
-        injected = [
-            NoisyBin(label, sample_shifted_exponential(rng_inject, epsilon, threshold), Origin.INJECTED)
-            for label in labels
-        ]
+        weights_per_rep.append(
+            [sample_shifted_exponential(rng_inject, epsilon, threshold) for _ in range(num_injected)]
+        )
+    releases = []
+    for survivors, weights in zip(survivors_per_rep, weights_per_rep):
+        labels = sampler.sample_distinct(rng_inject, len(weights), exclude=active)
+        injected = [NoisyBin(label, weight, Origin.INJECTED) for label, weight in zip(labels, weights)]
         releases.append(NoisyHistogram(survivors + injected))
     return releases
 

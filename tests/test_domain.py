@@ -7,6 +7,7 @@ from cathist.domain import load_domain, load_words
 from cathist.numerics import make_rng
 
 from conftest import WORDLIST_SIZE
+from oracles import load_words_per_line
 
 
 class TestExplicitSampler:
@@ -102,6 +103,32 @@ class TestWordListSampler:
         path.write_text("  alpha  \nbeta\n\nalpha\ngamma\n   \n", encoding="utf-8")
         words = load_words(path)
         assert words == ("alpha", "beta", "gamma")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, domain_mod.READ_BLOCK])
+    def test_matches_per_line_loop(self, tmp_path, monkeypatch, block):
+        # CRLF, a lone CR, blank and whitespace-only lines, duplicates,
+        # non-ASCII, a form feed and a NEL inside words, an inner space and
+        # no final newline: str.splitlines would split at the form feed and
+        # the NEL. Small blocks put every case across a block boundary.
+        monkeypatch.setattr(domain_mod, "READ_BLOCK", block)
+        text = (
+            "alpha\r\nbeta\rgamma\n\n   \n\t\r\nalpha\n  beta  \ncafé\n\u00e9t\u00e9\n"
+            "form\x0cfeed\nnext\x85line\nsep\u2028arator\ntwo words\n\x0c\nlast"
+        )
+        path = tmp_path / "w.txt"
+        path.write_bytes(text.encode("utf-8"))
+        words = load_words(path)
+        assert words == load_words_per_line(path)
+        assert words == (
+            "alpha", "beta", "gamma", "café", "été", "form\x0cfeed", "next\x85line",
+            "sep\u2028arator", "two words", "last",
+        )
+
+    def test_invalid_utf8_raises_decode_error(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"alpha\nbe\xfft\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_words(path)
 
     def test_label_index_built_only_for_encode(self, small_wordlist_path):
         sampler = load_domain(WordList(small_wordlist_path))

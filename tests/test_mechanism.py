@@ -22,6 +22,7 @@ from cathist.mechanism import (
     ORACLE_MAX_DOMAIN,
     CatHistConfig,
     TrialsConvention,
+    _nonzero,
     cat_hist,
     cat_hist_batch,
     naive_full_domain_oracle,
@@ -207,6 +208,25 @@ class TestTrialsConvention:
         assert injected == {labels[-1]}
 
 
+    def test_n_minus_active_counts_in_domain_absent_slots(self, monkeypatch):
+        # "zz" is active but outside the domain: of the 3 slots only "b" and
+        # "c" are absent, so the binomial runs over 2 trials, not 3 - 2 = 1.
+        trials = []
+
+        def recording_binomial(rng, n, p):
+            trials.append(n)
+            return 0
+
+        monkeypatch.setattr("cathist.mechanism.sample_binomial", recording_binomial)
+        cfg = config_for(
+            1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0,
+            trials=TrialsConvention.N_MINUS_ACTIVE, allow_out_of_domain_active=True,
+        )
+        with pytest.warns(UserWarning, match="outside the declared domain"):
+            cat_hist(cfg, Histogram([("a", 5.0), ("zz", 3.0)]))
+        assert trials == [2]
+
+
 class TestDomainMembership:
     def test_out_of_domain_active_is_an_error(self):
         domain = ExplicitList(labels=("a", "b"))
@@ -284,7 +304,12 @@ class TestBatch:
             cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed, trials=self.trials(seed))
             batch = cat_hist_batch(cfg, self.CENSUS, reps, sampler=sampler)
             assert batch == cat_hist_batch_per_rep(cfg, self.CENSUS, sampler, reps), seed
-            assert batch[0] == cat_hist(cfg, self.CENSUS, sampler=sampler)
+            # The labels of all repetitions follow every repetition's count
+            # and weights, so the first repetition is cat_hist's release
+            # except for the labels it injects.
+            first = cat_hist(cfg, self.CENSUS, sampler=sampler)
+            assert batch[0].active_bins() == first.active_bins()
+            assert [b.count for b in batch[0].injected_bins()] == [b.count for b in first.injected_bins()]
             injected += sum(len(release.injected_bins()) for release in batch)
         if reps > 1:
             assert injected > 0
@@ -321,6 +346,14 @@ class TestBatch:
             releases = cat_hist_batch(cfg, Histogram([("a", 500.0), ("zzz", 400.0)]), 20)
         assert len(caught) == 1 and "outside the declared domain" in str(caught[0].message)
         assert all("zzz" in release.labels() for release in releases)
+
+    def test_zero_uniforms_redrawn_in_row_major_order(self):
+        # A 0.0 would make an infinite Laplace or weight; it is replaced by
+        # the stream's next draws, as sample_laplace and
+        # sample_shifted_exponential redraw it.
+        u = np.array([[0.5, 0.0, 0.25], [0.0, 0.75, 0.0]])
+        a, b, c = make_rng(9).random(3).tolist()
+        assert _nonzero(make_rng(9), u).tolist() == [[0.5, a, 0.25], [b, 0.75, c]]
 
     def test_shared_streams_calibration(self):
         # Criteria 1 and 2 on one 10^4-repetition batch at n = 1e8: the

@@ -1,14 +1,18 @@
 import csv
 import functools
 import multiprocessing
+import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from cathist.core import ExplicitList, SizeOnly, WordList
+from cathist.core import ExplicitList, PrivacyParams, SizeOnly, ValidityError, WordList, WordPairs
 from cathist.domain import load_domain
-from cathist.ingest import ColumnSelector
+from cathist.ingest import ColumnSelector, read_histogram
+from cathist.mechanism import CatHistConfig, TrialsConvention, cat_hist_batch
+from cathist.metrics import fidelity
+from cathist.numerics import derive_seed
 from cathist.sweep import (
     DEFAULT_EPSILONS,
     DEFAULT_RHOS,
@@ -164,6 +168,135 @@ class TestRunSweep:
             config(column_file, epsilons=())
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(config(column_file), jobs=0)
+
+
+def release_rows(cfg):
+    """A sweep's rows computed the long way: each valid cell's releases from
+    cat_hist_batch on the cell's derived seed, scored with fidelity."""
+    hist = read_histogram(cfg.column, cfg.drop_values)
+    sampler = load_domain(cfg.domain)
+    rows = []
+    for ei, epsilon in enumerate(cfg.epsilons):
+        for ri, rho in enumerate(cfg.rhos):
+            cell = CatHistConfig(
+                PrivacyParams(epsilon, rho), cfg.domain, derive_seed(cfg.base_seed, ei, ri),
+                cfg.trials, cfg.allow_out_of_domain_active,
+            )
+            releases = cat_hist_batch(cell, hist, cfg.repetitions, sampler)
+            fs = [fidelity(hist, release).value for release in releases]
+            rows.append({
+                "epsilon": epsilon,
+                "rho": rho,
+                "mean_f": statistics.fmean(fs),
+                "stddev_f": statistics.pstdev(fs),
+                "mean_injected": statistics.fmean(len(r.injected_bins()) for r in releases),
+                "mean_surviving": statistics.fmean(len(r.active_bins()) for r in releases),
+                "injected": [len(r.injected_bins()) for r in releases],
+                "empty": sum(len(r) == 0 for r in releases),
+            })
+    return sorted(rows, key=lambda row: (row["epsilon"], row["rho"]))
+
+
+class TestCellsMatchReleases:
+    """A cell computes its statistics from the batch's draws without building
+    releases; they must be what cat_hist_batch and fidelity give."""
+
+    @staticmethod
+    def assert_rows_match(cfg):
+        rows = run_sweep(cfg)
+        expected = release_rows(cfg)
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert (row.epsilon, row.rho, row.status) == (want["epsilon"], want["rho"], "ok")
+            assert row.mean_injected == want["mean_injected"]
+            assert row.mean_surviving == want["mean_surviving"]
+            assert row.mean_f == pytest.approx(want["mean_f"], rel=0, abs=1e-12)
+            assert row.stddev_f == pytest.approx(want["stddev_f"], rel=0, abs=1e-12)
+        return expected
+
+    def test_census_column_against_wordlist(self, census_csv, wordlist_path):
+        cfg = SweepConfig(
+            column=ColumnSelector(census_csv, "sex"),
+            domain=WordList(wordlist_path),
+            repetitions=100,
+            base_seed=11,
+        )
+        expected = self.assert_rows_match(cfg)
+        assert sum(sum(cell["injected"]) for cell in expected) > 0
+
+    def test_word_pairs_injecting_every_repetition(self, tmp_path, small_wordlist_path):
+        # "zz top" is outside the word-pair domain; rho = 1e-200 injects
+        # about 460 bins into every release.
+        path = tmp_path / "pairs.csv"
+        rows = ["Male Female"] * 40 + ["Female Male"] * 3 + ["zz top"] * 30
+        path.write_text("\n".join(["p", *rows]) + "\n", encoding="utf-8")
+        for trials in TrialsConvention:
+            cfg = SweepConfig(
+                column=ColumnSelector(str(path), "p"),
+                domain=WordPairs(small_wordlist_path),
+                epsilons=(0.5, 1.0),
+                rhos=(1e-200, 0.5),
+                repetitions=30,
+                base_seed=5,
+                trials=trials,
+                allow_out_of_domain_active=True,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = self.assert_rows_match(cfg)
+            assert all(min(cell["injected"]) >= 300 for cell in expected if cell["rho"] == 1e-200)
+
+    def test_cells_with_empty_releases(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("v\n" + "cat-0\n" * 9 + "cat-1\n" * 2, encoding="utf-8")
+        cfg = SweepConfig(
+            column=ColumnSelector(str(path), "v"),
+            domain=SizeOnly(size=1_000),
+            epsilons=(0.1, 1.0),
+            rhos=(0.5, 0.9),
+            repetitions=100,
+            base_seed=3,
+        )
+        expected = self.assert_rows_match(cfg)
+        assert all(cell["empty"] > 0 for cell in expected)
+        assert any(cell["mean_f"] > 0 for cell in expected)
+
+    def test_cell_over_many_row_blocks_equals_one_block(self, census_csv, monkeypatch):
+        # 9 active bins: blocks of 4 rows, then one block of all 100.
+        cfg = SweepConfig(
+            column=ColumnSelector(census_csv, "workclass"),
+            domain=SizeOnly(size=171_000),
+            epsilons=(0.01, 1.0),
+            rhos=(0.1, 0.9),
+            repetitions=100,
+            base_seed=2,
+            allow_out_of_domain_active=True,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 40)
+            blocked = run_sweep(cfg)
+            monkeypatch.undo()
+            assert run_sweep(cfg) == blocked
+
+    def test_exhausted_domain_fails_the_cell_as_a_release(self, column_file):
+        # The column covers the domain, so a full-n injection has no absent
+        # slot to land on; n-minus-active never injects.
+        domain = ExplicitList(labels=("cat-0", "cat-1", "cat-2"))
+        cfg = config(column_file, domain=domain, epsilons=(1.0,), rhos=(0.6,))
+        with pytest.raises(ValidityError, match="domain exhausted"):
+            release_rows(cfg)
+        with pytest.raises(ValidityError, match="domain exhausted"):
+            run_sweep(cfg)
+        cfg = config(column_file, domain=domain, epsilons=(1.0,), rhos=(0.6,), trials=TrialsConvention.N_MINUS_ACTIVE)
+        assert [row.mean_injected for row in run_sweep(cfg)] == [0.0]
+
+    def test_empty_column_is_an_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("v\n\n", encoding="utf-8")
+        cfg = SweepConfig(column=ColumnSelector(str(path), "v"), domain=SizeOnly(size=1_000), repetitions=3)
+        with pytest.raises(ValidityError, match="empty distribution"):
+            run_sweep(cfg)
 
 
 class TestWriteSweepCsv:
