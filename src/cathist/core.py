@@ -138,18 +138,6 @@ class NoisyHistogram:
             normalized.append(b)
         object.__setattr__(self, "bins", tuple(normalized))
 
-    @classmethod
-    def _trusted(cls, bins: list[NoisyBin]) -> "NoisyHistogram":
-        """A release whose invariants its builder guarantees, not checked again.
-
-        The mechanism's releases qualify: their labels come from a validated
-        histogram or domain and are unique, and every count is finite and
-        above a non-negative threshold.
-        """
-        release = object.__new__(cls)
-        object.__setattr__(release, "bins", tuple(bins))
-        return release
-
     def items(self) -> Iterator[tuple[str, float]]:
         return ((b.label, b.count) for b in self.bins)
 

@@ -11,10 +11,8 @@ its slots excluded draws from its absent labels instead.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from pathlib import Path
-from typing import TextIO
 
 from .core import DomainSpec, ExplicitList, SizeOnly, ValidityError, WordList, WordPairs
 from .numerics import Rng
@@ -174,27 +172,12 @@ class _SizeOnlySampler(DomainSampler):
         raise ValidityError(f"category {label!r} is not in the generated domain")
 
 
-# Characters a wordlist is read in at a time.
-READ_BLOCK = 1 << 16
-
-
-def _line_blocks(fh: TextIO) -> Iterator[list[str]]:
-    """The lines iterating fh gives, without their "\n", a block at a time.
-
-    Splits on "\n" only: newlines are universal, so "\r\n" and "\r" arrive as
-    "\n", and str.splitlines would also split on "\x0c", "\x85" and "\u2028".
-    """
-    tail = ""
-    for block in iter(functools.partial(fh.read, READ_BLOCK), ""):
-        lines = (tail + block).split("\n")
-        tail = lines.pop()
-        yield lines
-    yield [tail]
-
-
 def _read_words(path: Path) -> dict[str, None]:
     with open(path, encoding="utf-8") as fh:
-        words = dict.fromkeys(filter(None, map(str.strip, chain.from_iterable(_line_blocks(fh)))))
+        # Newlines are universal, so "\r\n" and "\r" arrive as "\n"; split on
+        # "\n" only, as iterating the file does (str.splitlines would also
+        # split on "\x0c", "\x85" and "\u2028").
+        words = dict.fromkeys(filter(None, map(str.strip, fh.read().split("\n"))))
     if not words:
         raise ValidityError(f"wordlist {path} contains no words")
     return words

@@ -111,7 +111,7 @@ def _check_active_membership(config: CatHistConfig, outside: set[str]) -> None:
 def _sampler_for(config: CatHistConfig, sampler: DomainSampler | None) -> DomainSampler:
     if sampler is None:
         return load_domain(config.domain)
-    if sampler.spec is not config.domain and sampler.spec != config.domain:
+    if sampler.spec != config.domain:
         raise ValueError("sampler was built for a different domain spec")
     return sampler
 
@@ -164,7 +164,7 @@ def cat_hist_batch(
             NoisyBin(label, threshold - math.log1p(-u) / epsilon, Origin.INJECTED)
             for label, u in zip(injected_labels, weights.tolist())
         ]
-        releases.append(NoisyHistogram._trusted(survivors + injected))
+        releases.append(NoisyHistogram(survivors + injected))
     return releases
 
 
@@ -241,9 +241,6 @@ _NO_DRAWS = np.empty(0)
 
 def _uniform_blocks(rng: Rng, reps: int, k: int) -> Iterable[np.ndarray]:
     rows = max(1, BLOCK_DRAWS // k) if k else reps
-    # A release's single block is drawn at once, sparing it a generator.
-    if rows >= reps:
-        return (_nonzero(rng, rng.random((reps, k))),)
     return (_nonzero(rng, rng.random((min(rows, reps - start), k))) for start in range(0, reps, rows))
 
 

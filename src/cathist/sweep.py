@@ -18,6 +18,16 @@ batch's draws (the active-bin uniforms, each repetition's m and weight
 uniforms) and computes F for all repetitions as whole-array work, in blocks
 of rows; it never picks labels. Its rows are what cat_hist_batch followed by
 metrics.fidelity give for the same seed, up to the rounding of the sums.
+
+Two cases part from that. A cell whose noisy or injected mass overflows (a
+tiny epsilon) fails with ValidityError, as a release with a non-finite count
+does; it fails too in the rare case where every count is finite and only
+their sum is not, which a release does not refuse. And as a cell picks no
+labels, it never meets the cap on rejection attempts (domain.RETRY_FACTOR):
+on a generated or word-pair domain with nearly every slot active, where
+cat_hist_batch gives up drawing labels, the cell still reports the fidelity
+of the releases the mechanism defines. Running out of absent slots fails the
+cell as it fails a release.
 """
 
 from __future__ import annotations
@@ -89,6 +99,8 @@ class _SweepState:
     sampler: DomainSampler
 
 
+# Overflow at a tiny epsilon is checked below, or drops out with its bin.
+@np.errstate(over="ignore")
 def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
     config = state.config
     epsilon, rho = config.epsilons[eps_index], config.rhos[rho_index]
@@ -121,7 +133,8 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
         np.copysign(noisy, u, out=noisy)
         noisy += counts
         kept = (noisy >= draws.threshold) & (noisy > 0)
-        noisy *= kept
+        # Not noisy *= kept: a dropped bin's -inf times 0 would be nan.
+        np.copyto(noisy, 0.0, where=~kept)
         true_mass.append(np.where(kept, shares, 0.0).sum(axis=1))
         noisy_mass.append(noisy.sum(axis=1))
         surviving.append(np.count_nonzero(kept, axis=1))
@@ -131,9 +144,13 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
     injected_mass = injected * draws.threshold + np.bincount(
         np.repeat(np.arange(config.repetitions), injected), exponentials, config.repetitions
     )
+    noisy_mass = np.concatenate(noisy_mass)
+    # At a tiny epsilon a noisy count or weight can overflow; a release
+    # refuses it, and a cell refuses a noisy or injected mass that is not finite.
+    if not (np.isfinite(noisy_mass).all() and np.isfinite(injected_mass).all()):
+        raise ValidityError(f"noisy counts at epsilon={epsilon} overflow: a release mass is not finite")
     # Injected labels are never active, so a release meets the column in its
     # surviving bins only; an empty release scores 0.
-    noisy_mass = np.concatenate(noisy_mass)
     release_mass = noisy_mass + injected_mass
     synth_mass = np.divide(noisy_mass, release_mass, out=np.zeros_like(release_mass), where=release_mass > 0)
     fs = (np.concatenate(true_mass) * synth_mass).tolist()

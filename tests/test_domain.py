@@ -104,13 +104,11 @@ class TestWordListSampler:
         words = load_words(path)
         assert words == ("alpha", "beta", "gamma")
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, domain_mod.READ_BLOCK])
-    def test_matches_per_line_loop(self, tmp_path, monkeypatch, block):
+    def test_matches_per_line_loop(self, tmp_path):
         # CRLF, a lone CR, blank and whitespace-only lines, duplicates,
         # non-ASCII, a form feed and a NEL inside words, an inner space and
         # no final newline: str.splitlines would split at the form feed and
-        # the NEL. Small blocks put every case across a block boundary.
-        monkeypatch.setattr(domain_mod, "READ_BLOCK", block)
+        # the NEL.
         text = (
             "alpha\r\nbeta\rgamma\n\n   \n\t\r\nalpha\n  beta  \ncafé\n\u00e9t\u00e9\n"
             "form\x0cfeed\nnext\x85line\nsep\u2028arator\ntwo words\n\x0c\nlast"

@@ -291,6 +291,57 @@ class TestCellsMatchReleases:
         cfg = config(column_file, domain=domain, epsilons=(1.0,), rhos=(0.6,), trials=TrialsConvention.N_MINUS_ACTIVE)
         assert [row.mean_injected for row in run_sweep(cfg)] == [0.0]
 
+    def test_overflowing_counts_fail_the_cell_as_a_release(self, column_file):
+        # At epsilon = 1e-308 the threshold is finite (about 1.4e308) but a
+        # Laplace magnitude above 1.8, or an Exponential one, overflows the
+        # count to inf: a release refuses such a bin, and so must a cell. A
+        # bin at -inf is dropped and harms neither (seeds 4 and 11 make one).
+        domain = ExplicitList(labels=tuple(f"cat-{i}" for i in range(9)))
+        outcomes = set()
+        for seed in range(12):
+            cfg = config(column_file, domain=domain, epsilons=(1e-308,), rhos=(0.3,), repetitions=1, base_seed=seed)
+            try:
+                release_rows(cfg)
+            except ValidityError as exc:
+                assert "must be finite" in str(exc)
+                with pytest.raises(ValidityError, match="not finite"):
+                    run_sweep(cfg)
+                outcomes.add("refused")
+            else:
+                self.assert_rows_match(cfg)
+                outcomes.add("ok")
+        assert outcomes == {"refused", "ok"}
+        cfg = config(column_file, domain=domain, epsilons=(1e-308,), rhos=(0.3,), repetitions=50)
+        with pytest.raises(ValidityError, match="must be finite"):
+            release_rows(cfg)
+        with pytest.raises(ValidityError, match="not finite"):
+            run_sweep(cfg)
+
+    def test_cells_never_meet_the_rejection_cap(self, tmp_path, monkeypatch):
+        # 199 of the 200 generated slots are active, so under n-minus-active
+        # an injected label takes about 200 rejection draws. With the cap cut
+        # to one attempt per label the releases give up; a cell picks no
+        # labels and still reports the rows the releases give under the
+        # default cap.
+        path = tmp_path / "dense.csv"
+        path.write_text("v\n" + "".join(f"x-{i}\n" for i in range(199)), encoding="utf-8")
+        cfg = SweepConfig(
+            column=ColumnSelector(str(path), "v"),
+            domain=SizeOnly(size=200, prefix="x"),
+            epsilons=(1.0,),
+            rhos=(1e-30,),
+            repetitions=50,
+            base_seed=1,
+            trials=TrialsConvention.N_MINUS_ACTIVE,
+        )
+        expected = self.assert_rows_match(cfg)
+        assert expected[0]["mean_injected"] > 0
+        rows = run_sweep(cfg)
+        monkeypatch.setattr("cathist.domain.RETRY_FACTOR", 1)
+        with pytest.raises(ValidityError, match="rejection attempts"):
+            release_rows(cfg)
+        assert run_sweep(cfg) == rows
+
     def test_empty_column_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("v\n\n", encoding="utf-8")
