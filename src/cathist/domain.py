@@ -4,8 +4,8 @@ A domain is never materialized. Each sampler pairs an exact size with an
 integer indexer (a bijection between [0, size) and labels), so drawing a
 uniform category is drawing a uniform index. Distinctness and exclusion are
 handled by rejection, which stays cheap while the number of requested
-categories is far below the domain size. A listed domain with almost all of
-its slots excluded draws from its absent labels instead.
+categories is far below the domain size. A domain with almost all of its
+slots excluded draws from its absent labels instead.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .numerics import Rng
 # Rejection attempts allowed per requested category before giving up.
 RETRY_FACTOR = 10_000
 
-# A listed domain with fewer than one absent slot in DENSE_RATIO samples its
-# absent labels directly. Above that, a label takes under DENSE_RATIO draws on
+# A domain with fewer than one absent slot in DENSE_RATIO samples its absent
+# labels directly. Above that, a label takes under DENSE_RATIO draws on
 # average and the chance of hitting RETRY_FACTOR is below (1 - 1/100)**10_000,
 # about 2e-44; below it, rejection slows down and eventually fails.
 DENSE_RATIO = 100
@@ -57,6 +57,16 @@ class DomainSampler:
             raise ValueError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
+        # Rejection takes size / absent draws per label, so with fewer than one
+        # absent slot in DENSE_RATIO its RETRY_FACTOR cap comes within reach.
+        # The domain is then barely larger than exclude, so listing it costs
+        # about what building exclude did.
+        if DENSE_RATIO * (self.size - len(exclude)) < self.size:
+            excluded_members = len(exclude) - len(self.non_members(exclude))
+            if DENSE_RATIO * (self.size - excluded_members) < self.size:
+                self._require_room(k, excluded_members)
+                absent = list(filterfalse(exclude.__contains__, map(self.decode, range(self.size))))
+                return [absent[i] for i in rng.choice(len(absent), size=k, replace=False).tolist()]
         # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
         if k > self.size - len(exclude):
             self._require_room(k, len(exclude) - len(self.non_members(exclude)))
@@ -117,17 +127,6 @@ class _LabelSampler(DomainSampler):
 
     def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
         return labels.difference(self._members)
-
-    def sample_distinct(self, rng: Rng, k: int, exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
-        # Rejection takes size / absent draws per label, so with fewer than one
-        # absent slot in DENSE_RATIO its RETRY_FACTOR cap comes within reach.
-        if k > 0 and DENSE_RATIO * (self.size - len(exclude)) < self.size:
-            excluded_members = len(exclude) - len(self.non_members(exclude))
-            if DENSE_RATIO * (self.size - excluded_members) < self.size:
-                self._require_room(k, excluded_members)
-                absent = list(filterfalse(exclude.__contains__, self._labels))
-                return [absent[i] for i in rng.choice(len(absent), size=k, replace=False).tolist()]
-        return super().sample_distinct(rng, k, exclude)
 
 
 class _WordPairSampler(DomainSampler):

@@ -12,6 +12,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import stat
 import sys
 import warnings
 from collections import Counter
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, takewhile, tee
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from .core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin, ValidityError
 
@@ -74,8 +76,46 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     Cells are trimmed; empty cells are skipped (one warning reports how
     many); values in drop_values are skipped silently. Bin order is first
     appearance.
+
+    A regular file is counted by distinct line when every line is one whole
+    record (see _count_lines); any other input, and any input the line count
+    gives up on, is read row by row. Both give the same histogram and the
+    same errors.
     """
-    with _open_source(selector.source) as fh, _csv_reader(fh, selector.source, selector.delimiter) as reader:
+    with _open_source(selector.source) as fh:
+        regular = selector.source != "-" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        merged = _count_lines(fh, selector, drop_values) if regular else None
+        if merged is None:
+            if regular:
+                fh.seek(0)
+            merged = _merge(_count_rows(fh, selector), drop_values)
+    counts, skipped_empty = merged
+    if skipped_empty:
+        warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
+    return Histogram(zip(counts, map(float, counts.values())))
+
+
+def _merge(cells: Iterable[tuple[str, int]], drop_values: frozenset[str]) -> tuple[dict[str, int], int]:
+    """Counts per trimmed cell, without drop_values, and the empty cells skipped.
+
+    cells are (raw cell, count) pairs, each raw cell or line once, in
+    first-appearance order. The first raw variant of a trimmed cell is its
+    first appearance, so order is kept.
+    """
+    counts: dict[str, int] = {}
+    skipped_empty = 0
+    for raw_cell, n in cells:
+        cell = raw_cell.strip()
+        if cell == "":
+            skipped_empty += n
+        elif cell not in drop_values:
+            counts[cell] = counts.get(cell, 0) + n
+    return counts, skipped_empty
+
+
+def _count_rows(fh: IO[str], selector: ColumnSelector) -> Iterable[tuple[str, int]]:
+    """(raw cell, count) pairs from every parsed row."""
+    with _csv_reader(fh, selector.source, selector.delimiter) as reader:
         index = _resolve_column(reader, selector)
         # Raw cells are counted in C. The second tee branch trails the first
         # by one row, so it still holds the row that was too short.
@@ -87,19 +127,44 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
                 f"{selector.source}: line {reader.line_num}: expected at least "
                 f"{index + 1} fields, got {len(next(trailing))}"
             ) from None
-    # Trimming and dropping run once per distinct raw cell. The first raw
-    # variant of a trimmed cell is its first appearance, so order is kept.
-    counts: dict[str, int] = {}
-    skipped_empty = 0
-    for raw_cell, n in raw.items():
-        cell = raw_cell.strip()
-        if cell == "":
-            skipped_empty += n
-        elif cell not in drop_values:
-            counts[cell] = counts.get(cell, 0) + n
-    if skipped_empty:
-        warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
-    return Histogram((label, float(count)) for label, count in counts.items())
+    return raw.items()
+
+
+def _count_lines(
+    fh: IO[str], selector: ColumnSelector, drop_values: frozenset[str]
+) -> tuple[dict[str, int], int] | None:
+    """_merge over each distinct line, counted whole and parsed once.
+
+    That is valid while every line is one whole record: with no quote, no
+    NUL and no invalid byte, csv.reader ends a record at every line end.
+    Returns None, for the caller to read row by row and word any error with
+    its line number, on any such character, a header problem, a short row
+    or a csv.Error.
+    """
+    header = fh.readline() if selector.has_header else ""
+    if _unsafe(header):
+        return None
+    try:
+        index = _resolve_column(csv.reader([header], delimiter=selector.delimiter), selector)
+    except (IngestError, csv.Error):
+        return None
+    lines: Counter[str] = Counter()
+    while block := fh.readlines(_BLOCK_CHARS):
+        if _unsafe("".join(block)):
+            return None
+        lines.update(block)
+    for blank in ("\n", "\r\n", "\r"):  # the only lines that parse to no fields
+        lines.pop(blank, None)
+    rows = csv.reader(lines, delimiter=selector.delimiter)
+    try:
+        return _merge(zip(map(itemgetter(index), rows), lines.values()), drop_values)
+    except (IndexError, csv.Error):
+        return None
+
+
+def _unsafe(text: str) -> bool:
+    """Whether text holds a character that can make a line other than one record."""
+    return '"' in text or _line_fault(text) is not None
 
 
 class _BadLine(Exception):

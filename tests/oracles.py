@@ -103,6 +103,20 @@ def load_words_per_line(path):
     return tuple(words)
 
 
+def sample_distinct_by_rejection(sampler, rng, k, exclude=frozenset()):
+    """sample_distinct by rejection alone: uniform indices, decoded, redrawn
+    while the label is excluded or already chosen. No attempt cap and no
+    exhaustion check."""
+    chosen = []
+    rejected = set(exclude)
+    while len(chosen) < k:
+        label = sampler.decode(int(rng.integers(sampler.size)))
+        if label not in rejected:
+            rejected.add(label)
+            chosen.append(label)
+    return chosen
+
+
 def cat_hist_per_bin(config, h, sampler):
     """cat_hist with one sample_laplace call per active bin and one
     sample_shifted_exponential call per injected label."""

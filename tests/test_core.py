@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cathist.core import (
@@ -58,6 +59,36 @@ class TestHistogram:
         h = Histogram([("a", 1.0)])
         assert h.count("nope") == 0.0
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("", 1.0), "category label must be non-empty"),
+            ((7, 1.0), "category label must be str, got int"),
+            ((["x"], 1.0), "category label must be str, got list"),
+            (("x", -0.5), "count for 'x' must be finite and >= 0, got -0.5"),
+            (("x", math.nan), "count for 'x' must be finite and >= 0, got nan"),
+            (("x", math.inf), "count for 'x' must be finite and >= 0, got inf"),
+            (("b7", 1.0), "duplicate category 'b7'"),
+        ],
+        ids=["empty", "int-label", "unhashable-label", "negative", "nan", "inf", "duplicate"],
+    )
+    def test_first_bad_bin_of_many_is_reported_as_alone(self, bad, message):
+        # The whole sequence is checked at once; the first bad bin among
+        # many valid ones is still named as the per-bin check names it.
+        good = [(f"b{i}", float(i)) for i in range(1_000)]
+        for bins in (good + [bad], good[:10] + [bad] + good[10:]):
+            with pytest.raises(ValidityError) as caught:
+                Histogram(bins)
+            assert str(caught.value) == message
+
+    def test_other_pair_shapes_are_converted(self):
+        for bins in ([("a", 1), ("b", np.float64(2.5)), ("c", True)], [["a", 1.0], ("b", 2.5), ("c", 1.0)]):
+            h = Histogram(bins)
+            assert h.bins == (("a", 1.0), ("b", 2.5), ("c", 1.0))
+            assert all(type(pair) is tuple and type(pair[1]) is float for pair in h.bins)
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            Histogram([("a", 1.0), ("b", 2.0, "extra")])
+
 
 class TestNormalize:
     def test_sums_to_one(self):
@@ -74,6 +105,11 @@ class TestNormalize:
     def test_empty_histogram_is_an_error(self):
         with pytest.raises(ValidityError, match="empty distribution"):
             normalize(Histogram([]))
+
+    def test_overflowing_total_is_an_error(self):
+        # Each count is finite, their sum is not: every share would be 0.
+        with pytest.raises(ValidityError, match="total is not finite: inf"):
+            normalize(Histogram([("a", 1.7e308), ("b", 1.7e308)]))
 
     def test_noisy_histogram_normalizes_too(self):
         nh = NoisyHistogram(

@@ -7,7 +7,7 @@ from cathist.domain import load_domain, load_words
 from cathist.numerics import make_rng
 
 from conftest import WORDLIST_SIZE
-from oracles import load_words_per_line
+from oracles import load_words_per_line, sample_distinct_by_rejection
 
 
 class TestExplicitSampler:
@@ -72,14 +72,15 @@ class TestExplicitSampler:
     @pytest.mark.parametrize("excluded, foreign", [(0, 1), (3, 1), (58, 1), (99, 1), (5, 990)])
     def test_rejection_kept_while_one_slot_in_a_hundred_is_absent(self, excluded, foreign):
         # Down to one absent slot in DENSE_RATIO, draws are the rejection
-        # draws exactly, as the base sampler makes them. Excluded labels that
-        # are not in the domain leave its slots absent.
-        sampler = load_domain(ExplicitList(labels=tuple(f"x{i}" for i in range(100))))
-        exclude = {f"x{i}" for i in range(excluded)} | {f"y{i}" for i in range(foreign)}
-        for seed in range(20):
-            k = 1 + seed % (100 - excluded)
-            drawn = sampler.sample_distinct(make_rng(208, seed), k, exclude)
-            assert drawn == domain_mod.DomainSampler.sample_distinct(sampler, make_rng(208, seed), k, exclude)
+        # draws exactly. Excluded labels that are not in the domain leave its
+        # slots absent.
+        for spec in (ExplicitList(labels=tuple(f"x{i}" for i in range(100))), SizeOnly(size=100, prefix="x")):
+            sampler = load_domain(spec)
+            exclude = {sampler.decode(i) for i in range(excluded)} | {f"y{i}" for i in range(foreign)}
+            for seed in range(20):
+                k = 1 + seed % (100 - excluded)
+                drawn = sampler.sample_distinct(make_rng(208, seed), k, exclude)
+                assert drawn == sample_distinct_by_rejection(sampler, make_rng(208, seed), k, exclude)
 
     def test_nearly_covered_domain_draws_uniformly_from_absent_labels(self):
         labels = tuple(f"x{i}" for i in range(500))
@@ -95,6 +96,29 @@ class TestExplicitSampler:
         assert sorted(drawn) == list(labels[:4])
         with pytest.raises(ValidityError, match="requested 5 distinct categories .* with 496 excluded"):
             sampler.sample_distinct(rng, 5, exclude)
+
+    @pytest.mark.parametrize("kind", ["generated", "word-pairs"])
+    def test_nearly_covered_implicit_domain_draws_as_its_label_list(self, kind, tmp_path, monkeypatch):
+        # With the cap cut to one attempt per label, rejection would give up;
+        # the absent labels are drawn directly, exactly as from the explicit
+        # list of the same labels in index order.
+        monkeypatch.setattr(domain_mod, "RETRY_FACTOR", 1)
+        if kind == "generated":
+            sampler = load_domain(SizeOnly(size=500, prefix="x"))
+        else:
+            path = tmp_path / "w.txt"
+            path.write_text("".join(f"w{i}\n" for i in range(22)), encoding="utf-8")
+            sampler = load_domain(WordPairs(path))
+        labels = tuple(map(sampler.decode, range(sampler.size)))
+        listed = load_domain(ExplicitList(labels=labels))
+        exclude = frozenset(labels[4:]) | {"foreign"}
+        for seed in range(50):
+            k = 1 + seed % 4
+            drawn = sampler.sample_distinct(make_rng(210, seed), k, exclude)
+            assert drawn == listed.sample_distinct(make_rng(210, seed), k, exclude)
+            assert len(set(drawn)) == k and set(drawn) <= set(labels[:4])
+        with pytest.raises(ValidityError, match=f"requested 5 distinct categories .* with {len(labels) - 4} excluded"):
+            sampler.sample_distinct(make_rng(211), 5, exclude)
 
 
 class TestWordListSampler:

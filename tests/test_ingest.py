@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -97,6 +99,10 @@ class TestReadHistogram:
         path.write_text('a,b,c\n1,"x\ny",3\n\n4,5\n6,7,8\n', encoding="utf-8")
         with pytest.raises(IngestError, match=re.escape(f"{path}: line 5: expected at least 3 fields, got 2")):
             read_histogram(ColumnSelector(str(path), "c"))
+        # Far past the first block of lines.
+        path.write_text("a,b\n" + "1,2\n" * 100_000 + "3\n4,5\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 100002: expected at least 2 fields, got 1")):
+            read_histogram(ColumnSelector(str(path), "b"))
 
     def test_nul_byte_reports_malformed_csv(self, tmp_path):
         path = (tmp_path / "t.csv")
@@ -115,6 +121,38 @@ class TestReadHistogram:
         path.write_text("v\n" + "a\n" * 100_000 + "b\x00\nc\n", encoding="utf-8")
         with pytest.raises(IngestError, match="malformed CSV at line 100002:"):
             read_histogram(ColumnSelector(str(path), "v"))
+
+    def test_oversized_field_far_into_the_input_reports_its_line(self, tmp_path):
+        path = (tmp_path / "t.csv")
+        path.write_text("v,w\n" + "a,b\n" * 100_000 + f"c,{MALFORMED[1]}\nd,e\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="malformed CSV at line 100002: field larger than field limit"):
+            read_histogram(ColumnSelector(str(path), "v"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_named_pipe_with_a_late_quote(self, tmp_path):
+        # A pipe cannot be read twice, so it is read row by row from the
+        # start; the quote past the first block does not send it back.
+        text = "v,w\n" + "1,a\n" * 20_000 + '2,"b,\nc"\n3, a\n'
+        regular = tmp_path / "t.csv"
+        regular.write_text(text, encoding="utf-8")
+        fifo = tmp_path / "t.fifo"
+        try:
+            os.mkfifo(fifo)
+        except OSError as exc:
+            pytest.skip(f"cannot make a named pipe here: {exc}")
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            h = read_histogram(ColumnSelector(str(fifo), "w"))
+        finally:
+            writer.join(timeout=10)
+        bins, skipped = read_histogram_per_row(regular, "w")
+        assert h.bins == bins and not skipped
 
     @pytest.mark.parametrize("bad", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_header_reports_malformed_csv(self, tmp_path, bad):
@@ -199,10 +237,18 @@ class TestReadHistogram:
             ("a,1\nb,2\na,3\n, 4\n", 0, {"has_header": False}, ()),
             ("k;v\n1;x\n2; y\n3;x\n4;a,b\n", "v", {"delimiter": ";"}, ()),
             ("v\né\nÅngström\n é\n 日本\n日本\n", "v", {}, ()),
+            ("v,w\r\n1, a\r\n2,b\r\n\r\n3,a\r\n4, \r\n", "w", {}, ()),
+            ("v\r a\rb\r\ra \r \rb\r", "v", {}, ()),
+            ("v\na\n b\nb\na", "v", {}, ()),
+            ("v\n a\nc\n" + "b\n" * 40_000 + "a \nc\n\ta\n", "v", {}, ()),
+            ("v\nNA\nx\n" + "y\n" * 40_000 + " NA \nx\n", "v", {}, ("NA",)),
+            ("v,w\n" + "1,a\n" * 20_000 + '2,"b,\nc"\n3, a\n4,"b,\nc"\n', "w", {}, ()),
+            ('"v",w\n1,a\n2, a\n', "v", {}, ()),
         ],
         ids=["leading-space-first", "whitespace-only", "drop-after-trim", "blank-lines",
              "quoted-delimiter-newline", "headerless-index-1", "headerless-index-0",
-             "semicolon", "non-ascii"],
+             "semicolon", "non-ascii", "crlf", "lone-cr", "no-final-newline",
+             "padding-blocks-apart", "drop-blocks-apart", "late-quote", "quoted-header"],
     )
     def test_matches_per_row_loop(self, tmp_path, text, column, options, drop):
         path = tmp_path / "t.csv"
@@ -275,7 +321,8 @@ class TestSerializationRoundTrip:
     def test_csv_header_and_blank_origin_for_plain(self, tmp_path):
         path = tmp_path / "h.csv"
         write_histogram(Histogram([("a", 1.0)]), path)
-        rows = list(csv.reader(open(path, encoding="utf-8", newline="")))
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert tuple(rows[0]) == CSV_HEADER
         assert rows[1] == ["a", "1.0", ""]
 

@@ -442,3 +442,8 @@ class TestSynthesizeRecords:
     def test_empty_is_an_error(self):
         with pytest.raises(CatHistError, match="nothing to sample"):
             synthesize_records(make_rng(3), NoisyHistogram([]), 5)
+
+    def test_overflowing_total_is_a_validity_error(self):
+        nh = NoisyHistogram([NoisyBin("a", 1.7e308, Origin.ACTIVE), NoisyBin("b", 1.7e308, Origin.INJECTED)])
+        with pytest.raises(ValidityError, match="total is not finite"):
+            synthesize_records(make_rng(4), nh, 5)

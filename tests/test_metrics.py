@@ -88,6 +88,11 @@ class TestFidelity:
         with pytest.raises(ValidityError, match="empty distribution"):
             fidelity(Histogram([("a", 0.0)]), noisy(("a", 1.0)))
 
+    def test_overflowing_synth_total_is_an_error(self):
+        # Each noisy count is finite, their sum is not: the score would be 0.
+        with pytest.raises(ValidityError, match="total is not finite"):
+            fidelity(Histogram([("a", 1.0)]), noisy(("a", 1.7e308), ("b", 1.7e308)))
+
     def test_zero_count_true_bins_do_not_enter_intersection(self):
         true_h = Histogram([("a", 5.0), ("b", 0.0)])
         synth_h = noisy(("a", 1.0), ("b", 1.0))

@@ -319,10 +319,10 @@ class TestCellsMatchReleases:
 
     def test_cells_never_meet_the_rejection_cap(self, tmp_path, monkeypatch):
         # 199 of the 200 generated slots are active, so under n-minus-active
-        # an injected label takes about 200 rejection draws. With the cap cut
-        # to one attempt per label the releases give up; a cell picks no
-        # labels and still reports the rows the releases give under the
-        # default cap.
+        # an injected label would take about 200 rejection draws. The absent
+        # label is drawn directly instead, so with the cap cut to one attempt
+        # per label the releases still succeed, and the cells, which pick no
+        # labels, report the rows the releases give.
         path = tmp_path / "dense.csv"
         path.write_text("v\n" + "".join(f"x-{i}\n" for i in range(199)), encoding="utf-8")
         cfg = SweepConfig(
@@ -334,13 +334,9 @@ class TestCellsMatchReleases:
             base_seed=1,
             trials=TrialsConvention.N_MINUS_ACTIVE,
         )
+        monkeypatch.setattr("cathist.domain.RETRY_FACTOR", 1)
         expected = self.assert_rows_match(cfg)
         assert expected[0]["mean_injected"] > 0
-        rows = run_sweep(cfg)
-        monkeypatch.setattr("cathist.domain.RETRY_FACTOR", 1)
-        with pytest.raises(ValidityError, match="rejection attempts"):
-            release_rows(cfg)
-        assert run_sweep(cfg) == rows
 
     def test_empty_column_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
