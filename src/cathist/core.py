@@ -11,8 +11,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -37,41 +35,6 @@ def _check_label(label: object) -> str:
     return label
 
 
-def _canonical(pairs: tuple) -> bool:
-    """Whether pairs are valid bins already in stored form: (str, float) tuples.
-
-    Each check runs over the whole sequence at once; the per-bin loop of
-    _checked is left to convert other input and to word the first error.
-    """
-    if set(map(type, pairs)) - {tuple} or set(map(len, pairs)) - {2}:
-        return False
-    labels = tuple(map(itemgetter(0), pairs))
-    counts = tuple(map(itemgetter(1), pairs))
-    if not (all(map(isinstance, labels, repeat(str))) and set(map(type, counts)) <= {float}):
-        return False
-    distinct = set(labels)
-    return (
-        len(distinct) == len(labels)
-        and "" not in distinct
-        and all(map(math.isfinite, counts))
-        and min(counts, default=0.0) >= 0
-    )
-
-
-def _checked(bins: Iterable[tuple[str, float]]) -> Iterator[tuple[str, float]]:
-    """The bins as (label, float count) pairs, checked one at a time."""
-    seen = set()
-    for label, count in bins:
-        _check_label(label)
-        count = float(count)
-        if not math.isfinite(count) or count < 0:
-            raise ValidityError(f"count for {label!r} must be finite and >= 0, got {count}")
-        if label in seen:
-            raise ValidityError(f"duplicate category {label!r}")
-        seen.add(label)
-        yield label, count
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Ordered mapping from category label to a non-negative real count.
@@ -83,10 +46,18 @@ class Histogram:
     bins: tuple[tuple[str, float], ...]
 
     def __init__(self, bins: Iterable[tuple[str, float]] = ()) -> None:
-        pairs = tuple(bins)
-        if not _canonical(pairs):
-            pairs = tuple(_checked(pairs))
-        object.__setattr__(self, "bins", pairs)
+        normalized = []
+        seen = set()
+        for label, count in bins:
+            _check_label(label)
+            count = float(count)
+            if not math.isfinite(count) or count < 0:
+                raise ValidityError(f"count for {label!r} must be finite and >= 0, got {count}")
+            if label in seen:
+                raise ValidityError(f"duplicate category {label!r}")
+            seen.add(label)
+            normalized.append((label, count))
+        object.__setattr__(self, "bins", tuple(normalized))
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[str, float]] | dict[str, float]) -> "Histogram":

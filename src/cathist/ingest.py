@@ -29,6 +29,14 @@ CSV_HEADER = ("category", "count", "origin")
 
 # Characters read per block when checking a CSV source for NUL and bad bytes.
 _BLOCK_CHARS = 1 << 16
+# The line count pays off only when whole lines repeat. It gives up, for the
+# row reader, as soon as more than this share of the lines read are distinct
+# (a row id beside the column makes every line distinct): it would then parse
+# almost as many lines and hold every distinct line on top of every cell.
+_MAX_DISTINCT_SHARE = 0.5
+# ... counted only past this many distinct lines, since a column's first lines
+# are mostly first appearances even where the whole column repeats a lot.
+_MIN_DISTINCT_LINES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,9 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     appearance.
 
     A regular file is counted by distinct line when every line is one whole
-    record (see _count_lines); any other input, and any input the line count
-    gives up on, is read row by row. Both give the same histogram and the
-    same errors.
+    record and whole lines repeat (see _count_lines); any other input, and
+    any input the line count gives up on, is read row by row. Both give the
+    same histogram and the same errors.
     """
     with _open_source(selector.source) as fh:
         regular = selector.source != "-" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -92,7 +100,7 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     counts, skipped_empty = merged
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
-    return Histogram(zip(counts, map(float, counts.values())))
+    return Histogram((label, float(count)) for label, count in counts.items())
 
 
 def _merge(cells: Iterable[tuple[str, int]], drop_values: frozenset[str]) -> tuple[dict[str, int], int]:
@@ -139,7 +147,8 @@ def _count_lines(
     NUL and no invalid byte, csv.reader ends a record at every line end.
     Returns None, for the caller to read row by row and word any error with
     its line number, on any such character, a header problem, a short row
-    or a csv.Error.
+    or a csv.Error; and also once too many of the lines read are distinct
+    (see _MAX_DISTINCT_SHARE).
     """
     header = fh.readline() if selector.has_header else ""
     if _unsafe(header):
@@ -149,10 +158,14 @@ def _count_lines(
     except (IngestError, csv.Error):
         return None
     lines: Counter[str] = Counter()
+    read = 0
     while block := fh.readlines(_BLOCK_CHARS):
         if _unsafe("".join(block)):
             return None
         lines.update(block)
+        read += len(block)
+        if len(lines) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
+            return None
     for blank in ("\n", "\r\n", "\r"):  # the only lines that parse to no fields
         lines.pop(blank, None)
     rows = csv.reader(lines, delimiter=selector.delimiter)

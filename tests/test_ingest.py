@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cathist import ingest
 from cathist.core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin
 from cathist.ingest import (
     CSV_HEADER,
@@ -35,6 +36,20 @@ def write_csv(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return str(path)
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """The sources that read_histogram hands to its row reader, in order."""
+    sources = []
+    count_rows = ingest._count_rows
+
+    def spy(fh, selector):
+        sources.append(selector.source)
+        return count_rows(fh, selector)
+
+    monkeypatch.setattr(ingest, "_count_rows", spy)
+    return sources
 
 
 class TestReadHistogram:
@@ -260,6 +275,32 @@ class TestReadHistogram:
         assert h.bins == bins
         messages = [str(w.message) for w in caught]
         assert messages == ([f"{path}: skipped {skipped} empty cells"] if skipped else [])
+
+    def test_repeated_lines_are_counted_by_line(self, tmp_path, rows_read):
+        # The first 20 000 lines are all distinct, and then each repeats.
+        path = write_csv(tmp_path / "t.csv", [["w"], *([f"x{i % 20_000}"] for i in range(100_000))])
+        bins, skipped = read_histogram_per_row(path, "w")
+        assert read_histogram(ColumnSelector(path, "w")).bins == bins
+        assert rows_read == []
+
+    def test_mostly_distinct_lines_are_read_row_by_row(self, tmp_path, rows_read):
+        # A row id beside the column makes every line distinct.
+        path = write_csv(tmp_path / "t.csv", [["id", "w"], *([str(i), f"x{i % 5}"] for i in range(50_000))])
+        bins, skipped = read_histogram_per_row(path, "w")
+        assert read_histogram(ColumnSelector(path, "w")).bins == bins
+        assert rows_read == [path]
+
+    def test_lines_turning_distinct_late_are_read_row_by_row(self, tmp_path, rows_read):
+        # More than half the lines read are distinct only some 80 000 lines in.
+        rows = [["id", "w"], *([str(i % 3), " a"] for i in range(40_000)), *([str(i), "b"] for i in range(60_000))]
+        path = write_csv(tmp_path / "t.csv", rows + [["1"]])
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 100002: expected at least 2 fields, got 1")):
+            read_histogram(ColumnSelector(path, "w"))
+        path = write_csv(tmp_path / "t.csv", rows)
+        bins, skipped = read_histogram_per_row(path, "w")
+        assert bins == (("a", 40_000.0), ("b", 60_000.0))
+        assert read_histogram(ColumnSelector(path, "w")).bins == bins
+        assert rows_read == [path, path]
 
     def test_census_fixture_marginals(self, census_csv):
         sex = read_histogram(ColumnSelector(census_csv, "sex"))
