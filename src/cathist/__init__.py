@@ -24,13 +24,7 @@ from .core import (
 )
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, load_histogram, read_histogram, write_histogram
-from .mechanism import (
-    CatHistConfig,
-    TrialsConvention,
-    cat_hist,
-    naive_full_domain_oracle,
-    synthesize_records,
-)
+from .mechanism import CatHistConfig, cat_hist, synthesize_records
 from .metrics import FidelityScore, fidelity, fidelity_pointwise
 from .numerics import (
     Rng,
@@ -65,7 +59,6 @@ __all__ = [
     "SizeOnly",
     "SweepConfig",
     "SweepRow",
-    "TrialsConvention",
     "ValidityError",
     "WordList",
     "WordPairs",
@@ -77,7 +70,6 @@ __all__ = [
     "load_domain",
     "load_histogram",
     "make_rng",
-    "naive_full_domain_oracle",
     "noisy_threshold",
     "normalize",
     "read_histogram",

@@ -34,7 +34,7 @@ from .core import (
 )
 from .domain import load_domain
 from .ingest import ColumnSelector, load_histogram, read_histogram, write_histogram
-from .mechanism import CatHistConfig, TrialsConvention, cat_hist, synthesize_records
+from .mechanism import CatHistConfig, cat_hist, synthesize_records
 from .metrics import fidelity, fidelity_pointwise
 from .numerics import inclusion_probability, make_rng, noisy_threshold, threshold_defined
 from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, SweepConfig, run_sweep, write_sweep_csv
@@ -102,9 +102,6 @@ def _add_mechanism_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=float, help="privacy budget, > 0")
     sub.add_argument("--rho", type=float, help="target zero-injection probability, in (0, 1)")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sub.add_argument("--trials", choices=[c.value for c in TrialsConvention],
-                     default=TrialsConvention.FULL_N.value,
-                     help="injection trials convention (default full-n)")
     sub.add_argument("--allow-out-of-domain-active", action="store_true",
                      help="downgrade out-of-domain active categories to a warning")
 
@@ -144,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="R1,R2,...", help="rho grid")
     p_sweep.add_argument("--repetitions", type=int, default=100, help="runs per cell (default 100)")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p_sweep.add_argument("--trials", choices=[c.value for c in TrialsConvention],
-                         default=TrialsConvention.FULL_N.value)
     p_sweep.add_argument("--allow-out-of-domain-active", action="store_true")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p_sweep.add_argument("--output", metavar="FILE", help="sweep CSV destination")
@@ -260,7 +255,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         privacy=privacy,
         domain=domain,
         seed=args.seed,
-        trials=TrialsConvention(args.trials),
         allow_out_of_domain_active=args.allow_out_of_domain_active,
     )
     noisy = cat_hist(config, hist, sampler=sampler)
@@ -307,7 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rhos=_parse_grid(args.rhos),
         repetitions=args.repetitions,
         base_seed=args.seed,
-        trials=TrialsConvention(args.trials),
         allow_out_of_domain_active=args.allow_out_of_domain_active,
         drop_values=frozenset(args.drop_value),
     )

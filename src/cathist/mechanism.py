@@ -7,14 +7,19 @@ noises only the active bins and models the rest of the domain analytically:
   2. Add Laplace(1/epsilon) noise to each active bin; drop bins whose noisy
      count falls below the threshold.
   3. Draw how many untouched domain slots would have cleared the threshold
-     from Binomial(trials, p) with p = (1/2)exp(-epsilon*threshold).
+     from Binomial(trials, p) with p = (1/2)exp(-epsilon*threshold), where
+     trials counts the absent in-domain slots: the domain size minus the
+     active labels that are in the domain.
   4. Pick that many distinct categories uniformly from the domain (excluding
      the active ones) and weight each by threshold + Exponential(epsilon).
 
 Step 3/4 is distributionally identical to brute-forcing the full domain (the
-Laplace tail above the threshold is exactly a shifted exponential), which is
-what naive_full_domain_oracle does for small domains so the equivalence can
-be tested. This is the binomial-plus-uniform construction of Cormode,
+Laplace tail above the threshold is exactly a shifted exponential), which the
+tests check against a brute-force reference on small domains. So the labels
+and noisy counts are post-processing of the Laplace mechanism over the whole
+domain, and epsilon-DP over the reals. With a active labels in a domain of n,
+P(no injected bin) = rho^((n - a)/n) >= rho, with equality on an empty
+column. This is the binomial-plus-uniform construction of Cormode,
 Procopiuc, Srivastava & Tran ("Differentially Private Summaries for Sparse
 Data", ICDT 2012).
 
@@ -31,7 +36,6 @@ record, so one bin's count changes by one and the Laplace scale is
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from collections.abc import Iterable
@@ -63,30 +67,12 @@ from .numerics import (
 # names the mechanism imports. Their arithmetic is inlined below.
 from .numerics import sample_laplace, sample_shifted_exponential  # noqa: F401
 
-# Largest domain the brute-force oracle will materialize.
-ORACLE_MAX_DOMAIN = 10_000
-
-
-class TrialsConvention(enum.Enum):
-    """How many domain slots the injection draw treats as empty.
-
-    FULL_N uses the whole domain size n, matching the threshold calibration
-    (P(zero injected) = rho exactly) but slightly overcounting because active
-    slots are not actually empty. N_MINUS_ACTIVE uses n - |active|, which
-    makes the mechanism exactly equal in distribution to noising the full
-    domain.
-    """
-
-    FULL_N = "full-n"
-    N_MINUS_ACTIVE = "n-minus-active"
-
 
 @dataclass(frozen=True)
 class CatHistConfig:
     privacy: PrivacyParams
     domain: DomainSpec
     seed: int
-    trials: TrialsConvention = TrialsConvention.FULL_N
     allow_out_of_domain_active: bool = False
 
 
@@ -213,8 +199,8 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
-    # N_MINUS_ACTIVE counts the absent in-domain slots only.
-    trials = sampler.size if config.trials is TrialsConvention.FULL_N else sampler.size - members
+    # Only the absent in-domain slots can be injected, so m never exceeds them.
+    trials = sampler.size - members
 
     # Independent streams so the injection draws depend only on the seed and
     # the active set, never on the active counts.
@@ -224,8 +210,6 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
     for _ in range(reps):
         m = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
         if m:
-            # Fail as sample_distinct would, before any label is drawn.
-            sampler._require_room(m, members)
             weights.append(_nonzero(rng_inject, rng_inject.random(m)))
         else:
             weights.append(_NO_DRAWS)
@@ -253,47 +237,6 @@ def _nonzero(rng: Rng, u: np.ndarray) -> np.ndarray:
                 v = rng.random()
             u.flat[i] = v
     return u
-
-
-def naive_full_domain_oracle(
-    config: CatHistConfig, h: Histogram, sampler: DomainSampler | None = None
-) -> NoisyHistogram:
-    """Brute-force reference: noise every category in the domain, threshold.
-
-    Same output contract as cat_hist. Only usable on small domains; raises
-    ValidityError when the domain size exceeds ORACLE_MAX_DOMAIN.
-    """
-    sampler = _sampler_for(config, sampler)
-    if sampler.size > ORACLE_MAX_DOMAIN:
-        raise ValidityError(
-            f"domain size {sampler.size} exceeds the brute-force limit {ORACLE_MAX_DOMAIN}"
-        )
-    active = h.active_domain()
-    _check_active_membership(config, sampler.non_members(active))
-
-    epsilon = config.privacy.epsilon
-    threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
-    rng = make_rng(config.seed)
-
-    counts = {label: count for label, count in h.items() if count > 0}
-    domain_labels = [sampler.decode(i) for i in range(sampler.size)]
-    out_of_domain = [label for label in h.labels() if counts.get(label, 0) > 0 and not sampler.contains(label)]
-    all_labels = domain_labels + out_of_domain
-    true_counts = np.array([counts.get(label, 0.0) for label in all_labels])
-    noisy = rng.laplace(loc=true_counts, scale=1.0 / epsilon)
-
-    noisy_by_label = dict(zip(all_labels, noisy))
-    survivors = [
-        NoisyBin(label, noisy_by_label[label], Origin.ACTIVE)
-        for label, count in h.items()
-        if count > 0 and noisy_by_label[label] >= threshold and noisy_by_label[label] > 0
-    ]
-    injected = [
-        NoisyBin(label, float(value), Origin.INJECTED)
-        for label, value in zip(domain_labels, noisy)
-        if label not in active and value >= threshold and value > 0
-    ]
-    return NoisyHistogram(survivors + injected)
 
 
 def synthesize_records(rng: Rng, noisy: NoisyHistogram, m: int) -> list[str]:

@@ -19,6 +19,7 @@ seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import Histogram, NoisyHistogram, normalize
@@ -32,19 +33,30 @@ class FidelityScore:
     synth_mass_in_intersection: float
 
 
+def _shared_shares(
+    true_h: Histogram, synth_h: Histogram | NoisyHistogram
+) -> tuple[list[float], list[float]]:
+    """The true and the synth shares of the intersection, in the same order.
+
+    The true histogram is normalized first, so an empty column is an error
+    even against an empty release; an empty release shares nothing.
+    """
+    true_dist = normalize(true_h)
+    if len(synth_h) == 0:
+        return [], []
+    synth_dist = normalize(synth_h)
+    intersection = true_h.active_domain().intersection(synth_dist)
+    return [true_dist[c] for c in intersection], [synth_dist[c] for c in intersection]
+
+
 def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> FidelityScore:
     """Score a release against the true histogram (see module docstring).
 
     An empty synthetic release scores 0, it is not an error.
     """
-    true_dist = normalize(true_h)
-    if len(synth_h) == 0:
-        return FidelityScore(0.0, 0, 0.0, 0.0)
-    synth_dist = normalize(synth_h)
-    intersection = true_h.active_domain().intersection(synth_dist)
-    true_mass = math.fsum(true_dist[c] for c in intersection)
-    synth_mass = math.fsum(synth_dist[c] for c in intersection)
-    return FidelityScore(true_mass * synth_mass, len(intersection), true_mass, synth_mass)
+    true_shares, synth_shares = _shared_shares(true_h, synth_h)
+    true_mass, synth_mass = math.fsum(true_shares), math.fsum(synth_shares)
+    return FidelityScore(true_mass * synth_mass, len(true_shares), true_mass, synth_mass)
 
 
 def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> float:
@@ -54,9 +66,4 @@ def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -
     support; kept separate because its value is not the product of the two
     intersection masses.
     """
-    true_dist = normalize(true_h)
-    if len(synth_h) == 0:
-        return 0.0
-    synth_dist = normalize(synth_h)
-    intersection = true_h.active_domain().intersection(synth_dist)
-    return math.fsum(true_dist[c] * synth_dist[c] for c in intersection)
+    return math.fsum(map(operator.mul, *_shared_shares(true_h, synth_h)))

@@ -19,15 +19,10 @@ uniforms) and computes F for all repetitions as whole-array work, in blocks
 of rows; it never picks labels. Its rows are what cat_hist_batch followed by
 metrics.fidelity give for the same seed, up to the rounding of the sums.
 
-Two cases part from that. A cell whose noisy or injected mass overflows (a
+One case parts from that. A cell whose noisy or injected mass overflows (a
 tiny epsilon) fails with ValidityError, as a release with a non-finite count
 does; it fails too in the rare case where every count is finite and only
-their sum is not, which a release does not refuse. And as a cell picks no
-labels, it never meets the cap on rejection attempts (domain.RETRY_FACTOR):
-on a generated or word-pair domain with nearly every slot active, where
-cat_hist_batch gives up drawing labels, the cell still reports the fidelity
-of the releases the mechanism defines. Running out of absent slots fails the
-cell as it fails a release.
+their sum is not, which a release does not refuse.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ import numpy as np
 from .core import DomainSpec, Histogram, PrivacyParams, ValidityError
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, TrialsConvention, _draw_batch
+from .mechanism import CatHistConfig, _draw_batch
 # Bound here although unused: bench/layers.py traces the mechanism and the
 # score at the names the sweep imports.
 from .mechanism import cat_hist  # noqa: F401
@@ -67,7 +62,6 @@ class SweepConfig:
     rhos: tuple[float, ...] = DEFAULT_RHOS
     repetitions: int = 100
     base_seed: int = 0
-    trials: TrialsConvention = TrialsConvention.FULL_N
     allow_out_of_domain_active: bool = False
     drop_values: frozenset[str] = frozenset()
 
@@ -110,7 +104,6 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
         privacy=PrivacyParams(epsilon, rho),
         domain=config.domain,
         seed=derive_seed(config.base_seed, eps_index, rho_index),
-        trials=config.trials,
         allow_out_of_domain_active=config.allow_out_of_domain_active,
     )
     total = state.hist.total

@@ -4,7 +4,8 @@ The mpmath oracles compute expected values straight from the defining
 formulas at 60 significant digits, sharing no code with the package under
 test. The loop references below them are the plain per-row and per-bin
 forms of code the package runs in bulk; the tests require bulk and loop to
-give identical results.
+give identical results. Last comes the brute-force reference the mechanism
+must equal in distribution.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import csv
 import io
 
 import mpmath as mp
+import numpy as np
 
-from cathist.core import NoisyBin, NoisyHistogram, Origin
-from cathist.mechanism import TrialsConvention
+from cathist.core import NoisyBin, NoisyHistogram, Origin, ValidityError
+from cathist.domain import load_domain
+from cathist.mechanism import _check_active_membership
 from cathist.numerics import (
     inclusion_probability,
     make_rng,
@@ -26,6 +29,9 @@ from cathist.numerics import (
 )
 
 DPS = 60
+
+# Largest domain the brute-force oracle will materialize.
+ORACLE_MAX_DOMAIN = 10_000
 
 
 def tau_oracle(epsilon: float, rho: float, n: int) -> float:
@@ -41,17 +47,23 @@ def inclusion_oracle(epsilon: float, rho: float, n: int) -> float:
         return float(1 - mp.mpf(rho) ** (mp.mpf(1) / n))
 
 
-def expected_injected_oracle(epsilon: float, rho: float, n: int) -> float:
-    """Mean of Binomial(n, p): n * (1 - rho**(1/n))."""
+def expected_injected_oracle(epsilon: float, rho: float, n: int, trials: int) -> float:
+    """Mean of Binomial(trials, p): trials * (1 - rho**(1/n))."""
     with mp.workdps(DPS):
-        return float(n * (1 - mp.mpf(rho) ** (mp.mpf(1) / n)))
+        return float(trials * (1 - mp.mpf(rho) ** (mp.mpf(1) / n)))
 
 
-def injected_sd_oracle(epsilon: float, rho: float, n: int) -> float:
-    """Standard deviation of Binomial(n, p)."""
+def injected_sd_oracle(epsilon: float, rho: float, n: int, trials: int) -> float:
+    """Standard deviation of Binomial(trials, p)."""
     with mp.workdps(DPS):
         p = 1 - mp.mpf(rho) ** (mp.mpf(1) / n)
-        return float(mp.sqrt(n * p * (1 - p)))
+        return float(mp.sqrt(trials * p * (1 - p)))
+
+
+def zero_injection_oracle(rho: float, n: int, trials: int) -> float:
+    """P(Binomial(trials, p) = 0) = rho**(trials/n)."""
+    with mp.workdps(DPS):
+        return float(mp.mpf(rho) ** (mp.mpf(trials) / n))
 
 
 def survival_oracle(count: float, epsilon: float, rho: float, n: int) -> float:
@@ -132,10 +144,7 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
-    if config.trials is TrialsConvention.FULL_N:
-        trials = sampler.size
-    else:
-        trials = sampler.size - len(active - sampler.non_members(active))
+    trials = sampler.size - len(active - sampler.non_members(active))
     rng_noise = make_rng(config.seed, 0)
     rng_inject = make_rng(config.seed, 1)
     survivors_per_rep = []
@@ -170,3 +179,43 @@ def records_csv_per_row(records):
     for record in records:
         writer.writerow([record])
     return out.getvalue().encode("utf-8")
+
+
+def naive_full_domain_oracle(config, h, sampler=None):
+    """Brute-force reference for cat_hist: noise every category in the
+    domain, then threshold.
+
+    Same output contract as cat_hist. Only usable on small domains; raises
+    ValidityError when the domain size exceeds ORACLE_MAX_DOMAIN.
+    """
+    sampler = load_domain(config.domain) if sampler is None else sampler
+    if sampler.size > ORACLE_MAX_DOMAIN:
+        raise ValidityError(
+            f"domain size {sampler.size} exceeds the brute-force limit {ORACLE_MAX_DOMAIN}"
+        )
+    active = h.active_domain()
+    _check_active_membership(config, sampler.non_members(active))
+
+    epsilon = config.privacy.epsilon
+    threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
+    rng = make_rng(config.seed)
+
+    counts = {label: count for label, count in h.items() if count > 0}
+    domain_labels = [sampler.decode(i) for i in range(sampler.size)]
+    out_of_domain = [label for label in h.labels() if counts.get(label, 0) > 0 and not sampler.contains(label)]
+    all_labels = domain_labels + out_of_domain
+    true_counts = np.array([counts.get(label, 0.0) for label in all_labels])
+    noisy = rng.laplace(loc=true_counts, scale=1.0 / epsilon)
+
+    noisy_by_label = dict(zip(all_labels, noisy))
+    survivors = [
+        NoisyBin(label, noisy_by_label[label], Origin.ACTIVE)
+        for label, count in h.items()
+        if count > 0 and noisy_by_label[label] >= threshold and noisy_by_label[label] > 0
+    ]
+    injected = [
+        NoisyBin(label, float(value), Origin.INJECTED)
+        for label, value in zip(domain_labels, noisy)
+        if label not in active and value >= threshold and value > 0
+    ]
+    return NoisyHistogram(survivors + injected)

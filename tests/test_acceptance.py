@@ -18,16 +18,16 @@ import scipy.stats
 from cathist.core import Histogram, PrivacyParams, SizeOnly, WordList, WordPairs
 from cathist.domain import load_domain
 from cathist.ingest import ColumnSelector, load_histogram, write_histogram
-from cathist.mechanism import (
-    CatHistConfig,
-    TrialsConvention,
-    cat_hist,
-    naive_full_domain_oracle,
-)
+from cathist.mechanism import CatHistConfig, cat_hist
 from cathist.numerics import derive_seed, inclusion_probability, noisy_threshold
 from cathist.sweep import SweepConfig, run_sweep, write_sweep_csv
 
-from oracles import expected_injected_oracle, inclusion_oracle, injected_sd_oracle
+from oracles import (
+    expected_injected_oracle,
+    injected_sd_oracle,
+    naive_full_domain_oracle,
+    zero_injection_oracle,
+)
 from test_ingest import random_histogram
 
 BASE_SEED = 20250816
@@ -40,7 +40,12 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Criteria 1 and 2 share one set of runs: 12 grid cells, 10^4 releases each.
+# The column has 3 active labels in the domain, so the binomial runs over the
+# n - 3 absent slots: nothing is injected with probability rho**((n - 3)/n),
+# and the mean injected count is (n - 3) * p.
 
+CALIBRATION_HIST = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
+CALIBRATION_ACTIVE = len(CALIBRATION_HIST.active_domain())
 CALIBRATION_RUNS = 10_000
 CALIBRATION_CELLS = [
     (n, epsilon, rho)
@@ -52,7 +57,7 @@ CALIBRATION_CELLS = [
 
 @pytest.fixture(scope="module")
 def calibration_stats():
-    hist = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
+    hist = CALIBRATION_HIST
     stats = {}
     for cell_index, (n, epsilon, rho) in enumerate(CALIBRATION_CELLS):
         domain = SizeOnly(size=n)
@@ -78,15 +83,16 @@ def test_criterion_1_rho_calibration(calibration_stats):
     worst = 0.0
     failures = []
     for (n, epsilon, rho), (zero_fraction, _) in calibration_stats.items():
-        gap = abs(zero_fraction - rho)
+        target = zero_injection_oracle(rho, n, n - CALIBRATION_ACTIVE)
+        gap = abs(zero_fraction - target)
         worst = max(worst, gap)
         if gap > 0.015:
-            failures.append(f"n={n} eps={epsilon} rho={rho}: {zero_fraction:.4f}")
+            failures.append(f"n={n} eps={epsilon} rho={rho}: {zero_fraction:.4f} vs {target:.4f}")
     report(
         1,
-        "zero-injection fraction = rho +/- 0.015 on all 12 cells",
+        "zero-injection fraction = rho^((n-a)/n) +/- 0.015 on all 12 cells",
         not failures,
-        failures[0] if failures else f"worst |fraction - rho| = {worst:.4f}",
+        failures[0] if failures else f"worst |fraction - rho^((n-a)/n)| = {worst:.4f}",
     )
 
 
@@ -94,8 +100,9 @@ def test_criterion_2_expected_injected(calibration_stats):
     worst_z = 0.0
     failures = []
     for (n, epsilon, rho), (_, mean_injected) in calibration_stats.items():
-        expected = expected_injected_oracle(epsilon, rho, n)
-        se = injected_sd_oracle(epsilon, rho, n) / math.sqrt(CALIBRATION_RUNS)
+        trials = n - CALIBRATION_ACTIVE
+        expected = expected_injected_oracle(epsilon, rho, n, trials)
+        se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(CALIBRATION_RUNS)
         z = abs(mean_injected - expected) / se
         worst_z = max(worst_z, z)
         if z > 3.0:
@@ -104,7 +111,7 @@ def test_criterion_2_expected_injected(calibration_stats):
             )
     report(
         2,
-        "mean injected bins = n*(1/2)e^(-eps*tau) within 3 sigma on all 12 cells",
+        "mean injected bins = (n-a)*(1/2)e^(-eps*tau) within 3 sigma on all 12 cells",
         not failures,
         failures[0] if failures else f"worst z = {worst_z:.2f}",
     )
@@ -129,16 +136,13 @@ def test_criterion_3_oracle_equivalence():
     privacy = PrivacyParams(1.0, 0.5)
     hist = Histogram([("cat-10", 2.0), ("cat-20", 5.0), ("cat-30", 10.0)])
 
-    # N_MINUS_ACTIVE makes the fast mechanism exactly equal in distribution
-    # to noising all n bins; FULL_N would inflate injection by n/(n-3).
+    # Running the binomial over the n - 3 absent slots makes the fast
+    # mechanism exactly equal in distribution to noising all n bins.
     mech_inc = np.zeros(n)
     mech_sum = np.zeros(n)
     mech_sq = np.zeros(n)
     for rep in range(runs):
-        config = CatHistConfig(
-            privacy, domain, seed=derive_seed(BASE_SEED, 3, 0, rep),
-            trials=TrialsConvention.N_MINUS_ACTIVE,
-        )
+        config = CatHistConfig(privacy, domain, seed=derive_seed(BASE_SEED, 3, 0, rep))
         _accumulate(cat_hist(config, hist, sampler=sampler), mech_inc, mech_sum, mech_sq)
 
     orac_inc = np.zeros(n)

@@ -266,6 +266,21 @@ class TestSynth:
         assert code == 3
         assert "malformed CSV at line 3: invalid UTF-8 byte 0xff" in err
 
+    def test_covering_column_never_injects(self, capsys, tmp_path):
+        # Every domain slot is active, so no slot is left to inject into.
+        # When the binomial ran over all n slots, 4 of these 8 seeds asked
+        # for a label anyway and exited 2 with "domain exhausted".
+        column = write(tmp_path, "cover.csv", "v\na\né\n")
+        out = tmp_path / "cover.json"
+        for seed in range(8):
+            code, _, err = run(
+                capsys, "synth", "--input", column, "--column", "v", "--domain-list", "a,é",
+                "--epsilon", "1", "--rho", "0.5", "--seed", str(seed), "--output", str(out),
+            )
+            assert code == 0, (seed, err)
+            assert "injected=0" in err
+            assert not load_histogram(out).injected_bins()
+
     def test_empty_column_is_fine(self, capsys, tmp_path):
         column = write(tmp_path, "empty.csv", "v\n")
         code, _, _ = run(

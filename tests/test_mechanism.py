@@ -18,24 +18,18 @@ from cathist.core import (
     WordPairs,
 )
 from cathist.domain import load_domain
-from cathist.mechanism import (
-    ORACLE_MAX_DOMAIN,
-    CatHistConfig,
-    TrialsConvention,
-    _nonzero,
-    cat_hist,
-    cat_hist_batch,
-    naive_full_domain_oracle,
-    synthesize_records,
-)
+from cathist.mechanism import CatHistConfig, _nonzero, cat_hist, cat_hist_batch, synthesize_records
 from cathist.numerics import make_rng, noisy_threshold
 
 from conftest import WORKCLASS_COUNTS
 from oracles import (
+    ORACLE_MAX_DOMAIN,
     cat_hist_batch_per_rep,
     cat_hist_per_bin,
     expected_injected_oracle,
     injected_sd_oracle,
+    naive_full_domain_oracle,
+    zero_injection_oracle,
 )
 
 
@@ -163,37 +157,18 @@ class TestSurvivalStatistics:
         assert empty >= 999
 
 
-class TestTrialsConvention:
-    def test_default_is_full_n(self):
-        cfg = config_for(1.0, 0.5, SizeOnly(size=10), seed=0)
-        assert cfg.trials is TrialsConvention.FULL_N
+class TestTrials:
+    """The binomial runs over the absent in-domain slots only."""
 
-    def test_saturated_active_domain_never_injects_under_n_minus_active(self):
+    def test_saturated_active_domain_never_injects(self):
         domain = ExplicitList(labels=("u", "v"))
         h = Histogram([("u", 100.0), ("v", 90.0)])
         for seed in range(200):
-            cfg = config_for(1.0, 0.6, domain, seed=seed, trials=TrialsConvention.N_MINUS_ACTIVE)
+            cfg = config_for(1.0, 0.6, domain, seed=seed)
             assert not cat_hist(cfg, h).injected_bins()
 
-    def test_full_n_saturated_exhaustion(self):
-        # With every domain slot active, a nonzero binomial draw cannot be
-        # placed; that surfaces as the documented exhaustion error.
-        domain = ExplicitList(labels=("u", "v"))
-        h = Histogram([("u", 100.0), ("v", 90.0)])
-        saw_error = False
-        for seed in range(50):
-            cfg = config_for(1.0, 0.6, domain, seed=seed, trials=TrialsConvention.FULL_N)
-            try:
-                release = cat_hist(cfg, h)
-            except ValidityError as exc:
-                assert "domain exhausted" in str(exc)
-                saw_error = True
-            else:
-                assert not release.injected_bins()
-        assert saw_error
 
-
-    def test_n_minus_active_on_nearly_covered_listed_domain(self):
+    def test_nearly_covered_listed_domain(self):
         # One absent slot in 20 000: rejection sampling used to give up after
         # RETRY_FACTOR draws (seeds 4 and 101 failed). The absent label is the
         # only one that can be injected.
@@ -203,12 +178,12 @@ class TestTrialsConvention:
         h = Histogram([(label, 1.0) for label in labels[:-1]])
         injected = set()
         for seed in range(200):
-            cfg = config_for(1.0, 1e-300, domain, seed=seed, trials=TrialsConvention.N_MINUS_ACTIVE)
+            cfg = config_for(1.0, 1e-300, domain, seed=seed)
             injected.update(b.label for b in cat_hist(cfg, h, sampler=sampler).injected_bins())
         assert injected == {labels[-1]}
 
 
-    def test_n_minus_active_counts_in_domain_absent_slots(self, monkeypatch):
+    def test_counts_in_domain_absent_slots(self, monkeypatch):
         # "zz" is active but outside the domain: of the 3 slots only "b" and
         # "c" are absent, so the binomial runs over 2 trials, not 3 - 2 = 1.
         trials = []
@@ -219,8 +194,7 @@ class TestTrialsConvention:
 
         monkeypatch.setattr("cathist.mechanism.sample_binomial", recording_binomial)
         cfg = config_for(
-            1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0,
-            trials=TrialsConvention.N_MINUS_ACTIVE, allow_out_of_domain_active=True,
+            1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0, allow_out_of_domain_active=True,
         )
         with pytest.warns(UserWarning, match="outside the declared domain"):
             cat_hist(cfg, Histogram([("a", 5.0), ("zz", 3.0)]))
@@ -255,10 +229,6 @@ class TestMatchesPerBinLoop:
 
     SEEDS = range(50)
 
-    @staticmethod
-    def trials(seed):
-        return TrialsConvention.FULL_N if seed % 2 else TrialsConvention.N_MINUS_ACTIVE
-
     def test_word_list_many_active_bins(self, wordlist_path):
         domain = WordList(wordlist_path)
         sampler = load_domain(domain)
@@ -267,7 +237,7 @@ class TestMatchesPerBinLoop:
         h = Histogram(zip(words, rng.integers(0, 40, size=len(words)).tolist()))
         assert len(h.active_domain()) >= 1_000
         for seed in self.SEEDS:
-            cfg = config_for(0.5, 0.3, domain, seed=seed, trials=self.trials(seed))
+            cfg = config_for(0.5, 0.3, domain, seed=seed)
             assert cat_hist(cfg, h, sampler=sampler) == cat_hist_per_bin(cfg, h, sampler), seed
 
     def test_word_pairs_many_injected_bins(self, wordlist_path):
@@ -276,7 +246,7 @@ class TestMatchesPerBinLoop:
         h = Histogram([("Male Female", 300.0), ("Female Male", 2.0), ("Male Male", 0.0)])
         injected = []
         for seed in self.SEEDS:
-            cfg = config_for(1.0, 1e-200, domain, seed=seed, trials=self.trials(seed))
+            cfg = config_for(1.0, 1e-200, domain, seed=seed)
             release = cat_hist(cfg, h, sampler=sampler)
             assert release == cat_hist_per_bin(cfg, h, sampler), seed
             injected.append(len(release.injected_bins()))
@@ -292,16 +262,12 @@ class TestBatch:
     CENSUS = Histogram(WORKCLASS_COUNTS.items())
     CENSUS_DOMAIN = ExplicitList(list(WORKCLASS_COUNTS) + [f"pad-{i}" for i in range(991)])
 
-    @staticmethod
-    def trials(seed):
-        return TrialsConvention.FULL_N if seed % 2 else TrialsConvention.N_MINUS_ACTIVE
-
     @pytest.mark.parametrize("reps", [1, 7, 100])
     def test_census_matches_per_rep_loop(self, reps):
         sampler = load_domain(self.CENSUS_DOMAIN)
         injected = 0
         for seed in range(4):
-            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed, trials=self.trials(seed))
+            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed)
             batch = cat_hist_batch(cfg, self.CENSUS, reps, sampler=sampler)
             assert batch == cat_hist_batch_per_rep(cfg, self.CENSUS, sampler, reps), seed
             # The labels of all repetitions follow every repetition's count
@@ -320,7 +286,7 @@ class TestBatch:
         sampler = load_domain(domain)
         h = Histogram([("Male Female", 300.0), ("Female Male", 2.0), ("Male Male", 0.0)])
         for seed in range(2):
-            cfg = config_for(1.0, 1e-200, domain, seed=seed, trials=self.trials(seed))
+            cfg = config_for(1.0, 1e-200, domain, seed=seed)
             batch = cat_hist_batch(cfg, h, reps, sampler=sampler)
             assert batch == cat_hist_batch_per_rep(cfg, h, sampler, reps), seed
             assert min(len(release.injected_bins()) for release in batch) >= 300
@@ -328,7 +294,7 @@ class TestBatch:
     def test_batch_of_one_is_cat_hist(self):
         sampler = load_domain(self.CENSUS_DOMAIN)
         for seed in range(50):
-            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed, trials=self.trials(seed))
+            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed)
             assert cat_hist(cfg, self.CENSUS) == cat_hist_batch(cfg, self.CENSUS, 1, sampler)[0], seed
 
     def test_reps_must_be_positive(self):
@@ -338,8 +304,7 @@ class TestBatch:
 
     def test_out_of_domain_warning_once_per_batch(self):
         cfg = config_for(
-            1.0, 0.6, ExplicitList(labels=tuple("abcd")), seed=0,
-            trials=TrialsConvention.N_MINUS_ACTIVE, allow_out_of_domain_active=True,
+            1.0, 0.6, ExplicitList(labels=tuple("abcd")), seed=0, allow_out_of_domain_active=True,
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -356,18 +321,20 @@ class TestBatch:
         assert _nonzero(make_rng(9), u).tolist() == [[0.5, a, 0.25], [b, 0.75, c]]
 
     def test_shared_streams_calibration(self):
-        # Criteria 1 and 2 on one 10^4-repetition batch at n = 1e8: the
-        # fraction of releases with nothing injected is rho, and the mean
-        # injected count is n * (1 - rho**(1/n)) within 3 sigma.
+        # Criteria 1 and 2 on one 10^4-repetition batch at n = 1e8, with
+        # the n - 3 absent slots as trials: the fraction of releases with
+        # nothing injected is rho**((n - 3)/n), and the mean injected count
+        # is (n - 3) * (1 - rho**(1/n)) within 3 sigma.
         epsilon, rho, n, runs = 1.0, 0.5, 10**8, 10_000
         domain = SizeOnly(size=n)
         h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
+        trials = n - len(h.active_domain())
         releases = cat_hist_batch(config_for(epsilon, rho, domain, seed=20251018), h, runs)
         injected = [len(release.injected_bins()) for release in releases]
         zero_fraction = injected.count(0) / runs
-        assert zero_fraction == pytest.approx(rho, abs=0.015)
-        se = injected_sd_oracle(epsilon, rho, n) / math.sqrt(runs)
-        assert abs(sum(injected) / runs - expected_injected_oracle(epsilon, rho, n)) <= 3 * se
+        assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
+        se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(runs)
+        assert abs(sum(injected) / runs - expected_injected_oracle(epsilon, rho, n, trials)) <= 3 * se
 
 
 class TestNaiveOracle:

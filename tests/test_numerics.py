@@ -208,7 +208,7 @@ class TestBinomialSampler:
         rng = make_rng(109)
         draws = np.array([sample_binomial(rng, n, p) for _ in range(100_000)])
         assert (draws == 0).mean() == pytest.approx(rho, abs=0.01)
-        assert draws.mean() == pytest.approx(expected_injected_oracle(1.0, rho, n), abs=0.01)
+        assert draws.mean() == pytest.approx(expected_injected_oracle(1.0, rho, n, n), abs=0.01)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
