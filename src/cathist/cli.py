@@ -19,13 +19,13 @@ import math
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from .core import (
     CatHistError,
     DomainSpec,
     ExplicitList,
-    Histogram,
     IngestError,
-    NoisyHistogram,
     PrivacyParams,
     SizeOnly,
     ValidityError,
@@ -34,7 +34,9 @@ from .core import (
 )
 from .domain import load_domain
 from .ingest import ColumnSelector, load_histogram, read_histogram, write_histogram
-from .mechanism import CatHistConfig, cat_hist, synthesize_records
+# synthesize_records is bound here for bench/layers.py, which traces it at
+# this name; synth draws the records' bin indices instead.
+from .mechanism import CatHistConfig, cat_hist, record_indices, synthesize_records  # noqa: F401
 from .metrics import fidelity, fidelity_pointwise
 from .numerics import inclusion_probability, make_rng, noisy_threshold, threshold_defined
 from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, SweepConfig, run_sweep, write_sweep_csv
@@ -235,8 +237,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
     round_trip = math.exp(n * math.log1p(-p))
     print(f"tau = {threshold!r}")
     print(f"inclusion_probability = {p!r}")
-    print(f"expected_injected = {n * p!r}")
-    print(f"zero_injection_probability = {round_trip!r} (target rho = {rho!r})")
+    print(f"expected_injected = {n * p!r} (empty column; (n - a) * p with a active labels)")
+    print(f"zero_injection_probability = {round_trip!r} (target rho = {rho!r}; "
+          "empty column; rho^((n - a)/n) with a active labels)")
     return EXIT_OK
 
 
@@ -261,30 +264,35 @@ def cmd_synth(args: argparse.Namespace) -> int:
     threshold = noisy_threshold(epsilon, rho, sampler.size)
     meta = {"epsilon": epsilon, "rho": rho, "n": sampler.size, "tau": threshold, "seed": args.seed}
     write_histogram(noisy, output, fmt=args.format, meta=meta)
-    surviving = len(noisy.active_bins())
+    injected = noisy.injected.count(True)
+    surviving = len(noisy) - injected
     removed = len(hist.active_domain()) - surviving
-    injected = len(noisy.injected_bins())
     print(
         f"tau={threshold!r} surviving={surviving} removed={removed} injected={injected}",
         file=sys.stderr,
     )
     if args.records:
-        records = synthesize_records(make_rng(args.seed, 2), noisy, args.records)
-        lines = _csv_lines(noisy.labels())
+        # Each record is its bin's CSV line, written some records at a time.
+        lines = np.array(_csv_lines(noisy.labels()), dtype=object)
+        at = record_indices(make_rng(args.seed, 2), noisy, args.records)
         with open(args.records_output, "w", encoding="utf-8", newline="") as fh:
             fh.write("category\n")
-            fh.writelines(map(lines.__getitem__, records))
+            for start in range(0, at.size, RECORDS_PER_WRITE):
+                fh.write("".join(lines[at[start:start + RECORDS_PER_WRITE]].tolist()))
     return EXIT_OK
 
 
-def _csv_lines(labels: Iterable[str]) -> dict[str, str]:
+RECORDS_PER_WRITE = 1 << 16
+
+
+def _csv_lines(labels: Iterable[str]) -> list[str]:
     """Each label's one-field CSV line, as csv.writer writes it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    lines = {}
+    lines = []
     for label in labels:
         writer.writerow((label,))
-        lines[label] = buf.getvalue()
+        lines.append(buf.getvalue())
         buf.seek(0)
         buf.truncate()
     return lines
@@ -323,8 +331,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     if args.true_file and args.true_column:
         raise UsageError("give either --true-file or --true-input/--true-column, not both")
     if args.true_file:
-        loaded = load_histogram(args.true_file)
-        true_h = Histogram(loaded.items()) if isinstance(loaded, NoisyHistogram) else loaded
+        true_h = load_histogram(args.true_file)  # a release scores as the counts it holds
     else:
         true_h = read_histogram(_selector(args, prefix="true"), frozenset(args.drop_value))
     synth_file = str(_require(args, "synth-file"))

@@ -10,9 +10,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 
 class CatHistError(Exception):
@@ -35,50 +39,109 @@ def _check_label(label: object) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class Histogram:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _checked(labels: tuple, counts: Sequence[float], positive: bool, origins: tuple = ()) -> np.ndarray:
+    """The check of both histogram types, over whole columns: labels are
+    distinct non-empty strs, counts finite and >= 0 (> 0 if positive), and
+    origins, if given, Origins. Returns counts as a read-only float64 array.
+    A column that fails is walked bin by bin to name its first bad bin."""
+    distinct = set(labels) if all(map(isinstance, labels, repeat(str))) else ()
+    if (
+        len(distinct) == len(labels)
+        and "" not in distinct
+        and all(map(math.isfinite, counts))
+        and (not counts or (min(counts) > 0 if positive else min(counts) >= 0))
+        and all(map(isinstance, origins, repeat(Origin)))
+    ):
+        return _frozen(np.array(counts, dtype=float))
+    name, bound = ("noisy count", "> 0") if positive else ("count", ">= 0")
+    seen = set()
+    for label, count, origin in zip(labels, counts, origins or repeat(Origin.ACTIVE)):
+        _check_label(label)
+        if not (math.isfinite(count) and (count > 0 if positive else count >= 0)):
+            raise ValidityError(f"{name} for {label!r} must be finite and {bound}, got {count}")
+        if not isinstance(origin, Origin):
+            raise ValidityError(f"origin for {label!r} must be an Origin")
+        if label in seen:
+            raise ValidityError(f"duplicate category {label!r}")
+        seen.add(label)
+    raise AssertionError("no bad bin")
+
+
+class _Columns:
+    """Bins stored as columns: the labels in bin order and a read-only
+    float64 counts array. bins is a view of them, built on first use."""
+
+    _labels: tuple[str, ...]
+    counts: np.ndarray
+    _bins: tuple | None = None
+
+    def labels(self) -> tuple[str, ...]:
+        return self._labels
+
+    @property
+    def bins(self) -> tuple:
+        if self._bins is None:
+            self._bins = self._view()
+        return self._bins
+
+    def count(self, label: str, default: float = 0.0) -> float:
+        i = self._index.get(label)
+        return default if i is None else self.counts.item(i)
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self._labels, range(len(self._labels))))
+
+    @property
+    def total(self) -> float:
+        return sum(self.counts.tolist())  # in bin order, as numpy's pairwise sum is not
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self) and self._labels == other._labels
+        return same and np.array_equal(self.counts, other.counts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.bins)!r})"
+
+
+class Histogram(_Columns):
     """Ordered mapping from category label to a non-negative real count.
 
     Bin order is preserved exactly as given; duplicate labels are rejected.
-    A zero-count bin is allowed but is not part of the active domain.
+    A zero-count bin is allowed but is not part of the active domain. bins
+    and items() give (label, count) pairs.
     """
 
-    bins: tuple[tuple[str, float], ...]
-
     def __init__(self, bins: Iterable[tuple[str, float]] = ()) -> None:
-        normalized = []
-        seen = set()
-        for label, count in bins:
-            _check_label(label)
-            count = float(count)
-            if not math.isfinite(count) or count < 0:
-                raise ValidityError(f"count for {label!r} must be finite and >= 0, got {count}")
-            if label in seen:
-                raise ValidityError(f"duplicate category {label!r}")
-            seen.add(label)
-            normalized.append((label, count))
-        object.__setattr__(self, "bins", tuple(normalized))
+        pairs = tuple(bins)
+        self._labels = tuple(map(itemgetter(0), pairs))
+        self.counts = _checked(self._labels, list(map(float, map(itemgetter(1), pairs))), positive=False)
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[str, float]] | dict[str, float]) -> "Histogram":
         items = counts.items() if isinstance(counts, dict) else counts
         return cls(items)
 
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], counts: np.ndarray) -> "Histogram":
+        """The histogram of columns known to be valid, unchecked."""
+        h = cls.__new__(cls)
+        h._labels, h.counts = labels, _frozen(counts)
+        return h
+
+    def _view(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self._labels, self.counts.tolist()))
+
     def items(self) -> Iterator[tuple[str, float]]:
         return iter(self.bins)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.bins)
-
-    def count(self, label: str, default: float = 0.0) -> float:
-        for lab, cnt in self.bins:
-            if lab == label:
-                return cnt
-        return default
-
-    @property
-    def total(self) -> float:
-        return sum(count for _, count in self.bins)
 
     def active_domain(self) -> frozenset[str]:
         """Categories with strictly positive count.
@@ -90,10 +153,15 @@ class Histogram:
 
     @functools.cached_property
     def _active(self) -> frozenset[str]:
-        return frozenset(label for label, count in self.bins if count > 0)
+        return frozenset(self._positive[0])
 
-    def __len__(self) -> int:
-        return len(self.bins)
+    @functools.cached_property
+    def _positive(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The labels and counts of the bins with count > 0, in bin order."""
+        at = np.flatnonzero(self.counts > 0)
+        if at.size == len(self):
+            return self._labels, self.counts
+        return tuple(map(self._labels.__getitem__, at.tolist())), _frozen(self.counts[at])
 
 
 class Origin(enum.Enum):
@@ -103,59 +171,84 @@ class Origin(enum.Enum):
     INJECTED = "injected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class NoisyBin:
     label: str
     count: float
     origin: Origin
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "count", float(self.count))
+    # The generated __init__ plus a __post_init__ taking count to float, in
+    # one call and with slots: a view of many bins builds many.
+    def __init__(self, label: str, count: float, origin: Origin) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "count", float(count))
+        object.__setattr__(self, "origin", origin)
 
 
-@dataclass(frozen=True)
-class NoisyHistogram:
+class NoisyHistogram(_Columns):
     """A privatized release: surviving active bins followed by injected bins.
 
     Every count is strictly positive; every bin either survived the threshold
-    or was injected above it.
+    or was injected above it. Besides the columns it holds injected, one bool
+    per bin; bins gives NoisyBins.
     """
 
-    bins: tuple[NoisyBin, ...]
+    injected: tuple[bool, ...]
 
     def __init__(self, bins: Iterable[NoisyBin] = ()) -> None:
-        normalized = []
-        seen = set()
-        for b in bins:
-            _check_label(b.label)
-            if not math.isfinite(b.count) or b.count <= 0:
-                raise ValidityError(f"noisy count for {b.label!r} must be finite and > 0, got {b.count}")
-            if not isinstance(b.origin, Origin):
-                raise ValidityError(f"origin for {b.label!r} must be an Origin")
-            if b.label in seen:
-                raise ValidityError(f"duplicate category {b.label!r}")
-            seen.add(b.label)
-            normalized.append(b)
-        object.__setattr__(self, "bins", tuple(normalized))
+        self._bins = tuple(bins)
+        self._labels = tuple(map(attrgetter("label"), self._bins))
+        origins = tuple(map(attrgetter("origin"), self._bins))
+        self.counts = _checked(self._labels, tuple(map(attrgetter("count"), self._bins)), True, origins)
+        self.injected = tuple(map(is_, origins, repeat(Origin.INJECTED)))
+
+    @classmethod
+    def _release(cls, labels: tuple[str, ...], counts: list[float], active: int) -> "NoisyHistogram":
+        """The release of these bins, the first `active` of them active. The
+        mechanism makes labels distinct and non-empty; a count can overflow."""
+        if not labels:
+            return _NO_RELEASE
+        if not (all(map(math.isfinite, counts)) and min(counts) > 0):
+            _checked(labels, counts, positive=True)  # raises
+        h = cls.__new__(cls)
+        h._labels, h.counts = labels, _frozen(np.array(counts))
+        h.injected = (False,) * active + (True,) * (len(labels) - active)
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        return super().__eq__(other) and self.injected == other.injected
+
+    def _view(self) -> tuple[NoisyBin, ...]:
+        origins = map((Origin.ACTIVE, Origin.INJECTED).__getitem__, self.injected)
+        return tuple(map(NoisyBin, self._labels, self.counts.tolist(), origins))
 
     def items(self) -> Iterator[tuple[str, float]]:
-        return ((b.label, b.count) for b in self.bins)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.bins)
+        return zip(self._labels, self.counts.tolist())
 
     def active_bins(self) -> tuple[NoisyBin, ...]:
-        return tuple(b for b in self.bins if b.origin is Origin.ACTIVE)
+        return self._bins_where(False)
 
     def injected_bins(self) -> tuple[NoisyBin, ...]:
-        return tuple(b for b in self.bins if b.origin is Origin.INJECTED)
+        return self._bins_where(True)
 
-    @property
-    def total(self) -> float:
-        return sum(b.count for b in self.bins)
+    def _bins_where(self, injected: bool) -> tuple[NoisyBin, ...]:
+        if injected not in self.injected:  # and build no view
+            return ()
+        return tuple(compress(self.bins, map(is_, self.injected, repeat(injected))))
 
-    def __len__(self) -> int:
-        return len(self.bins)
+
+# The release with no bins, shared by every release that keeps and injects none.
+_NO_RELEASE = NoisyHistogram()
+
+
+def shares(h: Histogram | NoisyHistogram) -> np.ndarray:
+    """Each bin's share of the total, in bin order (see normalize)."""
+    total = h.total
+    if total <= 0:
+        raise ValidityError("empty distribution: nothing to normalize")
+    if not math.isfinite(total):
+        raise ValidityError(f"distribution total is not finite: {total}")
+    return h.counts / total
 
 
 def normalize(h: Histogram | NoisyHistogram) -> dict[str, float]:
@@ -164,13 +257,7 @@ def normalize(h: Histogram | NoisyHistogram) -> dict[str, float]:
     Raises ValidityError on an empty distribution (no bins or zero total) and
     on a total that overflows, which would make every share 0.
     """
-    items = list(h.items())
-    total = sum(count for _, count in items)
-    if total <= 0:
-        raise ValidityError("empty distribution: nothing to normalize")
-    if not math.isfinite(total):
-        raise ValidityError(f"distribution total is not finite: {total}")
-    return {label: count / total for label, count in items}
+    return dict(zip(h.labels(), shares(h).tolist()))
 
 
 @dataclass(frozen=True)

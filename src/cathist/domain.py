@@ -157,18 +157,26 @@ class _SizeOnlySampler(DomainSampler):
     def __init__(self, spec: SizeOnly) -> None:
         self.spec = spec
         self.size = spec.size
-        self._prefix = spec.prefix
+        self._head = spec.prefix + "-"
+        self._bound = (len(str(spec.size)), str(spec.size))
 
     def decode(self, index: int) -> str:
-        return f"{self._prefix}-{index}"
+        return f"{self._head}{index}"
 
     def encode(self, label: str) -> int:
-        prefix, sep, digits = label.rpartition("-")
-        if sep and prefix == self._prefix and digits.isdigit() and str(int(digits)) == digits:
-            index = int(digits)
-            if 0 <= index < self.size:
-                return index
-        raise ValidityError(f"category {label!r} is not in the generated domain")
+        if not self.contains(label):
+            raise ValidityError(f"category {label!r} is not in the generated domain")
+        return int(label[len(self._head):])
+
+    def contains(self, label: str) -> bool:
+        # "<prefix>-" and an index below size in ASCII digits, with no leading
+        # zero but in "0": such strings compare as their numbers by length,
+        # then as strings.
+        index = label[len(self._head):]
+        return (
+            label.startswith(self._head) and index.isascii() and index.isdigit()
+            and (index[0] != "0" or index == "0") and (len(index), index) < self._bound
+        )
 
 
 def _read_words(path: Path) -> dict[str, None]:

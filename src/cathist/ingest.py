@@ -18,10 +18,12 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, takewhile, tee
+from itertools import chain, repeat, takewhile, tee
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
+
+import numpy as np
 
 from .core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin, ValidityError
 
@@ -100,7 +102,8 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     counts, skipped_empty = merged
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
-    return Histogram((label, float(count)) for label, count in counts.items())
+    # Labels are distinct non-empty cells and counts whole numbers >= 1.
+    return Histogram._of(tuple(counts), np.fromiter(counts.values(), float, len(counts)))
 
 
 def _merge(cells: Iterable[tuple[str, int]], drop_values: frozenset[str]) -> tuple[dict[str, int], int]:
@@ -301,13 +304,11 @@ def write_histogram(
             out.close()
 
 
-def _rows(h: Histogram | NoisyHistogram) -> Iterator[tuple[str, float, str]]:
+def _rows(h: Histogram | NoisyHistogram) -> Iterable[tuple[str, float, str]]:
     if isinstance(h, NoisyHistogram):
-        for b in h.bins:
-            yield b.label, b.count, b.origin.value
-    else:
-        for label, count in h.items():
-            yield label, count, ""
+        origins = map((Origin.ACTIVE.value, Origin.INJECTED.value).__getitem__, h.injected)
+        return zip(h.labels(), h.counts.tolist(), origins)
+    return zip(h.labels(), h.counts.tolist(), repeat(""))
 
 
 def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | NoisyHistogram:

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import neg, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -48,12 +50,10 @@ from .core import (
     CatHistError,
     DomainSpec,
     Histogram,
-    NoisyBin,
     NoisyHistogram,
-    Origin,
     PrivacyParams,
     ValidityError,
-    normalize,
+    shares,
 )
 from .domain import DomainSampler, load_domain
 from .numerics import (
@@ -63,8 +63,9 @@ from .numerics import (
     noisy_threshold,
     sample_binomial,
 )
-# Bound here although unused: bench/layers.py traces the samplers at the
-# names the mechanism imports. Their arithmetic is inlined below.
+# Bound here although unused: bench/layers.py traces these at the names the
+# mechanism imports. Their arithmetic is inlined below.
+from .core import normalize  # noqa: F401
 from .numerics import sample_laplace, sample_shifted_exponential  # noqa: F401
 
 
@@ -97,7 +98,7 @@ def _check_active_membership(config: CatHistConfig, outside: set[str]) -> None:
 def _sampler_for(config: CatHistConfig, sampler: DomainSampler | None) -> DomainSampler:
     if sampler is None:
         return load_domain(config.domain)
-    if sampler.spec != config.domain:
+    if sampler.spec is not config.domain and sampler.spec != config.domain:
         raise ValueError("sampler was built for a different domain spec")
     return sampler
 
@@ -129,29 +130,59 @@ def cat_hist_batch(
     """
     draws = _draw_batch(config, h, reps, sampler)
     epsilon, threshold = config.privacy.epsilon, draws.threshold
-    scale = 1.0 / epsilon
     labels = [
         draws.sampler.sample_distinct(draws.rng_inject, w.size, exclude=draws.active) if w.size else ()
         for w in draws.weights
     ]
-    rows = (row for block in draws.uniforms for row in block.tolist())
+    rows = _survivors(draws.uniforms, draws.positive, 1.0 / epsilon, threshold)
     releases = []
-    for row, injected_labels, weights in zip(rows, labels, draws.weights):
-        # sample_laplace's and sample_shifted_exponential's arithmetic, per
-        # bin on the drawn uniforms (none of them 0.0).
-        survivors = []
-        for (label, count), u in zip(draws.positive, row):
-            u -= 0.5
-            magnitude = -math.log1p(-2.0 * abs(u))
-            noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
-            if noisy >= threshold and noisy > 0:
-                survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
-        injected = [
-            NoisyBin(label, threshold - math.log1p(-u) / epsilon, Origin.INJECTED)
-            for label, u in zip(injected_labels, weights.tolist())
-        ]
-        releases.append(NoisyHistogram(survivors + injected))
+    for (kept, noisy), injected, weights in zip(rows, labels, draws.weights):
+        if weights.size:  # sample_shifted_exponential's threshold - log1p(-u) / epsilon
+            exponentials = map(truediv, map(math.log1p, map(neg, weights.tolist())), repeat(epsilon))
+            noisy.extend(map(sub, repeat(threshold), exponentials))
+        releases.append(NoisyHistogram._release((*kept, *injected), noisy, len(kept)))
     return releases
+
+
+# Rows of fewer active bins than this are noised bin by bin, longer ones as
+# whole blocks: numpy's calls cost more than a few bins, less than many.
+ARRAY_NOISE_BINS = 32
+
+
+def _survivors(
+    blocks: Iterable[np.ndarray], positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
+) -> Iterator[tuple[list[str], list[float]]]:
+    """Each row's surviving labels and noisy counts: count plus
+    sample_laplace's noise, with math.log1p per element (np.log1p can differ
+    in the last bit), kept at >= threshold and > 0."""
+    labels, counts = positive
+    if len(labels) < ARRAY_NOISE_BINS:
+        counts = counts.tolist()
+        for row in chain.from_iterable(block.tolist() for block in blocks):
+            kept, kept_noisy = [], []
+            for label, count, u in zip(labels, counts, row):
+                u -= 0.5
+                magnitude = -math.log1p(-2.0 * abs(u))
+                noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
+                if noisy >= threshold and noisy > 0:
+                    kept.append(label)
+                    kept_noisy.append(noisy)
+            yield kept, kept_noisy
+        return
+    for block in blocks:
+        # count + sign(u) * scale * -log1p(-2|u|) with u - 1/2 for u. It may
+        # overflow at a tiny epsilon; the release refuses that count.
+        u = block - 0.5
+        magnitude = (np.abs(u) * -2.0).ravel().tolist()
+        magnitude = np.fromiter(map(math.log1p, magnitude), float, u.size).reshape(u.shape)
+        with np.errstate(over="ignore"):
+            magnitude *= -scale
+            noisy = np.copysign(magnitude, u, out=magnitude)
+            noisy += counts
+        keep = (noisy >= threshold) & (noisy > 0)
+        for row, row_keep in zip(noisy, keep):
+            at = np.flatnonzero(row_keep)
+            yield list(map(labels.__getitem__, at.tolist())), row[at].tolist()
 
 
 # Most active-bin uniforms a batch draws and holds at once: it draws its
@@ -163,16 +194,17 @@ BLOCK_DRAWS = 1 << 20
 class _BatchDraws(NamedTuple):
     """A batch's set-up and its draws, up to (not including) the labels.
 
-    positive holds the k active bins in input order. uniforms gives the
-    reps x k active-bin uniforms as blocks of rows; when there are several
-    blocks, each is drawn as it is read. weights holds, per repetition, the
-    uniforms of its injected weights, one per injected bin. rng_inject is
-    positioned at the labels of the first repetition.
+    positive holds the labels and counts of the k active bins in input
+    order. uniforms gives the reps x k active-bin uniforms as blocks of rows;
+    when there are several blocks, each is drawn as it is read. weights
+    holds, per repetition, the uniforms of its injected weights, one per
+    injected bin. rng_inject is positioned at the labels of the first
+    repetition.
     """
 
     sampler: DomainSampler
     active: frozenset[str]
-    positive: list[tuple[str, float]]
+    positive: tuple[tuple[str, ...], np.ndarray]
     threshold: float
     uniforms: Iterable[np.ndarray]
     weights: list[np.ndarray]
@@ -213,10 +245,8 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
             weights.append(_nonzero(rng_inject, rng_inject.random(m)))
         else:
             weights.append(_NO_DRAWS)
-    # Labels are unique, so len(active) bins are positive.
-    positive = [item for item in h.items() if item[1] > 0]
-    uniforms = _uniform_blocks(rng_noise, reps, len(positive))
-    return _BatchDraws(sampler, active, positive, threshold, uniforms, weights, rng_inject)
+    uniforms = _uniform_blocks(rng_noise, reps, len(active))
+    return _BatchDraws(sampler, active, h._positive, threshold, uniforms, weights, rng_inject)
 
 
 # The weights of a repetition that injects nothing; never written to.
@@ -241,12 +271,27 @@ def _nonzero(rng: Rng, u: np.ndarray) -> np.ndarray:
 
 def synthesize_records(rng: Rng, noisy: NoisyHistogram, m: int) -> list[str]:
     """Draw m category labels iid from the normalized noisy histogram."""
+    return np.array(noisy.labels(), dtype=object)[record_indices(rng, noisy, m)].tolist()
+
+
+def record_indices(rng: Rng, noisy: NoisyHistogram, m: int) -> np.ndarray:
+    """The bins of m records drawn iid from the release's shares: those
+    rng.choice(len(noisy), size=m, p=shares) draws. That call looks each
+    uniform u up in the normalized cumulative shares by searchsorted(side=
+    "right"). A guide table holds that answer for the left end j / 2^b of
+    each of 2^b buckets; u * 2^b and j / 2^b are exact, so stepping forward
+    from the answer at u's bucket lands on searchsorted's answer for u."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if len(noisy) == 0:
         raise CatHistError("nothing to sample: the noisy histogram is empty")
-    dist = normalize(noisy)
-    labels = np.array(list(dist), dtype=object)
-    probs = np.fromiter(dist.values(), dtype=float, count=len(dist))
-    draws = rng.choice(len(labels), size=m, p=probs)
-    return labels[draws].tolist()
+    cdf = np.cumsum(shares(noisy))
+    cdf /= cdf[-1]
+    u = rng.random(m)
+    buckets = 4 << len(noisy).bit_length()
+    at = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")[(u * buckets).astype(np.intp)]
+    at += cdf[at] <= u  # cdf[-1] is 1.0 > u: no step passes the last bin
+    # Uniforms more than one step past their bucket's answer: search them outright.
+    ahead = np.flatnonzero(cdf[at] <= u)
+    at[ahead] = np.searchsorted(cdf, u[ahead], side="right")
+    return at

@@ -12,17 +12,19 @@ on either side only matter through their normalized masses, so the score is
 scale-invariant.
 
 Sums over the intersection use math.fsum: it is exact, so a score does not
-depend on the set's iteration order, which follows the interpreter's hash
-seed.
+depend on the order the intersection is summed in.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import repeat
 
-from .core import Histogram, NoisyHistogram, normalize
+import numpy as np
+
+# normalize is bound here for bench/layers.py, which traces it at this name.
+from .core import Histogram, NoisyHistogram, normalize, shares  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,20 +35,21 @@ class FidelityScore:
     synth_mass_in_intersection: float
 
 
-def _shared_shares(
-    true_h: Histogram, synth_h: Histogram | NoisyHistogram
-) -> tuple[list[float], list[float]]:
-    """The true and the synth shares of the intersection, in the same order.
+def _shared_shares(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """The true and the synth shares of the intersection, in synth bin order.
 
     The true histogram is normalized first, so an empty column is an error
     even against an empty release; an empty release shares nothing.
     """
-    true_dist = normalize(true_h)
+    true_shares = shares(true_h)
     if len(synth_h) == 0:
-        return [], []
-    synth_dist = normalize(synth_h)
-    intersection = true_h.active_domain().intersection(synth_dist)
-    return [true_dist[c] for c in intersection], [synth_dist[c] for c in intersection]
+        return np.empty(0), np.empty(0)
+    synth_shares = shares(synth_h)
+    # Each synth bin's index in the true histogram, or -1 where it has none.
+    at = np.fromiter(map(true_h._index.get, synth_h.labels(), repeat(-1)), np.intp, len(synth_h))
+    found = np.flatnonzero(at >= 0)
+    shared = found[true_h.counts[at[found]] > 0]
+    return true_shares[at[shared]], synth_shares[shared]
 
 
 def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> FidelityScore:
@@ -55,8 +58,8 @@ def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> Fidelity
     An empty synthetic release scores 0, it is not an error.
     """
     true_shares, synth_shares = _shared_shares(true_h, synth_h)
-    true_mass, synth_mass = math.fsum(true_shares), math.fsum(synth_shares)
-    return FidelityScore(true_mass * synth_mass, len(true_shares), true_mass, synth_mass)
+    true_mass, synth_mass = math.fsum(true_shares.tolist()), math.fsum(synth_shares.tolist())
+    return FidelityScore(true_mass * synth_mass, true_shares.size, true_mass, synth_mass)
 
 
 def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> float:
@@ -66,4 +69,5 @@ def fidelity_pointwise(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -
     support; kept separate because its value is not the product of the two
     intersection masses.
     """
-    return math.fsum(map(operator.mul, *_shared_shares(true_h, synth_h)))
+    true_shares, synth_shares = _shared_shares(true_h, synth_h)
+    return math.fsum((true_shares * synth_shares).tolist())

@@ -20,6 +20,7 @@ domain sizes this package is used with.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +61,8 @@ def threshold_defined(rho: float, n: int) -> bool:
     return math.log(rho) / n >= _LN_HALF
 
 
+# A loop of releases asks for the same few thresholds over and over.
+@functools.lru_cache(maxsize=256)
 def noisy_threshold(epsilon: float, rho: float, n: int) -> float:
     """Threshold calibrated so P(no injected bins) = rho over a size-n domain.
 

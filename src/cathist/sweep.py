@@ -111,7 +111,7 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
     if total <= 0:
         raise ValidityError("empty distribution: nothing to normalize")
     draws = _draw_batch(cell_config, state.hist, config.repetitions, state.sampler)
-    counts = np.array([count for _, count in draws.positive])
+    counts = draws.positive[1]
     shares = counts / total
     scale = 1.0 / epsilon
     true_mass, noisy_mass, surviving = [], [], []

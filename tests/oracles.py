@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import mpmath as mp
 import numpy as np
@@ -113,6 +114,13 @@ def load_words_per_line(path):
             if word:
                 words.setdefault(word, None)
     return tuple(words)
+
+
+def size_only_index_by_parsing(prefix, size, label):
+    """The index a SizeOnly(size, prefix) domain gives label, or None: the
+    label must be prefix, "-" and an index below size as Python writes it."""
+    match = re.fullmatch(re.escape(prefix) + r"-(0|[1-9][0-9]*)", label)
+    return int(match[1]) if match and int(match[1]) < size else None
 
 
 def sample_distinct_by_rejection(sampler, rng, k, exclude=frozenset()):

@@ -67,6 +67,13 @@ class TestTau:
         assert values["tau"] == pytest.approx(tau_oracle(1.0, 0.9, 171_000), rel=1e-12)
         assert values["expected_injected"] == pytest.approx(0.10536, abs=1e-4)
         assert values["zero_injection_probability"] == pytest.approx(0.9, rel=1e-9)
+        # Both injection figures hold for an empty column and say so.
+        lines = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert lines["expected_injected"].endswith("(empty column; (n - a) * p with a active labels)")
+        assert lines["zero_injection_probability"].endswith(
+            "(target rho = 0.9; empty column; rho^((n - a)/n) with a active labels)"
+        )
+        assert "empty column" not in lines["tau"] + lines["inclusion_probability"]
 
     def test_undefined_gate_exits_two(self, capsys):
         code, _, err = run(capsys, "tau", "--epsilon", "1", "--rho", "1e-300", "--n", "2")

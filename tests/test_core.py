@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cathist.core import (
@@ -57,6 +58,43 @@ class TestHistogram:
     def test_missing_label_counts_zero(self):
         h = Histogram([("a", 1.0)])
         assert h.count("nope") == 0.0
+
+    def test_columns_and_views_round_trip_with_zero_bins(self):
+        pairs = (("a", 0.0), ("b", 2.5), ("c", 0.0), ("d", 1.0))
+        h = Histogram(pairs)
+        assert h.labels() == ("a", "b", "c", "d")
+        assert h.counts.tolist() == [0.0, 2.5, 0.0, 1.0] and h.counts.dtype == np.float64
+        assert not h.counts.flags.writeable
+        assert h.bins == pairs and all(type(count) is float for _, count in h.bins)
+        assert Histogram(h.bins) == h and Histogram.from_counts(dict(pairs)) == h
+        assert h != Histogram(pairs[:3]) and h != Histogram(pairs[:3] + (("d", 1.5),))
+        assert [h.count(label, default=9.0) for label, _ in pairs] == [0.0, 2.5, 0.0, 1.0]
+        assert h.count("e", default=9.0) == 9.0
+        assert h.active_domain() == {"b", "d"} and h.total == 3.5
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("", 1.0), "category label must be non-empty"),
+            ((7, 1.0), "category label must be str, got int"),
+            ((["x"], 1.0), "category label must be str, got list"),
+            (("x", -0.5), "count for 'x' must be finite and >= 0, got -0.5"),
+            (("x", math.nan), "count for 'x' must be finite and >= 0, got nan"),
+            (("x", math.inf), "count for 'x' must be finite and >= 0, got inf"),
+            (("b7", 1.0), "duplicate category 'b7'"),
+        ],
+        ids=["empty", "int-label", "unhashable-label", "negative", "nan", "inf", "duplicate"],
+    )
+    def test_first_bad_bin_of_many_is_named(self, bad, message):
+        # The whole column is checked at once; the first bad bin among many
+        # valid ones is still named as a check of that bin alone names it,
+        # also when a later bin is bad too.
+        good = [(f"b{i}", float(i)) for i in range(1_000)]
+        later = ("b3", -1.0)
+        for bins in (good + [bad], good[:10] + [bad] + good[10:] + [later]):
+            with pytest.raises(ValidityError) as caught:
+                Histogram(bins)
+            assert str(caught.value) == message
 
 
 class TestNormalize:
@@ -120,6 +158,40 @@ class TestNoisyHistogram:
     def test_counts_coerced_to_float(self):
         nh = NoisyHistogram([NoisyBin("a", 1, Origin.ACTIVE)])
         assert isinstance(nh.bins[0].count, float)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (NoisyBin("", 1.0, Origin.ACTIVE), "category label must be non-empty"),
+            (NoisyBin(7, 1.0, Origin.INJECTED), "category label must be str, got int"),
+            (NoisyBin("x", 0.0, Origin.ACTIVE), "noisy count for 'x' must be finite and > 0, got 0.0"),
+            (NoisyBin("x", math.nan, Origin.ACTIVE), "noisy count for 'x' must be finite and > 0, got nan"),
+            (NoisyBin("x", math.inf, Origin.INJECTED), "noisy count for 'x' must be finite and > 0, got inf"),
+            (NoisyBin("x", 1.0, "active"), "origin for 'x' must be an Origin"),
+            (NoisyBin("b7", 1.0, Origin.INJECTED), "duplicate category 'b7'"),
+        ],
+        ids=["empty", "int-label", "zero", "nan", "inf", "origin", "duplicate"],
+    )
+    def test_first_bad_bin_of_many_is_named(self, bad, message):
+        good = [NoisyBin(f"b{i}", i + 1.0, Origin.ACTIVE) for i in range(1_000)]
+        later = NoisyBin("b3", -1.0, Origin.ACTIVE)
+        for bins in (good + [bad], good[:10] + [bad] + good[10:] + [later]):
+            with pytest.raises(ValidityError) as caught:
+                NoisyHistogram(bins)
+            assert str(caught.value) == message
+
+    def test_columns_and_views(self):
+        bins = (
+            NoisyBin("a", 1.5, Origin.ACTIVE),
+            NoisyBin("b", 0.5, Origin.INJECTED),
+            NoisyBin("c", 2.5, Origin.ACTIVE),
+        )
+        nh = NoisyHistogram(bins)
+        assert nh.labels() == ("a", "b", "c") and nh.counts.tolist() == [1.5, 0.5, 2.5]
+        assert nh.injected == (False, True, False) and not nh.counts.flags.writeable
+        assert nh.bins == bins and NoisyHistogram(nh.bins) == nh
+        assert nh != NoisyHistogram([bins[0], NoisyBin("b", 0.5, Origin.ACTIVE), bins[2]])
+        assert list(nh.items()) == [("a", 1.5), ("b", 0.5), ("c", 2.5)] and nh.total == 4.5
 
 
 class TestPrivacyParams:

@@ -7,7 +7,7 @@ from cathist.domain import load_domain, load_words
 from cathist.numerics import make_rng
 
 from conftest import WORDLIST_SIZE
-from oracles import load_words_per_line, sample_distinct_by_rejection
+from oracles import load_words_per_line, sample_distinct_by_rejection, size_only_index_by_parsing
 
 
 class TestExplicitSampler:
@@ -246,3 +246,28 @@ class TestSizeOnlySampler:
     def test_prefix_containing_hyphen_round_trips(self):
         sampler = load_domain(SizeOnly(size=10, prefix="a-b"))
         assert sampler.encode(sampler.decode(7)) == 7
+
+    @pytest.mark.parametrize("prefix", ["cat", "a-b"])
+    def test_membership_check_matches_parsing(self, prefix):
+        # contains checks the digits without parsing them; it must accept
+        # exactly the labels that parse to an index below size.
+        size = 120
+        sampler = load_domain(SizeOnly(size=size, prefix=prefix))
+        # "\u0663" (Arabic-Indic three) and "\u00b2" (superscript two) pass
+        # str.isdigit but are no index.
+        tails = ["0", "7", "01", "00", "119", "120", "999", "1000", "\u0663", "\u00b2"]
+        tails += ["-1", "", "+5", " 5", "5 ", "1_0"]
+        labels = [f"{prefix}-{tail}" for tail in tails]
+        labels += [prefix, f"{prefix}--1", f"x{prefix}-5", "cat-5", "a-5", "b-5", "-5", "5"]
+        members = 0
+        for label in labels:
+            index = size_only_index_by_parsing(prefix, size, label)
+            assert sampler.contains(label) == (index is not None), label
+            assert sampler.non_members({label}) == (set() if index is not None else {label}), label
+            if index is None:
+                with pytest.raises(ValidityError):
+                    sampler.encode(label)
+            else:
+                members += 1
+                assert sampler.encode(label) == index and sampler.decode(index) == label
+        assert members == 3 + (prefix == "cat")

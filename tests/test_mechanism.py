@@ -18,7 +18,15 @@ from cathist.core import (
     WordPairs,
 )
 from cathist.domain import load_domain
-from cathist.mechanism import CatHistConfig, _nonzero, cat_hist, cat_hist_batch, synthesize_records
+from cathist.mechanism import (
+    ARRAY_NOISE_BINS,
+    CatHistConfig,
+    _nonzero,
+    cat_hist,
+    cat_hist_batch,
+    record_indices,
+    synthesize_records,
+)
 from cathist.numerics import make_rng, noisy_threshold
 
 from conftest import WORKCLASS_COUNTS
@@ -291,6 +299,38 @@ class TestBatch:
             assert batch == cat_hist_batch_per_rep(cfg, h, sampler, reps), seed
             assert min(len(release.injected_bins()) for release in batch) >= 300
 
+    @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS, 1_200])
+    def test_wide_column_over_several_blocks_matches_per_rep_loop(self, bins, monkeypatch, wordlist_path):
+        # Rows shorter than ARRAY_NOISE_BINS are noised bin by bin, longer
+        # ones as whole blocks; blocks of three rows spread ten repetitions
+        # over four blocks.
+        domain = WordList(wordlist_path)
+        sampler = load_domain(domain)
+        rng = np.random.default_rng(bins)
+        words = [sampler.decode(int(i)) for i in rng.choice(sampler.size, size=bins, replace=False)]
+        h = Histogram(zip(words, rng.integers(1, 40, size=bins).tolist()))
+        monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 3 * bins)
+        surviving = injected = 0
+        for seed in range(3):
+            cfg = config_for(0.5, 0.3, domain, seed=seed)
+            batch = cat_hist_batch(cfg, h, 10, sampler=sampler)
+            assert batch == cat_hist_batch_per_rep(cfg, h, sampler, 10), seed
+            surviving += sum(len(release.active_bins()) for release in batch)
+            injected += sum(len(release.injected_bins()) for release in batch)
+        assert 0 < surviving < 30 * bins and injected > 0
+
+    @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS])
+    def test_overflowing_counts_refused_on_both_noise_paths(self, bins):
+        # At epsilon = 1e-308 the threshold is finite but a Laplace draw can
+        # overflow a count to inf. Either noise path refuses the release, and
+        # the array path overflows under np.errstate, with no RuntimeWarning.
+        domain = ExplicitList([f"cat-{i}" for i in range(bins)])
+        h = Histogram((f"cat-{i}", 5.0) for i in range(bins))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidityError, match="must be finite"):
+                cat_hist_batch(config_for(1e-308, 0.01, domain, seed=0), h, 20)
+
     def test_batch_of_one_is_cat_hist(self):
         sampler = load_domain(self.CENSUS_DOMAIN)
         for seed in range(50):
@@ -384,6 +424,34 @@ class TestNaiveOracle:
         assert actives == ["cat-2", "cat-5"]
         for b in release.bins:
             assert b.count >= noisy_threshold(1.0, 0.5, 30)
+
+
+class TestRecordIndices:
+    """synth --records writes the bins at record_indices; they must be the
+    indices Generator.choice draws from the release's shares."""
+
+    @pytest.mark.parametrize(
+        "counts, m",
+        [
+            ([1.0] * 1_000, 20_000),
+            # 10^4 tiny bins share a few guide buckets, before or after the
+            # heavy one: many uniforms step past the bucket start.
+            ([1e6] + [1.0] * 10_000, 20_000),
+            ([1.0] * 10_000 + [1e6], 20_000),
+            ([3.7], 1_000),
+            ([2.0, 5.0], 0),
+        ],
+        ids=["flat", "heavy-first", "heavy-last", "one-bin", "no-records"],
+    )
+    def test_equal_to_generator_choice(self, counts, m):
+        nh = NoisyHistogram(NoisyBin(f"b{i}", count, Origin.ACTIVE) for i, count in enumerate(counts))
+        shares = np.array(counts) / sum(counts)
+        for seed in range(4):
+            rng = make_rng(seed, 2)
+            got = record_indices(rng, nh, m)
+            want = make_rng(seed, 2).choice(len(counts), size=m, p=shares)
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            assert synthesize_records(make_rng(seed, 2), nh, m) == [f"b{i}" for i in want.tolist()]
 
 
 class TestSynthesizeRecords:
