@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repetitions", type=int, default=100, help="runs per cell (default 100)")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p_sweep.add_argument("--allow-out-of-domain-active", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     p_sweep.add_argument("--output", metavar="FILE", help="sweep CSV destination")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -77,12 +77,12 @@ class CatHistConfig:
     allow_out_of_domain_active: bool = False
 
 
-def _check_active_membership(config: CatHistConfig, outside: set[str]) -> None:
+def _check_active_membership(allow_outside: bool, outside: set[str]) -> None:
     """Reject (or, when allowed, warn about) active categories outside the domain."""
     if not outside:
         return
     listed = sorted(outside)
-    if config.allow_out_of_domain_active:
+    if allow_outside:
         warnings.warn(
             f"{len(listed)} active categories are outside the declared domain "
             f"and are being treated as members: {listed[:10]}",
@@ -95,12 +95,19 @@ def _check_active_membership(config: CatHistConfig, outside: set[str]) -> None:
     )
 
 
-def _sampler_for(config: CatHistConfig, sampler: DomainSampler | None) -> DomainSampler:
-    if sampler is None:
-        return load_domain(config.domain)
-    if sampler.spec is not config.domain and sampler.spec != config.domain:
+def _absent_slots(domain: DomainSpec, allow_outside: bool, h: Histogram, sampler: DomainSampler) -> int:
+    """The in-domain slots h leaves absent: the injection binomial's trials.
+
+    Checks first that sampler was built for domain and that h's active
+    labels are in it (see _check_active_membership). Neither changes over a
+    batch or a sweep, so each makes this check once.
+    """
+    if sampler.spec is not domain and sampler.spec != domain:
         raise ValueError("sampler was built for a different domain spec")
-    return sampler
+    active = h.active_domain()
+    outside = sampler.non_members(active)
+    _check_active_membership(allow_outside, outside)
+    return sampler.size - (len(active) - len(outside))
 
 
 def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None = None) -> NoisyHistogram:
@@ -128,10 +135,14 @@ def cat_hist_batch(
     the batch of one. A sweep cell reads the same draws without building
     releases (see sweep.py).
     """
-    draws = _draw_batch(config, h, reps, sampler)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    sampler = load_domain(config.domain) if sampler is None else sampler
+    trials = _absent_slots(config.domain, config.allow_out_of_domain_active, h, sampler)
+    draws = _draw_batch(config, h, reps, sampler, trials)
     epsilon, threshold = config.privacy.epsilon, draws.threshold
     labels = [
-        draws.sampler.sample_distinct(draws.rng_inject, w.size, exclude=draws.active) if w.size else ()
+        sampler.sample_distinct(draws.rng_inject, w.size, exclude=h.active_domain()) if w.size else ()
         for w in draws.weights
     ]
     rows = _survivors(draws.uniforms, draws.positive, 1.0 / epsilon, threshold)
@@ -192,7 +203,7 @@ BLOCK_DRAWS = 1 << 20
 
 
 class _BatchDraws(NamedTuple):
-    """A batch's set-up and its draws, up to (not including) the labels.
+    """A batch's threshold and its draws, up to (not including) the labels.
 
     positive holds the labels and counts of the k active bins in input
     order. uniforms gives the reps x k active-bin uniforms as blocks of rows;
@@ -202,8 +213,6 @@ class _BatchDraws(NamedTuple):
     repetition.
     """
 
-    sampler: DomainSampler
-    active: frozenset[str]
     positive: tuple[tuple[str, ...], np.ndarray]
     threshold: float
     uniforms: Iterable[np.ndarray]
@@ -211,28 +220,20 @@ class _BatchDraws(NamedTuple):
     rng_inject: Rng
 
 
-def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler | None) -> _BatchDraws:
+def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int) -> _BatchDraws:
     """What a batch draws, shared by cat_hist_batch and the sweep's cells.
 
-    No uniform handed out is 0.0: each one is replaced, in row-major order,
-    by the stream's next nonzero draw, the redraw sample_laplace and
-    sample_shifted_exponential make. A caller that never picks labels makes
-    the same draws as one that does, because the labels come last on the
-    injection stream.
+    trials is _absent_slots' count for h, which the caller works out once
+    per batch or per sweep: only the absent in-domain slots can be injected,
+    so m never exceeds them. No uniform handed out is 0.0: each one is replaced,
+    in row-major order, by the stream's next nonzero draw, the redraw
+    sample_laplace and sample_shifted_exponential make. A caller that never
+    picks labels makes the same draws as one that does, because the labels
+    come last on the injection stream.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    sampler = _sampler_for(config, sampler)
-    active = h.active_domain()
-    outside = sampler.non_members(active)
-    _check_active_membership(config, outside)
-    members = len(active) - len(outside)
-
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
-    # Only the absent in-domain slots can be injected, so m never exceeds them.
-    trials = sampler.size - members
 
     # Independent streams so the injection draws depend only on the seed and
     # the active set, never on the active counts.
@@ -245,8 +246,8 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
             weights.append(_nonzero(rng_inject, rng_inject.random(m)))
         else:
             weights.append(_NO_DRAWS)
-    uniforms = _uniform_blocks(rng_noise, reps, len(active))
-    return _BatchDraws(sampler, active, h._positive, threshold, uniforms, weights, rng_inject)
+    uniforms = _uniform_blocks(rng_noise, reps, len(h.active_domain()))
+    return _BatchDraws(h._positive, threshold, uniforms, weights, rng_inject)
 
 
 # The weights of a repetition that injects nothing; never written to.

@@ -5,7 +5,9 @@ column and reports mean/stddev fidelity plus mean injected and surviving bin
 counts. A cell's repetitions are one batch (see mechanism.cat_hist_batch):
 one seed, derived from (base_seed, epsilon index, rho index), and one stream
 pair shared by all of them. So every cell is reproducible in isolation and
-the CSV is byte-identical no matter how many workers ran it or in what order.
+the CSV is byte-identical however many threads ran the cells, in whatever
+order. The cells only read what they share: the column, the loaded domain and
+the count of absent domain slots that the sweep's one membership check gives.
 
 A cell builds no releases. Injected labels are drawn outside the active set,
 so a release meets the column in its surviving active bins S only, and its
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ import numpy as np
 from .core import DomainSpec, Histogram, PrivacyParams, ValidityError
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, _draw_batch
+from .mechanism import CatHistConfig, _absent_slots, _draw_batch
 # Bound here although unused: bench/layers.py traces the mechanism and the
 # score at the names the sweep imports.
 from .mechanism import cat_hist  # noqa: F401
@@ -84,21 +87,13 @@ class SweepRow:
     status: str  # "ok" or "invalid"
 
 
-@dataclass(frozen=True)
-class _SweepState:
-    """What every cell of one sweep reads: the config, the column, the domain."""
-
-    config: SweepConfig
-    hist: Histogram
-    sampler: DomainSampler
-
-
 # Overflow at a tiny epsilon is checked below, or drops out with its bin.
 @np.errstate(over="ignore")
-def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
-    config = state.config
+def _run_cell(
+    config: SweepConfig, hist: Histogram, sampler: DomainSampler, trials: int, eps_index: int, rho_index: int
+) -> SweepRow:
     epsilon, rho = config.epsilons[eps_index], config.rhos[rho_index]
-    if not threshold_defined(rho, state.sampler.size):
+    if not threshold_defined(rho, sampler.size):
         return SweepRow(epsilon, rho, None, None, None, None, config.repetitions, "invalid")
     cell_config = CatHistConfig(
         privacy=PrivacyParams(epsilon, rho),
@@ -106,13 +101,9 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
         seed=derive_seed(config.base_seed, eps_index, rho_index),
         allow_out_of_domain_active=config.allow_out_of_domain_active,
     )
-    total = state.hist.total
-    # As fidelity would: a column with no records cannot be scored.
-    if total <= 0:
-        raise ValidityError("empty distribution: nothing to normalize")
-    draws = _draw_batch(cell_config, state.hist, config.repetitions, state.sampler)
+    draws = _draw_batch(cell_config, hist, config.repetitions, sampler, trials)
     counts = draws.positive[1]
-    shares = counts / total
+    shares = counts / hist.total
     scale = 1.0 / epsilon
     true_mass, noisy_mass, surviving = [], [], []
     for u in draws.uniforms:
@@ -159,44 +150,31 @@ def _run_cell(state: _SweepState, eps_index: int, rho_index: int) -> SweepRow:
     )
 
 
-# Set once in each pool worker by _init_worker; the parent never sets it.
-_worker_state: _SweepState | None = None
-
-
-def _init_worker(state: _SweepState) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _run_worker_cell(eps_index: int, rho_index: int) -> SweepRow:
-    return _run_cell(_worker_state, eps_index, rho_index)
-
-
 def run_sweep(
     config: SweepConfig, jobs: int = 1, sampler: DomainSampler | None = None
 ) -> list[SweepRow]:
     """Run the full grid and return rows ordered by (epsilon, rho).
 
-    The column is read and the domain loaded once per sweep; a pre-loaded
-    sampler for config.domain may be passed to skip the load. jobs > 1
-    spreads cells over at most min(jobs, cells) worker processes, each
-    handed the column and the loaded domain once when it starts. The rows
-    are identical for any jobs and any hash seed, so the CSV is too.
+    The column is read, the domain loaded and the column's active labels
+    checked against it once per sweep, before any cell runs, and only if
+    some cell is valid; a pre-loaded sampler for config.domain may be passed
+    to skip the load. The cells run on min(jobs, cells) threads: their
+    array work releases the GIL. The rows are identical for any jobs and
+    any hash seed, so the CSV is too.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    state = _SweepState(
-        config=config,
-        hist=read_histogram(config.column, config.drop_values),
-        sampler=load_domain(config.domain) if sampler is None else sampler,
-    )
+    hist = read_histogram(config.column, config.drop_values)
+    sampler = load_domain(config.domain) if sampler is None else sampler
+    trials = 0
+    if any(threshold_defined(rho, sampler.size) for rho in config.rhos):
+        # As fidelity would: a column with no records cannot be scored.
+        if hist.total <= 0:
+            raise ValidityError("empty distribution: nothing to normalize")
+        trials = _absent_slots(config.domain, config.allow_out_of_domain_active, hist, sampler)
     cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
-    workers = min(jobs, len(cells))
-    if workers == 1:
-        rows = [_run_cell(state, ei, ri) for ei, ri in cells]
-    else:
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(state,)) as pool:
-            rows = list(pool.map(_run_worker_cell, *zip(*cells)))
+    with ThreadPoolExecutor(min(jobs, len(cells))) as pool:
+        rows = list(pool.map(partial(_run_cell, config, hist, sampler, trials), *zip(*cells)))
     return sorted(rows, key=lambda row: (row.epsilon, row.rho))
 
 

@@ -202,7 +202,7 @@ def naive_full_domain_oracle(config, h, sampler=None):
             f"domain size {sampler.size} exceeds the brute-force limit {ORACLE_MAX_DOMAIN}"
         )
     active = h.active_domain()
-    _check_active_membership(config, sampler.non_members(active))
+    _check_active_membership(config.allow_out_of_domain_active, sampler.non_members(active))
 
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)

@@ -256,7 +256,7 @@ def _trend_sweeps(census_csv, wordlist_path, base_seed):
 
     with warnings.catch_warnings():
         # The multi-word census labels are deliberately declared out of the
-        # word-pair domain; the override warning would fire once per cell.
+        # word-pair domain; the override warning would fire once per sweep.
         warnings.simplefilter("ignore", UserWarning)
         sex = sweep("sex", WordList(wordlist_path), allow=False)
         workclass = sweep("workclass", WordPairs(wordlist_path), allow=True)

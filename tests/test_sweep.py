@@ -1,9 +1,8 @@
 import csv
-import functools
-import multiprocessing
 import statistics
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -82,20 +81,15 @@ class TestRunSweep:
     def test_pool_capped_at_cell_count(self, column_file, monkeypatch):
         sizes = []
 
-        class RecordingPool(ProcessPoolExecutor):
+        class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("cathist.sweep.ThreadPoolExecutor", RecordingPool)
         cfg = config(column_file, rhos=(0.5,))
         assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
-        assert sizes == [2]
-
-    def test_single_cell_starts_no_pool(self, column_file, monkeypatch):
-        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", None)
-        cfg = config(column_file, epsilons=(1.0,), rhos=(0.5,))
-        assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
+        assert sizes == [2, 1]
 
     def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch):
         cfg = config(column_file)
@@ -109,23 +103,30 @@ class TestRunSweep:
         assert run_sweep(cfg, sampler=sampler) == expected
         assert run_sweep(cfg, jobs=2, sampler=sampler) == expected
 
-    def test_spawned_workers_equal_serial(self, column_file, tmp_path, monkeypatch):
-        # Spawned workers get the state pickled, and hash seeds of their own.
+    def test_threads_equal_serial_on_a_wordlist_and_warn_once(self, column_file, tmp_path):
+        # "cat-2" is active but not in the wordlist. Four threads share the
+        # column and the sampler; a short switch interval makes them
+        # interleave often.
         words = tmp_path / "words.txt"
-        words.write_text("".join(f"cat-{i}\n" for i in range(500)), encoding="utf-8")
-        cfg = config(column_file, domain=WordList(str(words)))
-        spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-        monkeypatch.setattr("cathist.sweep.ProcessPoolExecutor", spawn_pool)
-        assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
+        words.write_text("".join(f"cat-{i}\n" for i in (0, 1, *range(3, 500))), encoding="utf-8")
+        cfg = config(column_file, domain=WordList(str(words)), allow_out_of_domain_active=True)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in (4, 1):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    results.append(run_sweep(cfg, jobs=jobs))
+                assert len(caught) == 1 and "['cat-2']" in str(caught[0].message)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1]
 
-    def test_out_of_domain_warning_once_per_valid_cell(self, column_file):
+    def test_out_of_domain_warning_once_per_sweep(self, column_file):
         # "cat-2" is active but not declared; the 1e-4 cells are invalid.
-        cfg = config(
-            column_file,
-            domain=ExplicitList(labels=("cat-0", "cat-1", *(f"pad-{i}" for i in range(10)))),
-            rhos=(1e-4, 0.5),
-            allow_out_of_domain_active=True,
-        )
+        domain = ExplicitList(labels=("cat-0", "cat-1", *(f"pad-{i}" for i in range(10))))
+        cfg = config(column_file, domain=domain, rhos=(1e-4, 0.5), allow_out_of_domain_active=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = run_sweep(cfg)
@@ -133,7 +134,14 @@ class TestRunSweep:
         assert [str(w.message) for w in caught] == [
             "1 active categories are outside the declared domain and are being "
             "treated as members: ['cat-2']"
-        ] * 2
+        ]
+        # A grid with no valid cell checks nothing, so it neither warns nor
+        # refuses the undeclared label.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for allow in (True, False):
+                rows = run_sweep(config(column_file, domain=domain, rhos=(1e-4,), allow_out_of_domain_active=allow))
+                assert [r.status for r in rows] == ["invalid", "invalid"]
 
     def test_appending_grid_points_preserves_existing_cells(self, column_file):
         small = run_sweep(config(column_file, epsilons=(1.0,), rhos=(0.5,)))
