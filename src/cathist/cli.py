@@ -38,7 +38,7 @@ from .ingest import ColumnSelector, load_histogram, read_histogram, write_histog
 # this name; synth draws the records' bin indices instead.
 from .mechanism import CatHistConfig, cat_hist, record_indices, synthesize_records  # noqa: F401
 from .metrics import fidelity, fidelity_pointwise
-from .numerics import inclusion_probability, make_rng, noisy_threshold, threshold_defined
+from .numerics import inclusion_probability, make_rng, noisy_threshold
 from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, SweepConfig, run_sweep, write_sweep_csv
 
 EXIT_OK = 0
@@ -104,8 +104,6 @@ def _add_mechanism_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=float, help="privacy budget, > 0")
     sub.add_argument("--rho", type=float, help="target zero-injection probability, in (0, 1)")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sub.add_argument("--allow-out-of-domain-active", action="store_true",
-                     help="downgrade out-of-domain active categories to a warning")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="R1,R2,...", help="rho grid")
     p_sweep.add_argument("--repetitions", type=int, default=100, help="runs per cell (default 100)")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p_sweep.add_argument("--allow-out-of-domain-active", action="store_true")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     p_sweep.add_argument("--output", metavar="FILE", help="sweep CSV destination")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -258,7 +255,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         privacy=privacy,
         domain=domain,
         seed=args.seed,
-        allow_out_of_domain_active=args.allow_out_of_domain_active,
     )
     noisy = cat_hist(config, hist, sampler=sampler)
     threshold = noisy_threshold(epsilon, rho, sampler.size)
@@ -309,19 +305,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rhos=_parse_grid(args.rhos),
         repetitions=args.repetitions,
         base_seed=args.seed,
-        allow_out_of_domain_active=args.allow_out_of_domain_active,
         drop_values=frozenset(args.drop_value),
     )
     sampler = load_domain(domain)
-    n = sampler.size
-    for epsilon in config.epsilons:
-        for rho in config.rhos:
-            if not threshold_defined(rho, n):
-                print(
-                    f"cell epsilon={epsilon} rho={rho}: invalid, rho^(1/n) < 1/2 for n={n}",
-                    file=sys.stderr,
-                )
     rows = run_sweep(config, jobs=args.jobs, sampler=sampler)
+    for row in rows:
+        if row.status == "invalid":
+            print(
+                f"cell epsilon={row.epsilon} rho={row.rho}: invalid, rho^(1/n) < 1/2 for n={sampler.size}",
+                file=sys.stderr,
+            )
     write_sweep_csv(rows, output)
     print(f"wrote {len(rows)} grid cells to {output}", file=sys.stderr)
     return EXIT_OK

@@ -8,8 +8,8 @@ noises only the active bins and models the rest of the domain analytically:
      count falls below the threshold.
   3. Draw how many untouched domain slots would have cleared the threshold
      from Binomial(trials, p) with p = (1/2)exp(-epsilon*threshold), where
-     trials counts the absent in-domain slots: the domain size minus the
-     active labels that are in the domain.
+     trials counts the absent slots: the domain size minus the active
+     labels, every one of which must be in the domain.
   4. Pick that many distinct categories uniformly from the domain (excluding
      the active ones) and weight each by threshold + Exponential(epsilon).
 
@@ -37,7 +37,6 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -74,40 +73,25 @@ class CatHistConfig:
     privacy: PrivacyParams
     domain: DomainSpec
     seed: int
-    allow_out_of_domain_active: bool = False
 
 
-def _check_active_membership(allow_outside: bool, outside: set[str]) -> None:
-    """Reject (or, when allowed, warn about) active categories outside the domain."""
-    if not outside:
-        return
-    listed = sorted(outside)
-    if allow_outside:
-        warnings.warn(
-            f"{len(listed)} active categories are outside the declared domain "
-            f"and are being treated as members: {listed[:10]}",
-            stacklevel=3,
-        )
-        return
-    raise ValidityError(
-        f"active categories outside the declared domain: {listed}; "
-        f"declare a larger domain or pass allow_out_of_domain_active"
-    )
-
-
-def _absent_slots(domain: DomainSpec, allow_outside: bool, h: Histogram, sampler: DomainSampler) -> int:
+def _absent_slots(domain: DomainSpec, h: Histogram, sampler: DomainSampler) -> int:
     """The in-domain slots h leaves absent: the injection binomial's trials.
 
     Checks first that sampler was built for domain and that h's active
-    labels are in it (see _check_active_membership). Neither changes over a
-    batch or a sweep, so each makes this check once.
+    labels are all in it. Neither changes over a batch or a sweep, so each
+    makes this check once.
     """
     if sampler.spec is not domain and sampler.spec != domain:
         raise ValueError("sampler was built for a different domain spec")
     active = h.active_domain()
     outside = sampler.non_members(active)
-    _check_active_membership(allow_outside, outside)
-    return sampler.size - (len(active) - len(outside))
+    if outside:
+        raise ValidityError(
+            f"active categories outside the declared domain: {sorted(outside)}; "
+            f"declare a domain that contains them"
+        )
+    return sampler.size - len(active)
 
 
 def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None = None) -> NoisyHistogram:
@@ -138,7 +122,7 @@ def cat_hist_batch(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     sampler = load_domain(config.domain) if sampler is None else sampler
-    trials = _absent_slots(config.domain, config.allow_out_of_domain_active, h, sampler)
+    trials = _absent_slots(config.domain, h, sampler)
     draws = _draw_batch(config, h, reps, sampler, trials)
     epsilon, threshold = config.privacy.epsilon, draws.threshold
     labels = [

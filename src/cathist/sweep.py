@@ -65,7 +65,6 @@ class SweepConfig:
     rhos: tuple[float, ...] = DEFAULT_RHOS
     repetitions: int = 100
     base_seed: int = 0
-    allow_out_of_domain_active: bool = False
     drop_values: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -99,7 +98,6 @@ def _run_cell(
         privacy=PrivacyParams(epsilon, rho),
         domain=config.domain,
         seed=derive_seed(config.base_seed, eps_index, rho_index),
-        allow_out_of_domain_active=config.allow_out_of_domain_active,
     )
     draws = _draw_batch(cell_config, hist, config.repetitions, sampler, trials)
     counts = draws.positive[1]
@@ -171,7 +169,7 @@ def run_sweep(
         # As fidelity would: a column with no records cannot be scored.
         if hist.total <= 0:
             raise ValidityError("empty distribution: nothing to normalize")
-        trials = _absent_slots(config.domain, config.allow_out_of_domain_active, hist, sampler)
+        trials = _absent_slots(config.domain, hist, sampler)
     cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
     with ThreadPoolExecutor(min(jobs, len(cells))) as pool:
         rows = list(pool.map(partial(_run_cell, config, hist, sampler, trials), *zip(*cells)))

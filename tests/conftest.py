@@ -54,17 +54,29 @@ def _column(counts: dict[str, int], seed: int) -> list[str]:
     return values
 
 
-@pytest.fixture(scope="session")
-def census_csv(tmp_path_factory) -> str:
-    path = tmp_path_factory.mktemp("data") / "census.csv"
-    sex = _column(SEX_COUNTS, 11)
-    work = _column(WORKCLASS_COUNTS, 12)
-    marital = _column(MARITAL_COUNTS, 13)
-    lines = ["sex,workclass,marital-status"]
-    for s, w, m in zip(sex, work, marital):
-        lines.append(f"{s}, {w}, {m}")
+CENSUS_COLUMNS = {
+    "sex": (SEX_COUNTS, 11),
+    "workclass": (WORKCLASS_COUNTS, 12),
+    "marital-status": (MARITAL_COUNTS, 13),
+}
+
+
+def write_census(path, relabel=None) -> str:
+    """Write the census CSV to path. relabel maps a column name to new names
+    for some of its labels; a renamed label keeps its count and its rows."""
+    relabel = relabel or {}
+    columns = []
+    for name, (counts, seed) in CENSUS_COLUMNS.items():
+        names = relabel.get(name, {})
+        columns.append(_column({names.get(label, label): k for label, k in counts.items()}, seed))
+    lines = [",".join(CENSUS_COLUMNS), *map(", ".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def census_csv(tmp_path_factory) -> str:
+    return write_census(tmp_path_factory.mktemp("data") / "census.csv")
 
 
 def make_words(size: int) -> list[str]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from cathist.core import NoisyBin, NoisyHistogram, Origin, ValidityError
 from cathist.domain import load_domain
-from cathist.mechanism import _check_active_membership
 from cathist.numerics import (
     inclusion_probability,
     make_rng,
@@ -137,6 +136,13 @@ def sample_distinct_by_rejection(sampler, rng, k, exclude=frozenset()):
     return chosen
 
 
+def refuse_outside_labels(sampler, active):
+    """Raise ValidityError when an active label is not in the domain."""
+    outside = sorted(label for label in active if not sampler.contains(label))
+    if outside:
+        raise ValidityError(f"active categories outside the declared domain: {outside}")
+
+
 def cat_hist_per_bin(config, h, sampler):
     """cat_hist with one sample_laplace call per active bin and one
     sample_shifted_exponential call per injected label."""
@@ -149,10 +155,11 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
     stream every repetition's count and weights come first, then every
     repetition's labels."""
     active = h.active_domain()
+    refuse_outside_labels(sampler, active)
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
-    trials = sampler.size - len(active - sampler.non_members(active))
+    trials = sampler.size - len(active)
     rng_noise = make_rng(config.seed, 0)
     rng_inject = make_rng(config.seed, 1)
     survivors_per_rep = []
@@ -202,7 +209,7 @@ def naive_full_domain_oracle(config, h, sampler=None):
             f"domain size {sampler.size} exceeds the brute-force limit {ORACLE_MAX_DOMAIN}"
         )
     active = h.active_domain()
-    _check_active_membership(config.allow_out_of_domain_active, sampler.non_members(active))
+    refuse_outside_labels(sampler, active)
 
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
@@ -210,12 +217,10 @@ def naive_full_domain_oracle(config, h, sampler=None):
 
     counts = {label: count for label, count in h.items() if count > 0}
     domain_labels = [sampler.decode(i) for i in range(sampler.size)]
-    out_of_domain = [label for label in h.labels() if counts.get(label, 0) > 0 and not sampler.contains(label)]
-    all_labels = domain_labels + out_of_domain
-    true_counts = np.array([counts.get(label, 0.0) for label in all_labels])
+    true_counts = np.array([counts.get(label, 0.0) for label in domain_labels])
     noisy = rng.laplace(loc=true_counts, scale=1.0 / epsilon)
 
-    noisy_by_label = dict(zip(all_labels, noisy))
+    noisy_by_label = dict(zip(domain_labels, noisy))
     survivors = [
         NoisyBin(label, noisy_by_label[label], Origin.ACTIVE)
         for label, count in h.items()

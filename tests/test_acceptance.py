@@ -9,7 +9,6 @@ split across them so the whole criterion still operates at the 3-sigma level.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from oracles import (
     naive_full_domain_oracle,
     zero_injection_oracle,
 )
+from conftest import MARITAL_COUNTS, WORKCLASS_COUNTS, make_words, write_census
 from test_ingest import random_histogram
 
 BASE_SEED = 20250816
@@ -240,8 +240,13 @@ GRID_EPSILONS = (0.01, 0.1, 1.0)
 GRID_RHOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _as_word_pairs(counts):
+    """A distinct pair "w w" of test words for each label."""
+    return {label: f"{word} {word}" for label, word in zip(counts, make_words(len(counts)))}
+
+
 def _trend_sweeps(census_csv, wordlist_path, base_seed):
-    def sweep(column, domain, allow):
+    def sweep(column, domain):
         config = SweepConfig(
             column=ColumnSelector(census_csv, column),
             domain=domain,
@@ -249,18 +254,13 @@ def _trend_sweeps(census_csv, wordlist_path, base_seed):
             rhos=GRID_RHOS,
             repetitions=100,
             base_seed=base_seed,
-            allow_out_of_domain_active=allow,
         )
         rows = run_sweep(config)
         return {(r.epsilon, r.rho): r.mean_f for r in rows}
 
-    with warnings.catch_warnings():
-        # The multi-word census labels are deliberately declared out of the
-        # word-pair domain; the override warning would fire once per sweep.
-        warnings.simplefilter("ignore", UserWarning)
-        sex = sweep("sex", WordList(wordlist_path), allow=False)
-        workclass = sweep("workclass", WordPairs(wordlist_path), allow=True)
-        marital = sweep("marital-status", WordPairs(wordlist_path), allow=True)
+    sex = sweep("sex", WordList(wordlist_path))
+    workclass = sweep("workclass", WordPairs(wordlist_path))
+    marital = sweep("marital-status", WordPairs(wordlist_path))
     return sex, workclass, marital
 
 
@@ -288,7 +288,13 @@ def _trend_failures(sex, workclass, marital):
     return failures
 
 
-def test_criterion_6_trend_claims(census_csv, wordlist_path):
+def test_criterion_6_trend_claims(wordlist_path, tmp_path):
+    # The census workclass and marital-status labels are not word pairs, so
+    # each is renamed to a pair in the declared domain; counts and rows stay.
+    census_csv = write_census(tmp_path / "census.csv", {
+        "workclass": _as_word_pairs(WORKCLASS_COUNTS),
+        "marital-status": _as_word_pairs(MARITAL_COUNTS),
+    })
     failures = _trend_failures(*_trend_sweeps(census_csv, wordlist_path, BASE_SEED))
     attempt = 1
     if failures:
@@ -330,22 +336,19 @@ def test_criterion_7_injection_within_domain():
 # ---------------------------------------------------------------------------
 # Criterion 8: byte determinism and serialization identity.
 
-def test_criterion_8_determinism_and_round_trip(census_csv, tmp_path):
+def test_criterion_8_determinism_and_round_trip(census_csv, wordlist_path, tmp_path):
     config = SweepConfig(
         column=ColumnSelector(census_csv, "sex"),
-        domain=SizeOnly(size=171_000),
+        domain=WordList(wordlist_path),
         epsilons=(0.1, 1.0),
         rhos=(0.5, 0.9),
         repetitions=20,
         base_seed=BASE_SEED,
-        allow_out_of_domain_active=True,
     )
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        write_sweep_csv(run_sweep(config, jobs=1), paths[0])
-        write_sweep_csv(run_sweep(config, jobs=1), paths[1])
-        write_sweep_csv(run_sweep(config, jobs=2), paths[2])
+    write_sweep_csv(run_sweep(config, jobs=1), paths[0])
+    write_sweep_csv(run_sweep(config, jobs=1), paths[1])
+    write_sweep_csv(run_sweep(config, jobs=2), paths[2])
     sweep_ok = (
         paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     )

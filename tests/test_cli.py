@@ -172,34 +172,33 @@ class TestSynth:
         assert set(lines[1:]) <= {"a", "b", "c", "d", "e", "f", "g", "h"}
 
     def test_records_bytes_match_per_row_writer(self, capsys, tmp_path):
-        # Labels a CSV writer must quote, and injected labels with a leading
-        # space (from the generated domain's prefix).
-        special = ["a,b", 'say "hi"', "line\nbreak"]
+        # Labels a CSV writer must quote, active and injected alike: the
+        # generated domain's prefix holds a comma, a quote and a line break.
+        prefix = 'a,b say "hi" line\n p'
+        special = [f"{prefix}-{i}" for i in (0, 7, 123)]
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows([["v"]] + [[label] for label in special] * 300)
         column = write(tmp_path, "col.csv", text.getvalue())
         records = tmp_path / "records.csv"
-        with pytest.warns(UserWarning, match="outside the declared domain"):
-            code, _, err = run(
-                capsys,
-                "synth",
-                "--input", column,
-                "--column", "v",
-                "--domain-size", "1000000",
-                "--domain-prefix", " p",
-                "--allow-out-of-domain-active",
-                "--epsilon", "1",
-                "--rho", "1e-200",
-                "--seed", "4",
-                "--output", str(tmp_path / "out.json"),
-                "--records", "5000",
-                "--records-output", str(records),
-            )
+        code, _, err = run(
+            capsys,
+            "synth",
+            "--input", column,
+            "--column", "v",
+            "--domain-size", "1000000",
+            "--domain-prefix", prefix,
+            "--epsilon", "1",
+            "--rho", "1e-200",
+            "--seed", "4",
+            "--output", str(tmp_path / "out.json"),
+            "--records", "5000",
+            "--records-output", str(records),
+        )
         assert code == 0, err
         release = load_histogram(tmp_path / "out.json")
         expected = synthesize_records(make_rng(4, 2), release, 5000)
         assert set(special) <= set(expected)
-        assert any(label.startswith(" p-") for label in expected)
+        assert set(expected) - set(special)
         assert records.read_bytes() == records_csv_per_row(expected)
 
     def test_records_without_destination_is_usage_error(self, capsys, tmp_path):
@@ -221,19 +220,6 @@ class TestSynth:
         )
         assert code == 2
         assert "outside the declared domain" in err
-
-    def test_allow_out_of_domain_flag(self, capsys, tmp_path):
-        # "c" is active in the data but missing from the declared domain.
-        with pytest.warns(UserWarning):
-            code, _, _ = run(
-                capsys,
-                "synth",
-                *self.synth_args(tmp_path, **{"--domain-list": "a,b,d,e,f,g,h"}),
-                "--allow-out-of-domain-active",
-            )
-        assert code == 0
-        release = load_histogram(tmp_path / "out.json")
-        assert "c" in release.labels()
 
     def test_two_domains_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -319,7 +305,7 @@ class TestSynth:
 
 class TestSweep:
     def sweep_args(self, tmp_path, out_name="sweep.csv", **over):
-        column = write(tmp_path, "col.csv", "v\n" + "x\n" * 60 + "y\n" * 40)
+        column = write(tmp_path, "col.csv", "v\n" + "w-0\n" * 60 + "w-1\n" * 40)
         args = {
             "--input": column,
             "--column": "v",
@@ -330,7 +316,6 @@ class TestSweep:
             "--repetitions": "10",
             "--seed": "3",
             "--output": str(tmp_path / out_name),
-            "--allow-out-of-domain-active": None,
         }
         args.update(over)
         return [x for pair in args.items() for x in pair if x is not None]
@@ -364,11 +349,19 @@ class TestSweep:
             *self.sweep_args(tmp_path, **{"--rhos": "1e-310,0.9", "--domain-size": "2"}),
         )
         assert code == 0
-        assert "invalid" in err
+        for epsilon in ("0.1", "1.0"):
+            assert f"cell epsilon={epsilon} rho=1e-310: invalid, rho^(1/n) < 1/2 for n=2" in err
+        assert err.count(": invalid,") == 2
         with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         statuses = {row[7] for row in rows[1:]}
         assert statuses == {"ok", "invalid"}
+
+    def test_out_of_domain_active_exits_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", *self.sweep_args(tmp_path, **{"--domain-prefix": "u"}))
+        assert code == 2
+        assert "outside the declared domain: ['w-0', 'w-1']" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_column_exits_three(self, capsys, tmp_path):
         code, _, err = run(
@@ -533,12 +526,12 @@ class TestConfigFile:
         assert code == 3
 
     def test_sweep_grid_from_config(self, capsys, tmp_path):
-        column = write(tmp_path, "col.csv", "v\nx\nx\ny\n")
+        column = write(tmp_path, "col.csv", "v\ncat-0\ncat-0\ncat-1\n")
         cfg = write(
             tmp_path, "c.json",
             json.dumps({
                 "epsilons": [1.0], "rhos": [0.5, 0.9], "repetitions": 3,
-                "domain-size": 1000, "allow-out-of-domain-active": True,
+                "domain-size": 1000,
             }),
         )
         out = str(tmp_path / "s.csv")

@@ -192,8 +192,8 @@ class TestTrials:
 
 
     def test_counts_in_domain_absent_slots(self, monkeypatch):
-        # "zz" is active but outside the domain: of the 3 slots only "b" and
-        # "c" are absent, so the binomial runs over 2 trials, not 3 - 2 = 1.
+        # "a" is active and "b" has no count: of the 3 slots "b" and "c" are
+        # absent, so the binomial runs over 2 trials.
         trials = []
 
         def recording_binomial(rng, n, p):
@@ -201,11 +201,7 @@ class TestTrials:
             return 0
 
         monkeypatch.setattr("cathist.mechanism.sample_binomial", recording_binomial)
-        cfg = config_for(
-            1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0, allow_out_of_domain_active=True,
-        )
-        with pytest.warns(UserWarning, match="outside the declared domain"):
-            cat_hist(cfg, Histogram([("a", 5.0), ("zz", 3.0)]))
+        cat_hist(config_for(1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0), Histogram([("a", 5.0), ("b", 0.0)]))
         assert trials == [2]
 
 
@@ -213,16 +209,16 @@ class TestDomainMembership:
     def test_out_of_domain_active_is_an_error(self):
         domain = ExplicitList(labels=("a", "b"))
         h = Histogram([("a", 10.0), ("zzz", 5.0)])
-        with pytest.raises(ValidityError, match="outside the declared domain.*'zzz'"):
-            cat_hist(config_for(1.0, 0.6, domain, seed=0), h)
-
-    def test_allow_flag_downgrades_to_warning(self):
-        domain = ExplicitList(labels=("a", "b"))
-        h = Histogram([("a", 500.0), ("zzz", 400.0)])
-        cfg = config_for(1.0, 0.6, domain, seed=0, allow_out_of_domain_active=True)
-        with pytest.warns(UserWarning, match="outside the declared domain"):
-            release = cat_hist(cfg, h)
-        assert "zzz" in release.labels()
+        cfg = config_for(1.0, 0.6, domain, seed=0)
+        with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]; declare a domain that"):
+            cat_hist(cfg, h)
+        with pytest.raises(ValidityError, match="outside the declared domain"):
+            cat_hist_batch(cfg, h, 20)
+        # The references refuse it too, without the package's check.
+        with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]"):
+            cat_hist_per_bin(cfg, h, load_domain(domain))
+        with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]"):
+            naive_full_domain_oracle(cfg, h)
 
     def test_sampler_for_wrong_domain_is_rejected(self):
         sampler = load_domain(ExplicitList(labels=("a", "b")))
@@ -341,16 +337,6 @@ class TestBatch:
         cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=0)
         with pytest.raises(ValueError, match="reps must be >= 1"):
             cat_hist_batch(cfg, self.CENSUS, 0)
-
-    def test_out_of_domain_warning_once_per_batch(self):
-        cfg = config_for(
-            1.0, 0.6, ExplicitList(labels=tuple("abcd")), seed=0, allow_out_of_domain_active=True,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            releases = cat_hist_batch(cfg, Histogram([("a", 500.0), ("zzz", 400.0)]), 20)
-        assert len(caught) == 1 and "outside the declared domain" in str(caught[0].message)
-        assert all("zzz" in release.labels() for release in releases)
 
     def test_zero_uniforms_redrawn_in_row_major_order(self):
         # A 0.0 would make an infinite Laplace or weight; it is replaced by

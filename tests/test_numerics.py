@@ -176,22 +176,39 @@ class TestBinomialSampler:
             sample_binomial(make_rng(0), 10**10, 1e-3)
         assert BINOMIAL_MEAN_ENVELOPE == 1e6
 
+    @staticmethod
+    def assert_chi_square_fit(n, p, seed, runs, pmf):
+        """Chi-square goodness of fit of runs draws against the pmf array (of
+        k = 0, 1, ...) at the 0.001 level, its cells expecting 5 or fewer
+        draws pooled into one."""
+        rng = make_rng(seed)
+        draws = np.array([sample_binomial(rng, n, p) for _ in range(runs)])
+        assert draws.max() < pmf.size, f"n={n}, p={p}: a draw is past the pmf's support"
+        observed = np.bincount(draws, minlength=pmf.size)
+        expected = pmf * runs
+        keep = expected > 5
+        obs = observed[keep].astype(float)
+        exp = expected[keep]
+        if not keep.all():
+            obs = np.append(obs, observed[~keep].sum())
+            exp = np.append(exp, expected[~keep].sum())
+        stat = ((obs - exp) ** 2 / exp).sum()
+        crit = scipy.stats.chi2.isf(0.001, df=len(obs) - 1)
+        assert stat < crit, f"n={n}, p={p}: chi2={stat:.1f} > {crit:.1f}"
+
     def test_small_n_matches_scipy_pmf(self):
         # Chi-square goodness of fit against an independent pmf.
         for n, p, seed in [(10, 0.3, 1), (30, 0.05, 2), (5, 0.5, 3)]:
-            rng = make_rng(seed)
-            draws = np.array([sample_binomial(rng, n, p) for _ in range(100_000)])
-            observed = np.bincount(draws, minlength=n + 1)
-            expected = scipy.stats.binom.pmf(np.arange(n + 1), n, p) * draws.size
-            keep = expected > 5
-            obs = observed[keep].astype(float)
-            exp = expected[keep]
-            if not keep.all():
-                obs = np.append(obs, observed[~keep].sum())
-                exp = np.append(exp, expected[~keep].sum())
-            stat = ((obs - exp) ** 2 / exp).sum()
-            crit = scipy.stats.chi2.isf(0.001, df=len(obs) - 1)
-            assert stat < crit, f"n={n}, p={p}: chi2={stat:.1f} > {crit:.1f}"
+            self.assert_chi_square_fit(n, p, seed, 100_000, scipy.stats.binom.pmf(np.arange(n + 1), n, p))
+
+    @pytest.mark.parametrize("n", [171_000**2, 2**63 - 1])
+    def test_huge_n_large_mean_matches_poisson_pmf(self, n):
+        # n*p = 40, where numpy's Generator.binomial goes wrong at n = 2**63 - 1
+        # (chi-square about 2600, variance 31 instead of 40). Poisson(n*p) is
+        # within total variation p of Binomial(n, p), far below what 20 000
+        # draws can resolve; its mass past k = 200 is below 1e-60.
+        p = 40 / n
+        self.assert_chi_square_fit(n, p, 110, 20_000, scipy.stats.poisson.pmf(np.arange(200), n * p))
 
     def test_huge_n_mean(self):
         # Word-pair sized n with p calibrated so n*p = ln 2.

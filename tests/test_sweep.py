@@ -1,11 +1,11 @@
 import csv
 import statistics
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import cathist.sweep
 from cathist.core import ExplicitList, PrivacyParams, SizeOnly, ValidityError, WordList, WordPairs
 from cathist.domain import load_domain
 from cathist.ingest import ColumnSelector, read_histogram
@@ -20,6 +20,8 @@ from cathist.sweep import (
     run_sweep,
     write_sweep_csv,
 )
+
+from conftest import WORKCLASS_COUNTS, write_census
 
 
 @pytest.fixture()
@@ -103,45 +105,47 @@ class TestRunSweep:
         assert run_sweep(cfg, sampler=sampler) == expected
         assert run_sweep(cfg, jobs=2, sampler=sampler) == expected
 
-    def test_threads_equal_serial_on_a_wordlist_and_warn_once(self, column_file, tmp_path):
-        # "cat-2" is active but not in the wordlist. Four threads share the
-        # column and the sampler; a short switch interval makes them
-        # interleave often.
+    def test_threads_equal_serial_on_a_wordlist(self, column_file, tmp_path):
+        # Four threads share the column and the sampler; a short switch
+        # interval makes them interleave often.
         words = tmp_path / "words.txt"
-        words.write_text("".join(f"cat-{i}\n" for i in (0, 1, *range(3, 500))), encoding="utf-8")
-        cfg = config(column_file, domain=WordList(str(words)), allow_out_of_domain_active=True)
+        words.write_text("".join(f"cat-{i}\n" for i in range(500)), encoding="utf-8")
+        cfg = config(column_file, domain=WordList(str(words)))
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for jobs in (4, 1):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    results.append(run_sweep(cfg, jobs=jobs))
-                assert len(caught) == 1 and "['cat-2']" in str(caught[0].message)
+                results.append(run_sweep(cfg, jobs=jobs))
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
 
-    def test_out_of_domain_warning_once_per_sweep(self, column_file):
+    def test_out_of_domain_refused_once_before_any_cell(self, column_file, monkeypatch):
         # "cat-2" is active but not declared; the 1e-4 cells are invalid.
         domain = ExplicitList(labels=("cat-0", "cat-1", *(f"pad-{i}" for i in range(10))))
-        cfg = config(column_file, domain=domain, rhos=(1e-4, 0.5), allow_out_of_domain_active=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = run_sweep(cfg)
-        assert [r.status for r in rows] == ["invalid", "ok", "invalid", "ok"]
-        assert [str(w.message) for w in caught] == [
-            "1 active categories are outside the declared domain and are being "
-            "treated as members: ['cat-2']"
-        ]
-        # A grid with no valid cell checks nothing, so it neither warns nor
-        # refuses the undeclared label.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for allow in (True, False):
-                rows = run_sweep(config(column_file, domain=domain, rhos=(1e-4,), allow_out_of_domain_active=allow))
-                assert [r.status for r in rows] == ["invalid", "invalid"]
+        checks, cells = [], []
+
+        def counted(calls, function):
+            def call(*args):
+                calls.append(args)
+                return function(*args)
+            return call
+
+        monkeypatch.setattr("cathist.sweep._absent_slots", counted(checks, cathist.sweep._absent_slots))
+        monkeypatch.setattr("cathist.sweep._run_cell", counted(cells, cathist.sweep._run_cell))
+        with pytest.raises(ValidityError, match=r"outside the declared domain: \['cat-2'\]"):
+            run_sweep(config(column_file, domain=domain, rhos=(1e-4, 0.5)), jobs=2)
+        assert (len(checks), len(cells)) == (1, 0)
+        # A grid with no valid cell checks nothing, so it does not refuse
+        # the undeclared label.
+        rows = run_sweep(config(column_file, domain=domain, rhos=(1e-4,)), jobs=2)
+        assert [r.status for r in rows] == ["invalid", "invalid"]
+        assert (len(checks), len(cells)) == (1, 2)
+        # A declared column is checked once for all its cells.
+        rows = run_sweep(config(column_file, rhos=(1e-4, 0.5)), jobs=2)
+        assert [r.status for r in rows] == ["ok"] * 4
+        assert (len(checks), len(cells)) == (2, 6)
 
     def test_appending_grid_points_preserves_existing_cells(self, column_file):
         small = run_sweep(config(column_file, epsilons=(1.0,), rhos=(0.5,)))
@@ -186,10 +190,7 @@ def release_rows(cfg):
     rows = []
     for ei, epsilon in enumerate(cfg.epsilons):
         for ri, rho in enumerate(cfg.rhos):
-            cell = CatHistConfig(
-                PrivacyParams(epsilon, rho), cfg.domain, derive_seed(cfg.base_seed, ei, ri),
-                allow_out_of_domain_active=cfg.allow_out_of_domain_active,
-            )
+            cell = CatHistConfig(PrivacyParams(epsilon, rho), cfg.domain, derive_seed(cfg.base_seed, ei, ri))
             releases = cat_hist_batch(cell, hist, cfg.repetitions, sampler)
             fs = [fidelity(hist, release).value for release in releases]
             rows.append({
@@ -233,10 +234,9 @@ class TestCellsMatchReleases:
         assert sum(sum(cell["injected"]) for cell in expected) > 0
 
     def test_word_pairs_injecting_every_repetition(self, tmp_path, small_wordlist_path):
-        # "zz top" is outside the word-pair domain; rho = 1e-200 injects
-        # about 460 bins into every release.
+        # rho = 1e-200 injects about 460 bins into every release.
         path = tmp_path / "pairs.csv"
-        rows = ["Male Female"] * 40 + ["Female Male"] * 3 + ["zz top"] * 30
+        rows = ["Male Female"] * 40 + ["Female Male"] * 3 + ["Female Female"] * 30
         path.write_text("\n".join(["p", *rows]) + "\n", encoding="utf-8")
         for base_seed in (5, 6):
             cfg = SweepConfig(
@@ -246,11 +246,8 @@ class TestCellsMatchReleases:
                 rhos=(1e-200, 0.5),
                 repetitions=30,
                 base_seed=base_seed,
-                allow_out_of_domain_active=True,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                expected = self.assert_rows_match(cfg)
+            expected = self.assert_rows_match(cfg)
             assert all(min(cell["injected"]) >= 300 for cell in expected if cell["rho"] == 1e-200)
 
     def test_cells_with_empty_releases(self, tmp_path):
@@ -268,23 +265,24 @@ class TestCellsMatchReleases:
         assert all(cell["empty"] > 0 for cell in expected)
         assert any(cell["mean_f"] > 0 for cell in expected)
 
-    def test_cell_over_many_row_blocks_equals_one_block(self, census_csv, monkeypatch):
-        # 9 active bins: blocks of 4 rows, then one block of all 100.
+    def test_cell_over_many_row_blocks_equals_one_block(self, tmp_path, monkeypatch):
+        # 9 active bins, the census workclass counts as generated labels:
+        # blocks of 4 rows, then one block of all 100.
+        census = write_census(tmp_path / "census.csv", {"workclass": {
+            label: f"cat-{i}" for i, label in enumerate(WORKCLASS_COUNTS)
+        }})
         cfg = SweepConfig(
-            column=ColumnSelector(census_csv, "workclass"),
+            column=ColumnSelector(census, "workclass"),
             domain=SizeOnly(size=171_000),
             epsilons=(0.01, 1.0),
             rhos=(0.1, 0.9),
             repetitions=100,
             base_seed=2,
-            allow_out_of_domain_active=True,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 40)
-            blocked = run_sweep(cfg)
-            monkeypatch.undo()
-            assert run_sweep(cfg) == blocked
+        monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 40)
+        blocked = run_sweep(cfg)
+        monkeypatch.undo()
+        assert run_sweep(cfg) == blocked
 
     def test_exhausted_domain_fails_the_cell_as_a_release(self, column_file):
         # The column covers the domain: no slot is absent, so the binomial
