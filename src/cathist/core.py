@@ -326,6 +326,8 @@ class SizeOnly:
     """Abstract domain of a given size with generated labels "<prefix>-<i>".
 
     Lets experiments declare a domain cardinality without a real vocabulary.
+    The size is at most 2**63, the largest range numpy's Generator.integers
+    draws an index from.
     """
 
     size: int
@@ -334,6 +336,8 @@ class SizeOnly:
     def __post_init__(self) -> None:
         if not (isinstance(self.size, int) and self.size >= 1):
             raise ValidityError(f"domain size must be an integer >= 1, got {self.size!r}")
+        if self.size > 2**63:
+            raise ValidityError(f"domain size must be at most 2**63 = {2**63}, got {self.size}")
         _check_label(self.prefix)
 
 

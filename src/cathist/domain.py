@@ -4,8 +4,10 @@ A domain is never materialized. Each sampler pairs an exact size with an
 integer indexer (a bijection between [0, size) and labels), so drawing a
 uniform category is drawing a uniform index. Distinctness and exclusion are
 handled by rejection, which stays cheap while the number of requested
-categories is far below the domain size. A domain with almost all of its
-slots excluded draws from its absent labels instead.
+categories is far below the domain size. Candidates are drawn in rounds of
+the draws still needed, one array call per round, on the same stream and
+with the same labels as drawing them one at a time. A domain with almost all
+of its slots excluded draws from its absent labels instead.
 """
 
 from __future__ import annotations
@@ -70,21 +72,21 @@ class DomainSampler:
         # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
         if k > self.size - len(exclude):
             self._require_room(k, len(exclude) - len(self.non_members(exclude)))
+        # Each draw picks at most one label, so a round of the draws still
+        # needed is exactly the next draws of a one-at-a-time loop, and one
+        # array call gives the same indices as that many scalar calls.
         chosen: list[str] = []
-        rejected = set(exclude)
-        attempts = 0
-        limit = RETRY_FACTOR * k
+        picked: set[str] = set()
+        drawn = 0
         while len(chosen) < k:
-            attempts += 1
-            if attempts > limit:
-                raise ValidityError(
-                    f"domain exhausted: {attempts - 1} rejection attempts for {k} categories"
-                )
-            label = self.decode(int(rng.integers(self.size)))
-            if label in rejected:
-                continue
-            rejected.add(label)
-            chosen.append(label)
+            want = min(k - len(chosen), RETRY_FACTOR * k - drawn)
+            if want == 0:
+                raise ValidityError(f"domain exhausted: {drawn} rejection attempts for {k} categories")
+            drawn += want
+            for label in map(self.decode, rng.integers(self.size, size=want).tolist()):
+                if label not in exclude and label not in picked:
+                    picked.add(label)
+                    chosen.append(label)
         return chosen
 
     def _require_room(self, k: int, excluded_members: int) -> None:

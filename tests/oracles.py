@@ -153,7 +153,14 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
     """cat_hist_batch as one cat_hist_per_bin release per repetition, all of
     them drawing from the same two generators in turn. On the injection
     stream every repetition's count and weights come first, then every
-    repetition's labels."""
+    repetition's labels.
+
+    Labels are picked by sample_distinct_by_rejection, one scalar
+    rng.integers call per draw, not by the sampler's own sample_distinct, so
+    a change in how the package draws labels shows. The two agree only on
+    the rejection branch of sample_distinct. Every caller uses a domain with
+    most of its slots absent, far from the dense branch (fewer than one slot
+    in 100 absent), which lists the absent labels instead."""
     active = h.active_domain()
     refuse_outside_labels(sampler, active)
     epsilon = config.privacy.epsilon
@@ -180,7 +187,7 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
         )
     releases = []
     for survivors, weights in zip(survivors_per_rep, weights_per_rep):
-        labels = sampler.sample_distinct(rng_inject, len(weights), exclude=active)
+        labels = sample_distinct_by_rejection(sampler, rng_inject, len(weights), active)
         injected = [NoisyBin(label, weight, Origin.INJECTED) for label, weight in zip(labels, weights)]
         releases.append(NoisyHistogram(survivors + injected))
     return releases

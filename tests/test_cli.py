@@ -302,6 +302,20 @@ class TestSynth:
         )
         assert code == 0
 
+    def test_domain_size_above_two_to_the_63_exits_two(self, capsys, tmp_path):
+        # Refused whether or not the release would inject a label.
+        column = write(tmp_path, "col.csv", "v\nx-5\n")
+        for seed in range(1, 5):
+            code, _, err = run(
+                capsys, "synth",
+                "--input", column, "--column", "v",
+                "--domain-size", str(2**63 + 1), "--domain-prefix", "x",
+                "--epsilon", "1", "--rho", "0.5", "--seed", str(seed),
+                "--output", str(tmp_path / "o.json"),
+            )
+            assert code == 2 and "at most 2**63" in err, seed
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestSweep:
     def sweep_args(self, tmp_path, out_name="sweep.csv", **over):

@@ -225,6 +225,14 @@ class TestDomainSpecs:
         with pytest.raises(ValidityError):
             SizeOnly(size=-3)
 
+    def test_size_only_is_at_most_two_to_the_63(self):
+        # Generator.integers draws an index below a bound of at most 2**63.
+        assert SizeOnly(size=2**63).size == 2**63
+        with pytest.raises(ValidityError, match=r"at most 2\*\*63 = 9223372036854775808, got 9223372036854775809"):
+            SizeOnly(size=2**63 + 1)
+        with pytest.raises(ValidityError, match="at most 2"):
+            SizeOnly(size=10**20)
+
     def test_size_only_prefix_must_be_nonempty(self):
         with pytest.raises(ValidityError):
             SizeOnly(size=10, prefix="")

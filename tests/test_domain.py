@@ -61,10 +61,15 @@ class TestExplicitSampler:
         assert sorted(drawn) == list("abcdefghij")
 
     def test_retry_cap_trips_under_heavy_collision(self, monkeypatch):
+        # One attempt per label: the cap is reached after exactly 50 draws.
         monkeypatch.setattr(domain_mod, "RETRY_FACTOR", 1)
         sampler = load_domain(ExplicitList(labels=tuple(f"x{i}" for i in range(50))))
-        with pytest.raises(ValidityError, match="rejection attempts"):
-            sampler.sample_distinct(make_rng(206), 50)
+        rng, replay = make_rng(206), make_rng(206)
+        with pytest.raises(ValidityError, match=r"^domain exhausted: 50 rejection attempts for 50 categories$"):
+            sampler.sample_distinct(rng, 50)
+        for _ in range(50):
+            replay.integers(50)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_k_zero(self):
         assert self.sampler.sample_distinct(make_rng(207), 0) == []
@@ -119,6 +124,40 @@ class TestExplicitSampler:
             assert len(set(drawn)) == k and set(drawn) <= set(labels[:4])
         with pytest.raises(ValidityError, match=f"requested 5 distinct categories .* with {len(labels) - 4} excluded"):
             sampler.sample_distinct(make_rng(211), 5, exclude)
+
+
+class TestRoundsEqualOneAtATime:
+    """sample_distinct draws its candidates in rounds of the draws still
+    needed; labels and the generator state afterwards must equal those of one
+    scalar draw per candidate, across the bounds of numpy's integer paths."""
+
+    @staticmethod
+    def assert_same_stream(sampler, ks, exclude, seed):
+        rng, reference = make_rng(212, seed), make_rng(212, seed)
+        for k in ks:
+            drawn = sampler.sample_distinct(rng, k, exclude)
+            assert drawn == sample_distinct_by_rejection(sampler, reference, k, exclude), k
+            assert rng.bit_generator.state == reference.bit_generator.state, k
+
+    @pytest.mark.parametrize("size", [10**3, 2**32 - 1, 2**32, 2**32 + 1, 10**12, 2**63])
+    def test_generated(self, size):
+        sampler = load_domain(SizeOnly(size=size))
+        exclude = {sampler.decode(i) for i in range(5)} | {sampler.decode(size - 1), "foreign"}
+        self.assert_same_stream(sampler, range(1, 301), exclude, size % 1000)
+
+    @pytest.mark.parametrize("kind", [WordList, WordPairs])
+    def test_words(self, kind, wordlist_path):
+        sampler = load_domain(kind(wordlist_path))
+        exclude = {sampler.decode(i) for i in range(0, sampler.size, sampler.size // 50)}
+        self.assert_same_stream(sampler, range(1, 301), exclude, 1)
+
+    def test_list_with_a_third_excluded(self):
+        # 200 absent labels: rounds reject excluded labels and repeat labels
+        # drawn earlier in the same round.
+        sampler = load_domain(ExplicitList(labels=tuple(f"x{i}" for i in range(300))))
+        exclude = {f"x{i}" for i in range(0, 300, 3)}
+        for seed in range(3):
+            self.assert_same_stream(sampler, range(1, 201), exclude, seed)
 
 
 class TestWordListSampler:

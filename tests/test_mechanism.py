@@ -256,6 +256,18 @@ class TestMatchesPerBinLoop:
             injected.append(len(release.injected_bins()))
         assert min(injected) >= 300
 
+    def test_largest_generated_domain_injects(self):
+        # At n = 2**63 indices are drawn below the largest bound numpy takes.
+        domain = SizeOnly(size=2**63, prefix="x")
+        sampler = load_domain(domain)
+        h = Histogram([("x-5", 1.0)])
+        for seed in range(1, 5):
+            cfg = config_for(1.0, 1e-300, domain, seed=seed)
+            release = cat_hist(cfg, h, sampler=sampler)
+            assert release == cat_hist_per_bin(cfg, h, sampler), seed
+            labels = [b.label for b in release.injected_bins()]
+            assert len(labels) >= 500 and all(map(sampler.contains, labels)), seed
+
 
 class TestBatch:
     """cat_hist_batch shares one seed and one stream pair across its
