@@ -120,6 +120,10 @@ class Histogram(_Columns):
     and items() give (label, count) pairs.
     """
 
+    # mechanism._absent_slots' count of absent domain slots, with the sampler
+    # it was checked against: (sampler, trials).
+    _absent: tuple[object, int] | None = None
+
     def __init__(self, bins: Iterable[tuple[str, float]] = ()) -> None:
         pairs = tuple(bins)
         self._labels = tuple(map(itemgetter(0), pairs))

@@ -315,7 +315,8 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
     """Read a histogram written by write_histogram.
 
     Returns a NoisyHistogram when origins are present, a plain Histogram
-    otherwise.
+    otherwise. An empty release has no bin to carry an origin, so it
+    reloads as an empty Histogram.
     """
     fmt = _infer_format(path, fmt)
     if fmt == "json":

@@ -23,11 +23,13 @@ column. This is the binomial-plus-uniform construction of Cormode,
 Procopiuc, Srivastava & Tran ("Differentially Private Summaries for Sparse
 Data", ICDT 2012).
 
-Injected labels are drawn outside the active set, so they never meet the
+A release draws from one seeded stream: first its injected count and
+weights, then its active-bin noise, then its injected labels. No draw depends
+on the counts, so the injection draws depend only on the seed and the active
+set. Injected labels are drawn outside the active set, so they never meet the
 true column: the fidelity of a release depends only on which active bins
-survived, their noisy counts and the injected weights. The injection stream
-therefore draws each release's injected count and weights first and its
-labels last, and a sweep cell reads those draws without picking labels.
+survived, their noisy counts and the injected weights. As the labels come
+last, a sweep cell reads every other draw without picking them.
 
 Unit sensitivity: neighboring datasets differ by adding or removing one
 record, so one bin's count changes by one and the Laplace scale is
@@ -79,11 +81,15 @@ def _absent_slots(domain: DomainSpec, h: Histogram, sampler: DomainSampler) -> i
     """The in-domain slots h leaves absent: the injection binomial's trials.
 
     Checks first that sampler was built for domain and that h's active
-    labels are all in it. Neither changes over a batch or a sweep, so each
-    makes this check once.
+    labels are all in it. The count is kept on h with the sampler that
+    checked it, so a loop of releases of one histogram against one sampler
+    checks membership once; a refusal is not kept.
     """
     if sampler.spec is not domain and sampler.spec != domain:
         raise ValueError("sampler was built for a different domain spec")
+    memo = h._absent  # read once: another thread may replace it
+    if memo is not None and memo[0] is sampler:
+        return memo[1]
     active = h.active_domain()
     outside = sampler.non_members(active)
     if outside:
@@ -91,7 +97,9 @@ def _absent_slots(domain: DomainSpec, h: Histogram, sampler: DomainSampler) -> i
             f"active categories outside the declared domain: {sorted(outside)}; "
             f"declare a domain that contains them"
         )
-    return sampler.size - len(active)
+    trials = sampler.size - len(active)
+    h._absent = (sampler, trials)
+    return trials
 
 
 def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None = None) -> NoisyHistogram:
@@ -108,16 +116,15 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
 def cat_hist_batch(
     config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler | None = None
 ) -> list[NoisyHistogram]:
-    """reps independent releases of h from one seed and one stream pair.
+    """reps independent releases of h from one seed and one stream.
 
-    The domain check, the threshold and the two generators are set up once
-    for the batch, and _draw_batch makes every draw but the injected labels:
-    the noise stream gives the reps x k active-bin uniforms in row-major
-    order; the injection stream gives, repetition by repetition, the injected
-    count and then its weights, and after all of them the labels of each
-    repetition in turn. Deterministic given (config, h, reps). cat_hist is
-    the batch of one. A sweep cell reads the same draws without building
-    releases (see sweep.py).
+    The domain check, the threshold and the generator are set up once for
+    the batch, and _draw_batch makes every draw but the injected labels:
+    repetition by repetition, the injected count and then its weights; then
+    the reps x k active-bin uniforms in row-major order. The labels of each
+    repetition in turn come after all of them. Deterministic given (config,
+    h, reps). cat_hist is the batch of one. A sweep cell reads the same
+    draws without building releases (see sweep.py).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -125,11 +132,12 @@ def cat_hist_batch(
     trials = _absent_slots(config.domain, h, sampler)
     draws = _draw_batch(config, h, reps, sampler, trials)
     epsilon, threshold = config.privacy.epsilon, draws.threshold
+    # Every block of uniforms is drawn before the first label.
+    rows = list(_survivors(draws.uniforms, draws.positive, 1.0 / epsilon, threshold))
     labels = [
-        sampler.sample_distinct(draws.rng_inject, w.size, exclude=h.active_domain()) if w.size else ()
+        sampler.sample_distinct(draws.rng, w.size, exclude=h.active_domain()) if w.size else ()
         for w in draws.weights
     ]
-    rows = _survivors(draws.uniforms, draws.positive, 1.0 / epsilon, threshold)
     releases = []
     for (kept, noisy), injected, weights in zip(rows, labels, draws.weights):
         if weights.size:  # sample_shifted_exponential's threshold - log1p(-u) / epsilon
@@ -190,18 +198,18 @@ class _BatchDraws(NamedTuple):
     """A batch's threshold and its draws, up to (not including) the labels.
 
     positive holds the labels and counts of the k active bins in input
-    order. uniforms gives the reps x k active-bin uniforms as blocks of rows;
-    when there are several blocks, each is drawn as it is read. weights
-    holds, per repetition, the uniforms of its injected weights, one per
-    injected bin. rng_inject is positioned at the labels of the first
-    repetition.
+    order. weights holds, per repetition, the uniforms of its injected
+    weights, one per injected bin. uniforms gives the reps x k active-bin
+    uniforms as blocks of rows; when there are several blocks, each is drawn
+    as it is read. Once every block is read, rng is positioned at the labels
+    of the first repetition.
     """
 
     positive: tuple[tuple[str, ...], np.ndarray]
     threshold: float
     uniforms: Iterable[np.ndarray]
     weights: list[np.ndarray]
-    rng_inject: Rng
+    rng: Rng
 
 
 def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int) -> _BatchDraws:
@@ -213,25 +221,25 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
     in row-major order, by the stream's next nonzero draw, the redraw
     sample_laplace and sample_shifted_exponential make. A caller that never
     picks labels makes the same draws as one that does, because the labels
-    come last on the injection stream.
+    come last on the stream.
     """
     epsilon = config.privacy.epsilon
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
 
-    # Independent streams so the injection draws depend only on the seed and
-    # the active set, never on the active counts.
-    rng_noise = make_rng(config.seed, 0)
-    rng_inject = make_rng(config.seed, 1)
+    # No draw depends on the active counts, so the injection draws (counts
+    # and weights here, labels after the noise) depend only on the seed and
+    # the active set.
+    rng = make_rng(config.seed)
     weights = []
     for _ in range(reps):
-        m = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
+        m = sample_binomial(rng, trials, p) if trials > 0 else 0
         if m:
-            weights.append(_nonzero(rng_inject, rng_inject.random(m)))
+            weights.append(_nonzero(rng, rng.random(m)))
         else:
             weights.append(_NO_DRAWS)
-    uniforms = _uniform_blocks(rng_noise, reps, len(h.active_domain()))
-    return _BatchDraws(h._positive, threshold, uniforms, weights, rng_inject)
+    uniforms = _uniform_blocks(rng, reps, len(h.active_domain()))
+    return _BatchDraws(h._positive, threshold, uniforms, weights, rng)
 
 
 # The weights of a repetition that injects nothing; never written to.

@@ -3,8 +3,8 @@
 Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
 counts. A cell's repetitions are one batch (see mechanism.cat_hist_batch):
-one seed, derived from (base_seed, epsilon index, rho index), and one stream
-pair shared by all of them. So every cell is reproducible in isolation and
+one seed, derived from (base_seed, epsilon index, rho index), and one random
+stream shared by all of them. So every cell is reproducible in isolation and
 the CSV is byte-identical however many threads ran the cells, in whatever
 order. The cells only read what they share: the column, the loaded domain and
 the count of absent domain slots that the sweep's one membership check gives.
@@ -16,10 +16,11 @@ fidelity is
     F = true_mass(S) * noisy_mass(S) / (noisy_mass(S) + m*tau + sum of m Exp)
 
 with m injected bins weighted tau + Exponential(epsilon). The cell takes the
-batch's draws (the active-bin uniforms, each repetition's m and weight
+batch's draws (each repetition's m and weight uniforms, then the active-bin
 uniforms) and computes F for all repetitions as whole-array work, in blocks
-of rows; it never picks labels. Its rows are what cat_hist_batch followed by
-metrics.fidelity give for the same seed, up to the rounding of the sums.
+of rows; it never picks labels, which come last on the stream. Its rows are
+what cat_hist_batch followed by metrics.fidelity give for the same seed, up
+to the rounding of the sums.
 
 One case parts from that. A cell whose noisy or injected mass overflows (a
 tiny epsilon) fails with ValidityError, as a release with a non-finite count

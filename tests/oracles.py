@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -151,9 +152,9 @@ def cat_hist_per_bin(config, h, sampler):
 
 def cat_hist_batch_per_rep(config, h, sampler, reps):
     """cat_hist_batch as one cat_hist_per_bin release per repetition, all of
-    them drawing from the same two generators in turn. On the injection
-    stream every repetition's count and weights come first, then every
-    repetition's labels.
+    them drawing from one generator: every repetition's count and weights
+    first, then every repetition's active-bin noise, then every repetition's
+    labels.
 
     Labels are picked by sample_distinct_by_rejection, one scalar
     rng.integers call per draw, not by the sampler's own sample_distinct, so
@@ -167,27 +168,26 @@ def cat_hist_batch_per_rep(config, h, sampler, reps):
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     p = inclusion_probability(epsilon, threshold)
     trials = sampler.size - len(active)
-    rng_noise = make_rng(config.seed, 0)
-    rng_inject = make_rng(config.seed, 1)
+    rng = make_rng(config.seed)
+    weights_per_rep = []
+    for _ in range(reps):
+        num_injected = sample_binomial(rng, trials, p) if trials > 0 else 0
+        weights_per_rep.append(
+            [sample_shifted_exponential(rng, epsilon, threshold) for _ in range(num_injected)]
+        )
     survivors_per_rep = []
     for _ in range(reps):
         survivors = []
         for label, count in h.items():
             if count <= 0:
                 continue
-            noisy = sample_laplace(rng_noise, count, 1.0 / epsilon)
+            noisy = sample_laplace(rng, count, 1.0 / epsilon)
             if noisy >= threshold and noisy > 0:
                 survivors.append(NoisyBin(label, noisy, Origin.ACTIVE))
         survivors_per_rep.append(survivors)
-    weights_per_rep = []
-    for _ in range(reps):
-        num_injected = sample_binomial(rng_inject, trials, p) if trials > 0 else 0
-        weights_per_rep.append(
-            [sample_shifted_exponential(rng_inject, epsilon, threshold) for _ in range(num_injected)]
-        )
     releases = []
     for survivors, weights in zip(survivors_per_rep, weights_per_rep):
-        labels = sample_distinct_by_rejection(sampler, rng_inject, len(weights), active)
+        labels = sample_distinct_by_rejection(sampler, rng, len(weights), active)
         injected = [NoisyBin(label, weight, Origin.INJECTED) for label, weight in zip(labels, weights)]
         releases.append(NoisyHistogram(survivors + injected))
     return releases
@@ -222,20 +222,34 @@ def naive_full_domain_oracle(config, h, sampler=None):
     threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
     rng = make_rng(config.seed)
 
-    counts = {label: count for label, count in h.items() if count > 0}
-    domain_labels = [sampler.decode(i) for i in range(sampler.size)]
-    true_counts = np.array([counts.get(label, 0.0) for label in domain_labels])
+    domain_labels, index = _decoded_domain(sampler)
+    active_labels = [label for label, count in h.items() if count > 0]
+    at = np.array([index[label] for label in active_labels], dtype=np.intp)
+    true_counts = np.zeros(sampler.size)
+    true_counts[at] = [count for _, count in h.items() if count > 0]
     noisy = rng.laplace(loc=true_counts, scale=1.0 / epsilon)
 
-    noisy_by_label = dict(zip(domain_labels, noisy))
+    clears = (noisy >= threshold) & (noisy > 0)
     survivors = [
-        NoisyBin(label, noisy_by_label[label], Origin.ACTIVE)
-        for label, count in h.items()
-        if count > 0 and noisy_by_label[label] >= threshold and noisy_by_label[label] > 0
+        NoisyBin(label, value, Origin.ACTIVE)
+        for label, value, kept in zip(active_labels, noisy[at].tolist(), clears[at].tolist())
+        if kept
     ]
+    clears[at] = False
+    slots = np.flatnonzero(clears)
     injected = [
-        NoisyBin(label, float(value), Origin.INJECTED)
-        for label, value in zip(domain_labels, noisy)
-        if label not in active and value >= threshold and value > 0
+        NoisyBin(domain_labels[i], value, Origin.INJECTED)
+        for i, value in zip(slots.tolist(), noisy[slots].tolist())
     ]
     return NoisyHistogram(survivors + injected)
+
+
+# Each sampler's labels in index order and their indices, decoded once.
+_DECODED = weakref.WeakKeyDictionary()
+
+
+def _decoded_domain(sampler):
+    if sampler not in _DECODED:
+        labels = [sampler.decode(i) for i in range(sampler.size)]
+        _DECODED[sampler] = labels, dict(zip(labels, range(len(labels))))
+    return _DECODED[sampler]

@@ -272,7 +272,8 @@ class TestSynth:
             )
             assert code == 0, (seed, err)
             assert "injected=0" in err
-            assert not load_histogram(out).injected_bins()
+            # An empty release reloads as an empty Histogram, so read the file.
+            assert all(b["origin"] != "injected" for b in json.loads(out.read_text())["bins"])
 
     def test_empty_column_is_fine(self, capsys, tmp_path):
         column = write(tmp_path, "empty.csv", "v\n")

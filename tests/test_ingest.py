@@ -383,6 +383,14 @@ class TestSerializationRoundTrip:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["bins"] == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_release_reloads_as_empty_histogram(self, tmp_path, fmt):
+        # No bin carries an origin, so the file cannot tell a release apart.
+        path = tmp_path / f"h.{fmt}"
+        write_histogram(NoisyHistogram(), path, fmt=fmt)
+        back = load_histogram(path, fmt=fmt)
+        assert type(back) is Histogram and len(back) == 0
+
     def test_json_plain_histogram_null_origin(self, tmp_path):
         path = tmp_path / "h.json"
         write_histogram(Histogram([("a", 2.0)]), path)

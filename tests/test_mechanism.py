@@ -227,9 +227,68 @@ class TestDomainMembership:
             cat_hist(cfg, Histogram([("a", 5.0)]), sampler=sampler)
 
 
+class TestAbsentSlotsMemo:
+    """The absent-slot count is kept on the histogram with the sampler that
+    checked it; membership is checked again for any other sampler."""
+
+    DOMAIN = SizeOnly(size=10**6)
+
+    @staticmethod
+    def spy_non_members(monkeypatch, sampler):
+        calls = []
+        non_members = sampler.non_members
+
+        def counting(labels):
+            calls.append(labels)
+            return non_members(labels)
+
+        monkeypatch.setattr(sampler, "non_members", counting)
+        return calls
+
+    def test_membership_checked_once_per_histogram_and_sampler(self, monkeypatch):
+        sampler = load_domain(self.DOMAIN)
+        calls = self.spy_non_members(monkeypatch, sampler)
+        h = Histogram([("cat-3", 40.0), ("cat-9", 25.0)])
+        for seed in range(3):
+            cat_hist(config_for(1.0, 0.01, self.DOMAIN, seed=seed), h, sampler=sampler)
+        assert calls == [{"cat-3", "cat-9"}]
+
+    def test_sampler_with_an_equal_spec_checks_again(self, monkeypatch):
+        first, second = load_domain(self.DOMAIN), load_domain(self.DOMAIN)
+        calls = self.spy_non_members(monkeypatch, second)
+        h = Histogram([("cat-3", 40.0)])
+        cfg = config_for(1.0, 0.01, self.DOMAIN, seed=5)
+        release = cat_hist(cfg, h, sampler=first)
+        assert cat_hist(cfg, h, sampler=second) == release
+        assert cat_hist(cfg, h, sampler=second) == release
+        assert len(calls) == 1
+
+    def test_out_of_domain_refused_on_every_call(self, monkeypatch):
+        domain = ExplicitList(labels=("a", "b"))
+        sampler = load_domain(domain)
+        calls = self.spy_non_members(monkeypatch, sampler)
+        h = Histogram([("a", 10.0), ("zzz", 5.0)])
+        for seed in range(3):
+            with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]"):
+                cat_hist(config_for(1.0, 0.6, domain, seed=seed), h, sampler=sampler)
+        assert len(calls) == 3
+
+    def test_release_of_a_memoized_histogram_equals_a_fresh_one(self):
+        sampler = load_domain(self.DOMAIN)
+        h = Histogram([("cat-3", 40.0), ("cat-9", 2.0), ("cat-11", 0.0)])
+        injected = 0
+        for seed in range(20):
+            cfg = config_for(1.0, 0.01, self.DOMAIN, seed=seed)
+            release = cat_hist(cfg, h, sampler=sampler)
+            assert release == cat_hist(cfg, Histogram(h.items()), sampler=sampler), seed
+            injected += len(release.injected_bins())
+        assert injected > 0
+
+
 class TestMatchesPerBinLoop:
-    """cat_hist draws each release's uniforms in one call per stream; the
-    per-call samplers must give the same release, bit for bit."""
+    """cat_hist draws each release's weights and its active-bin noise in one
+    array call each; the per-call samplers must give the same release, bit
+    for bit."""
 
     SEEDS = range(50)
 
@@ -270,9 +329,9 @@ class TestMatchesPerBinLoop:
 
 
 class TestBatch:
-    """cat_hist_batch shares one seed and one stream pair across its
+    """cat_hist_batch shares one seed and one stream across its
     repetitions; each repetition must be the per-bin release that the
-    shared generators give in turn."""
+    shared generator gives in turn."""
 
     # The census workclass column against a 1 000-label domain holding it.
     CENSUS = Histogram(WORKCLASS_COUNTS.items())
@@ -286,12 +345,12 @@ class TestBatch:
             cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed)
             batch = cat_hist_batch(cfg, self.CENSUS, reps, sampler=sampler)
             assert batch == cat_hist_batch_per_rep(cfg, self.CENSUS, sampler, reps), seed
-            # The labels of all repetitions follow every repetition's count
-            # and weights, so the first repetition is cat_hist's release
-            # except for the labels it injects.
+            # The stream opens with the first repetition's injected count and
+            # weights, so those are cat_hist's; at reps = 1 all of it is.
             first = cat_hist(cfg, self.CENSUS, sampler=sampler)
-            assert batch[0].active_bins() == first.active_bins()
             assert [b.count for b in batch[0].injected_bins()] == [b.count for b in first.injected_bins()]
+            if reps == 1:
+                assert batch[0] == first
             injected += sum(len(release.injected_bins()) for release in batch)
         if reps > 1:
             assert injected > 0
