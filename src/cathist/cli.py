@@ -173,15 +173,27 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     if not isinstance(data, dict):
         raise IngestError(f"{config_path}: expected a JSON object of flag values")
     known = set(vars(args)) - {"func", "command", "config"}
+    # Defaults must land on the subcommand's own parser: the subparser fills a
+    # fresh namespace, so defaults set here on the top-level parser are lost.
+    command_parser = parser.command_parsers[args.command]  # type: ignore[attr-defined]
+    types = {action.dest: action.type for action in command_parser._actions}
     defaults = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise UsageError(f"{config_path}: unknown config key {key!r}")
+        convert = types[dest]
+        # argparse converts string defaults only; a JSON number, list or
+        # boolean must convert as its text on the command line would.
+        if convert is not None and not isinstance(value, str):
+            try:
+                value = convert(str(value))
+            except ValueError:
+                raise UsageError(
+                    f"{config_path}: config key {key!r}: invalid {convert.__name__} value {value!r}"
+                ) from None
         defaults[dest] = value
-    # Defaults must land on the subcommand's own parser: the subparser fills a
-    # fresh namespace, so defaults set here on the top-level parser are lost.
-    parser.command_parsers[args.command].set_defaults(**defaults)  # type: ignore[attr-defined]
+    command_parser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

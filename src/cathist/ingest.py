@@ -325,9 +325,9 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
                 payload = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise IngestError(f"{path}: invalid JSON: {exc}") from exc
-        bins = payload.get("bins")
+        bins = payload.get("bins") if isinstance(payload, dict) else None
         if not isinstance(bins, list):
-            raise IngestError(f"{path}: expected a 'bins' array")
+            raise IngestError(f"{path}: expected a JSON object with a 'bins' array")
         triples = []
         for i, b in enumerate(bins):
             try:

@@ -39,9 +39,9 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import neg, sub, truediv
 from typing import NamedTuple
 
@@ -107,85 +107,58 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
 
     Deterministic given (config, h): the same seed reproduces the same
     release. A pre-loaded sampler for config.domain may be passed to avoid
-    re-reading wordlist files in tight loops. This is cat_hist_batch's batch
-    of one.
+    re-reading wordlist files in tight loops. The release is _draw_batch's
+    one repetition: its injected count and weights, then its k active-bin
+    uniforms, then its injected labels. A sweep cell reads the same draws
+    for all of its repetitions without building releases (see sweep.py).
     """
-    return cat_hist_batch(config, h, 1, sampler)[0]
-
-
-def cat_hist_batch(
-    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler | None = None
-) -> list[NoisyHistogram]:
-    """reps independent releases of h from one seed and one stream.
-
-    The domain check, the threshold and the generator are set up once for
-    the batch, and _draw_batch makes every draw but the injected labels:
-    repetition by repetition, the injected count and then its weights; then
-    the reps x k active-bin uniforms in row-major order. The labels of each
-    repetition in turn come after all of them. Deterministic given (config,
-    h, reps). cat_hist is the batch of one. A sweep cell reads the same
-    draws without building releases (see sweep.py).
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     sampler = load_domain(config.domain) if sampler is None else sampler
     trials = _absent_slots(config.domain, h, sampler)
-    draws = _draw_batch(config, h, reps, sampler, trials)
+    draws = _draw_batch(config, h, 1, sampler, trials)
     epsilon, threshold = config.privacy.epsilon, draws.threshold
-    # Every block of uniforms is drawn before the first label.
-    rows = list(_survivors(draws.uniforms, draws.positive, 1.0 / epsilon, threshold))
-    labels = [
-        sampler.sample_distinct(draws.rng, w.size, exclude=h.active_domain()) if w.size else ()
-        for w in draws.weights
-    ]
-    releases = []
-    for (kept, noisy), injected, weights in zip(rows, labels, draws.weights):
-        if weights.size:  # sample_shifted_exponential's threshold - log1p(-u) / epsilon
-            exponentials = map(truediv, map(math.log1p, map(neg, weights.tolist())), repeat(epsilon))
-            noisy.extend(map(sub, repeat(threshold), exponentials))
-        releases.append(NoisyHistogram._release((*kept, *injected), noisy, len(kept)))
-    return releases
+    (block,), (weights,) = draws.uniforms, draws.weights
+    kept, noisy = _survivors(block[0], draws.positive, 1.0 / epsilon, threshold)
+    injected = ()
+    if weights.size:
+        injected = sampler.sample_distinct(draws.rng, weights.size, exclude=h.active_domain())
+        # sample_shifted_exponential's threshold - log1p(-u) / epsilon
+        exponentials = map(truediv, map(math.log1p, map(neg, weights.tolist())), repeat(epsilon))
+        noisy.extend(map(sub, repeat(threshold), exponentials))
+    return NoisyHistogram._release((*kept, *injected), noisy, len(kept))
 
 
-# Rows of fewer active bins than this are noised bin by bin, longer ones as
-# whole blocks: numpy's calls cost more than a few bins, less than many.
+# Releases of fewer active bins than this are noised bin by bin, wider ones
+# as one array: numpy's calls cost more than a few bins, less than many.
 ARRAY_NOISE_BINS = 32
 
 
 def _survivors(
-    blocks: Iterable[np.ndarray], positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
-) -> Iterator[tuple[list[str], list[float]]]:
-    """Each row's surviving labels and noisy counts: count plus
-    sample_laplace's noise, with math.log1p per element (np.log1p can differ
-    in the last bit), kept at >= threshold and > 0."""
+    u: np.ndarray, positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
+) -> tuple[list[str], list[float]]:
+    """The surviving labels and noisy counts of one row of uniforms: count
+    plus sample_laplace's noise, with math.log1p per element (np.log1p can
+    differ in the last bit), kept at >= threshold and > 0."""
     labels, counts = positive
     if len(labels) < ARRAY_NOISE_BINS:
-        counts = counts.tolist()
-        for row in chain.from_iterable(block.tolist() for block in blocks):
-            kept, kept_noisy = [], []
-            for label, count, u in zip(labels, counts, row):
-                u -= 0.5
-                magnitude = -math.log1p(-2.0 * abs(u))
-                noisy = count + scale * magnitude if u > 0 else count - scale * magnitude
-                if noisy >= threshold and noisy > 0:
-                    kept.append(label)
-                    kept_noisy.append(noisy)
-            yield kept, kept_noisy
-        return
-    for block in blocks:
-        # count + sign(u) * scale * -log1p(-2|u|) with u - 1/2 for u. It may
-        # overflow at a tiny epsilon; the release refuses that count.
-        u = block - 0.5
-        magnitude = (np.abs(u) * -2.0).ravel().tolist()
-        magnitude = np.fromiter(map(math.log1p, magnitude), float, u.size).reshape(u.shape)
-        with np.errstate(over="ignore"):
-            magnitude *= -scale
-            noisy = np.copysign(magnitude, u, out=magnitude)
-            noisy += counts
-        keep = (noisy >= threshold) & (noisy > 0)
-        for row, row_keep in zip(noisy, keep):
-            at = np.flatnonzero(row_keep)
-            yield list(map(labels.__getitem__, at.tolist())), row[at].tolist()
+        kept, kept_noisy = [], []
+        for label, count, v in zip(labels, counts.tolist(), u.tolist()):
+            v -= 0.5
+            magnitude = -math.log1p(-2.0 * abs(v))
+            noisy = count + scale * magnitude if v > 0 else count - scale * magnitude
+            if noisy >= threshold and noisy > 0:
+                kept.append(label)
+                kept_noisy.append(noisy)
+        return kept, kept_noisy
+    # count + sign(u) * scale * -log1p(-2|u|) with u - 1/2 for u. It may
+    # overflow at a tiny epsilon; the release refuses that count.
+    u = u - 0.5
+    magnitude = np.fromiter(map(math.log1p, (np.abs(u) * -2.0).tolist()), float, u.size)
+    with np.errstate(over="ignore"):
+        magnitude *= -scale
+        noisy = np.copysign(magnitude, u, out=magnitude)
+        noisy += counts
+    at = np.flatnonzero((noisy >= threshold) & (noisy > 0))
+    return list(map(labels.__getitem__, at.tolist())), noisy[at].tolist()
 
 
 # Most active-bin uniforms a batch draws and holds at once: it draws its
@@ -213,7 +186,7 @@ class _BatchDraws(NamedTuple):
 
 
 def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int) -> _BatchDraws:
-    """What a batch draws, shared by cat_hist_batch and the sweep's cells.
+    """What reps releases draw: cat_hist's one, or a sweep cell's.
 
     trials is _absent_slots' count for h, which the caller works out once
     per batch or per sweep: only the absent in-domain slots can be injected,

@@ -2,9 +2,10 @@
 
 Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
-counts. A cell's repetitions are one batch (see mechanism.cat_hist_batch):
-one seed, derived from (base_seed, epsilon index, rho index), and one random
-stream shared by all of them. So every cell is reproducible in isolation and
+counts. A cell's repetitions draw what mechanism._draw_batch draws for
+them: one seed, derived from (base_seed, epsilon index, rho index), and one
+random stream shared by all of them, laid out as a release's (cat_hist is
+_draw_batch's one repetition). So every cell is reproducible in isolation and
 the CSV is byte-identical however many threads ran the cells, in whatever
 order. The cells only read what they share: the column, the loaded domain and
 the count of absent domain slots that the sweep's one membership check gives.
@@ -15,12 +16,13 @@ fidelity is
 
     F = true_mass(S) * noisy_mass(S) / (noisy_mass(S) + m*tau + sum of m Exp)
 
-with m injected bins weighted tau + Exponential(epsilon). The cell takes the
-batch's draws (each repetition's m and weight uniforms, then the active-bin
-uniforms) and computes F for all repetitions as whole-array work, in blocks
-of rows; it never picks labels, which come last on the stream. Its rows are
-what cat_hist_batch followed by metrics.fidelity give for the same seed, up
-to the rounding of the sums.
+with m injected bins weighted tau + Exponential(epsilon). The cell takes
+_draw_batch's draws (each repetition's m and weight uniforms, then the
+active-bin uniforms) and computes F for all repetitions as whole-array work,
+in blocks of rows; it never picks labels, which come last on the stream. Its
+rows are what metrics.fidelity gives on the releases of those draws, each
+repetition's labels picked in turn after them, up to the rounding of the
+sums.
 
 One case parts from that. A cell whose noisy or injected mass overflows (a
 tiny epsilon) fails with ValidityError, as a release with a non-finite count
@@ -106,7 +108,7 @@ def _run_cell(
     scale = 1.0 / epsilon
     true_mass, noisy_mass, surviving = [], [], []
     for u in draws.uniforms:
-        # cat_hist_batch's per-bin arithmetic on the whole block, in place:
+        # cat_hist's per-bin arithmetic on the whole block, in place:
         # noisy = count + sign(u - 1/2) * scale * -log1p(-2|u - 1/2|).
         u -= 0.5
         noisy = np.abs(u)

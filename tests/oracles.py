@@ -147,14 +147,15 @@ def refuse_outside_labels(sampler, active):
 def cat_hist_per_bin(config, h, sampler):
     """cat_hist with one sample_laplace call per active bin and one
     sample_shifted_exponential call per injected label."""
-    return cat_hist_batch_per_rep(config, h, sampler, 1)[0]
+    return cat_hist_per_rep(config, h, sampler, 1)[0]
 
 
-def cat_hist_batch_per_rep(config, h, sampler, reps):
-    """cat_hist_batch as one cat_hist_per_bin release per repetition, all of
-    them drawing from one generator: every repetition's count and weights
-    first, then every repetition's active-bin noise, then every repetition's
-    labels.
+def cat_hist_per_rep(config, h, sampler, reps):
+    """reps cat_hist_per_bin releases, one per repetition, all of them
+    drawing from one generator: every repetition's count and weights first,
+    then every repetition's active-bin noise, then every repetition's
+    labels. This is the stream layout of a sweep cell's repetitions, and at
+    reps = 1 that of a release.
 
     Labels are picked by sample_distinct_by_rejection, one scalar
     rng.integers call per draw, not by the sampler's own sample_distinct, so

@@ -502,6 +502,15 @@ class TestFidelity:
         assert code == 3
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("flag", ["--synth-file", "--true-file"])
+    def test_json_file_not_an_object_exits_three(self, capsys, tmp_path, flag):
+        good = write(tmp_path, "good.csv", "category,count,origin\na,1.0,\n")
+        bad = write(tmp_path, "bad.json", "[1, 2]")
+        files = {"--true-file": good, "--synth-file": good, flag: bad}
+        code, _, err = run(capsys, "fidelity", *(part for item in files.items() for part in item))
+        assert code == 3
+        assert err.splitlines() == [f"error: {bad}: expected a JSON object with a 'bins' array"]
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):
@@ -521,6 +530,25 @@ class TestConfigFile:
         code, _, err = run(capsys, "tau", "--config", cfg)
         assert code == 1
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sweep", "repetitions", [3]),
+        ("synth", "seed", 1.5),
+        ("synth", "domain-size", [5]),
+        ("synth", "seed", True),
+        ("tau", "epsilon", "lots"),
+    ])
+    def test_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, command, key, value):
+        column = write(tmp_path, "col.csv", "v\ncat-0\n")
+        flags = {"epsilon": 1.0, "rho": 0.5, "n": 10} if command == "tau" else {
+            "input": column, "column": "v", "domain-size": 10, "output": str(tmp_path / "out.csv"),
+            **({"epsilon": 1.0, "rho": 0.5} if command == "synth" else {}),
+        }
+        cfg = write(tmp_path, "c.json", json.dumps({**flags, key: value}))
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:"), err
+        assert key in err
 
     def test_invalid_json_exits_three(self, capsys, tmp_path):
         cfg = write(tmp_path, "c.json", "{oops")

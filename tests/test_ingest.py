@@ -458,3 +458,10 @@ class TestLoadHistogramErrors:
         path.write_text('{"meta": {}}', encoding="utf-8")
         with pytest.raises(IngestError, match="'bins' array"):
             load_histogram(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"bins"', "null"])
+    def test_json_not_an_object(self, tmp_path, text):
+        path = tmp_path / "h.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError, match="expected a JSON object with a 'bins' array"):
+            load_histogram(path)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,19 +22,20 @@ from cathist.domain import load_domain
 from cathist.mechanism import (
     ARRAY_NOISE_BINS,
     CatHistConfig,
+    _absent_slots,
+    _draw_batch,
     _nonzero,
     cat_hist,
-    cat_hist_batch,
     record_indices,
     synthesize_records,
 )
-from cathist.numerics import make_rng, noisy_threshold
+from cathist.numerics import make_rng, noisy_threshold, sample_laplace, sample_shifted_exponential
 
 from conftest import WORKCLASS_COUNTS
 from oracles import (
     ORACLE_MAX_DOMAIN,
-    cat_hist_batch_per_rep,
     cat_hist_per_bin,
+    cat_hist_per_rep,
     expected_injected_oracle,
     injected_sd_oracle,
     naive_full_domain_oracle,
@@ -212,8 +214,6 @@ class TestDomainMembership:
         cfg = config_for(1.0, 0.6, domain, seed=0)
         with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]; declare a domain that"):
             cat_hist(cfg, h)
-        with pytest.raises(ValidityError, match="outside the declared domain"):
-            cat_hist_batch(cfg, h, 20)
         # The references refuse it too, without the package's check.
         with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]"):
             cat_hist_per_bin(cfg, h, load_domain(domain))
@@ -328,10 +328,34 @@ class TestMatchesPerBinLoop:
             assert len(labels) >= 500 and all(map(sampler.contains, labels)), seed
 
 
+def releases_from_draws(config, h, reps, sampler):
+    """The reps releases that _draw_batch's draws make, built with the
+    per-call samplers: sample_laplace reads each repetition's active-bin
+    uniforms, and sample_shifted_exponential its weight uniforms, from a
+    stand-in generator that hands them out in turn. Each repetition's labels
+    then come in turn from the stream that follows every uniform."""
+    draws = _draw_batch(config, h, reps, sampler, _absent_slots(config.domain, h, sampler))
+    epsilon, threshold = config.privacy.epsilon, draws.threshold
+    labels, counts = draws.positive
+    rows = [row for block in draws.uniforms for row in block.tolist()]
+    releases = []
+    for row, weights in zip(rows, draws.weights):
+        replay = SimpleNamespace(random=iter(row).__next__)
+        noisy = [sample_laplace(replay, count, 1.0 / epsilon) for count in counts.tolist()]
+        bins = [NoisyBin(label, c, Origin.ACTIVE) for label, c in zip(labels, noisy) if c >= threshold and c > 0]
+        replay = SimpleNamespace(random=iter(weights.tolist()).__next__)
+        injected = sampler.sample_distinct(draws.rng, weights.size, exclude=h.active_domain()) if weights.size else ()
+        bins += [NoisyBin(label, sample_shifted_exponential(replay, epsilon, threshold), Origin.INJECTED)
+                 for label in injected]
+        releases.append(NoisyHistogram(bins))
+    return releases
+
+
 class TestBatch:
-    """cat_hist_batch shares one seed and one stream across its
-    repetitions; each repetition must be the per-bin release that the
-    shared generator gives in turn."""
+    """A release is _draw_batch's one repetition; a sweep cell reads its
+    draws for all of its repetitions, from one seed and one stream. Each
+    repetition must be the per-bin release that the shared generator gives
+    in turn, and cat_hist's release the per-bin one."""
 
     # The census workclass column against a 1 000-label domain holding it.
     CENSUS = Histogram(WORKCLASS_COUNTS.items())
@@ -343,15 +367,15 @@ class TestBatch:
         injected = 0
         for seed in range(4):
             cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed)
-            batch = cat_hist_batch(cfg, self.CENSUS, reps, sampler=sampler)
-            assert batch == cat_hist_batch_per_rep(cfg, self.CENSUS, sampler, reps), seed
+            releases = releases_from_draws(cfg, self.CENSUS, reps, sampler)
+            assert releases == cat_hist_per_rep(cfg, self.CENSUS, sampler, reps), seed
             # The stream opens with the first repetition's injected count and
             # weights, so those are cat_hist's; at reps = 1 all of it is.
             first = cat_hist(cfg, self.CENSUS, sampler=sampler)
-            assert [b.count for b in batch[0].injected_bins()] == [b.count for b in first.injected_bins()]
+            assert [b.count for b in releases[0].injected_bins()] == [b.count for b in first.injected_bins()]
             if reps == 1:
-                assert batch[0] == first
-            injected += sum(len(release.injected_bins()) for release in batch)
+                assert releases[0] == first
+            injected += sum(len(release.injected_bins()) for release in releases)
         if reps > 1:
             assert injected > 0
 
@@ -362,15 +386,17 @@ class TestBatch:
         h = Histogram([("Male Female", 300.0), ("Female Male", 2.0), ("Male Male", 0.0)])
         for seed in range(2):
             cfg = config_for(1.0, 1e-200, domain, seed=seed)
-            batch = cat_hist_batch(cfg, h, reps, sampler=sampler)
-            assert batch == cat_hist_batch_per_rep(cfg, h, sampler, reps), seed
-            assert min(len(release.injected_bins()) for release in batch) >= 300
+            releases = releases_from_draws(cfg, h, reps, sampler)
+            assert releases == cat_hist_per_rep(cfg, h, sampler, reps), seed
+            assert min(len(release.injected_bins()) for release in releases) >= 300
+            if reps == 1:
+                assert releases[0] == cat_hist(cfg, h, sampler=sampler)
 
     @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS, 1_200])
     def test_wide_column_over_several_blocks_matches_per_rep_loop(self, bins, monkeypatch, wordlist_path):
-        # Rows shorter than ARRAY_NOISE_BINS are noised bin by bin, longer
-        # ones as whole blocks; blocks of three rows spread ten repetitions
-        # over four blocks.
+        # cat_hist noises fewer than ARRAY_NOISE_BINS active bins bin by bin,
+        # more as one array. Blocks of three rows spread ten repetitions over
+        # four blocks.
         domain = WordList(wordlist_path)
         sampler = load_domain(domain)
         rng = np.random.default_rng(bins)
@@ -380,10 +406,11 @@ class TestBatch:
         surviving = injected = 0
         for seed in range(3):
             cfg = config_for(0.5, 0.3, domain, seed=seed)
-            batch = cat_hist_batch(cfg, h, 10, sampler=sampler)
-            assert batch == cat_hist_batch_per_rep(cfg, h, sampler, 10), seed
-            surviving += sum(len(release.active_bins()) for release in batch)
-            injected += sum(len(release.injected_bins()) for release in batch)
+            assert cat_hist(cfg, h, sampler=sampler) == cat_hist_per_bin(cfg, h, sampler), seed
+            releases = releases_from_draws(cfg, h, 10, sampler)
+            assert releases == cat_hist_per_rep(cfg, h, sampler, 10), seed
+            surviving += sum(len(release.active_bins()) for release in releases)
+            injected += sum(len(release.injected_bins()) for release in releases)
         assert 0 < surviving < 30 * bins and injected > 0
 
     @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS])
@@ -395,19 +422,9 @@ class TestBatch:
         h = Histogram((f"cat-{i}", 5.0) for i in range(bins))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidityError, match="must be finite"):
-                cat_hist_batch(config_for(1e-308, 0.01, domain, seed=0), h, 20)
-
-    def test_batch_of_one_is_cat_hist(self):
-        sampler = load_domain(self.CENSUS_DOMAIN)
-        for seed in range(50):
-            cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=seed)
-            assert cat_hist(cfg, self.CENSUS) == cat_hist_batch(cfg, self.CENSUS, 1, sampler)[0], seed
-
-    def test_reps_must_be_positive(self):
-        cfg = config_for(1.0, 0.5, self.CENSUS_DOMAIN, seed=0)
-        with pytest.raises(ValueError, match="reps must be >= 1"):
-            cat_hist_batch(cfg, self.CENSUS, 0)
+            for seed in range(5):
+                with pytest.raises(ValidityError, match="must be finite"):
+                    cat_hist(config_for(1e-308, 0.01, domain, seed=seed), h)
 
     def test_zero_uniforms_redrawn_in_row_major_order(self):
         # A 0.0 would make an infinite Laplace or weight; it is replaced by
@@ -418,16 +435,18 @@ class TestBatch:
         assert _nonzero(make_rng(9), u).tolist() == [[0.5, a, 0.25], [b, 0.75, c]]
 
     def test_shared_streams_calibration(self):
-        # Criteria 1 and 2 on one 10^4-repetition batch at n = 1e8, with
-        # the n - 3 absent slots as trials: the fraction of releases with
-        # nothing injected is rho**((n - 3)/n), and the mean injected count
-        # is (n - 3) * (1 - rho**(1/n)) within 3 sigma.
+        # Criteria 1 and 2 on the injected counts of one 10^4-repetition
+        # _draw_batch at n = 1e8, with the n - 3 absent slots as trials: the
+        # fraction of repetitions with nothing injected is rho**((n - 3)/n),
+        # and the mean injected count is (n - 3) * (1 - rho**(1/n)) within
+        # 3 sigma.
         epsilon, rho, n, runs = 1.0, 0.5, 10**8, 10_000
         domain = SizeOnly(size=n)
         h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
         trials = n - len(h.active_domain())
-        releases = cat_hist_batch(config_for(epsilon, rho, domain, seed=20251018), h, runs)
-        injected = [len(release.injected_bins()) for release in releases]
+        cfg = config_for(epsilon, rho, domain, seed=20251018)
+        draws = _draw_batch(cfg, h, runs, load_domain(domain), trials)
+        injected = [weights.size for weights in draws.weights]
         zero_fraction = injected.count(0) / runs
         assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
         se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(runs)

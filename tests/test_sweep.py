@@ -9,7 +9,7 @@ import cathist.sweep
 from cathist.core import ExplicitList, PrivacyParams, SizeOnly, ValidityError, WordList, WordPairs
 from cathist.domain import load_domain
 from cathist.ingest import ColumnSelector, read_histogram
-from cathist.mechanism import CatHistConfig, cat_hist_batch
+from cathist.mechanism import CatHistConfig
 from cathist.metrics import fidelity
 from cathist.numerics import derive_seed
 from cathist.sweep import (
@@ -22,6 +22,7 @@ from cathist.sweep import (
 )
 
 from conftest import WORKCLASS_COUNTS, write_census
+from oracles import cat_hist_per_rep
 
 
 @pytest.fixture()
@@ -183,15 +184,16 @@ class TestRunSweep:
 
 
 def release_rows(cfg):
-    """A sweep's rows computed the long way: each valid cell's releases from
-    cat_hist_batch on the cell's derived seed, scored with fidelity."""
+    """A sweep's rows computed the long way: each valid cell's releases,
+    one per-bin release per repetition from one generator on the cell's
+    derived seed, scored with fidelity."""
     hist = read_histogram(cfg.column, cfg.drop_values)
     sampler = load_domain(cfg.domain)
     rows = []
     for ei, epsilon in enumerate(cfg.epsilons):
         for ri, rho in enumerate(cfg.rhos):
             cell = CatHistConfig(PrivacyParams(epsilon, rho), cfg.domain, derive_seed(cfg.base_seed, ei, ri))
-            releases = cat_hist_batch(cell, hist, cfg.repetitions, sampler)
+            releases = cat_hist_per_rep(cell, hist, sampler, cfg.repetitions)
             fs = [fidelity(hist, release).value for release in releases]
             rows.append({
                 "epsilon": epsilon,
@@ -207,8 +209,8 @@ def release_rows(cfg):
 
 
 class TestCellsMatchReleases:
-    """A cell computes its statistics from the batch's draws without building
-    releases; they must be what cat_hist_batch and fidelity give."""
+    """A cell computes its statistics from _draw_batch's draws without
+    building releases; they must be what its releases and fidelity give."""
 
     @staticmethod
     def assert_rows_match(cfg):
