@@ -28,7 +28,6 @@ from .core import (
     IngestError,
     PrivacyParams,
     SizeOnly,
-    ValidityError,
     WordList,
     WordPairs,
 )
@@ -176,25 +175,44 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     # Defaults must land on the subcommand's own parser: the subparser fills a
     # fresh namespace, so defaults set here on the top-level parser are lost.
     command_parser = parser.command_parsers[args.command]  # type: ignore[attr-defined]
-    types = {action.dest: action.type for action in command_parser._actions}
+    actions = {action.dest: action for action in command_parser._actions}
     defaults = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise UsageError(f"{config_path}: unknown config key {key!r}")
-        convert = types[dest]
-        # argparse converts string defaults only; a JSON number, list or
-        # boolean must convert as its text on the command line would.
-        if convert is not None and not isinstance(value, str):
-            try:
-                value = convert(str(value))
-            except ValueError:
-                raise UsageError(
-                    f"{config_path}: config key {key!r}: invalid {convert.__name__} value {value!r}"
-                ) from None
-        defaults[dest] = value
+        try:
+            defaults[dest] = _config_value(actions[dest], value)
+        except ValueError as exc:
+            raise UsageError(f"{config_path}: config key {key!r}: {exc}") from None
     command_parser.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _config_value(action: argparse.Action, value: object) -> object:
+    """A config file's value for one flag; ValueError says what the flag takes."""
+    if action.type is not None:
+        # argparse converts string defaults only; a JSON number, list or
+        # boolean must convert as its text on the command line would.
+        try:
+            return value if isinstance(value, str) else action.type(str(value))
+        except ValueError:
+            raise ValueError(f"invalid {action.type.__name__} value {value!r}") from None
+    if isinstance(action, argparse._StoreTrueAction):
+        takes, ok = "true or false", isinstance(value, bool)
+    elif isinstance(action, argparse._AppendAction):
+        value = [value] if isinstance(value, str) else value
+        takes = "a string or a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif action.dest in ("epsilons", "rhos") and not isinstance(value, str):
+        takes = "a string or a list of numbers"
+        ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+    else:
+        takes = " or ".join(action.choices or ["a string"])
+        ok = isinstance(value, str) and value in (action.choices or [value])
+    if not ok:
+        raise ValueError(f"expected {takes}, got {value!r}")
+    return value
 
 
 def _require(args: argparse.Namespace, name: str) -> object:
@@ -363,22 +381,13 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             raise UsageError("a command is required (tau, synth, sweep, fidelity)")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDITY
-    except IngestError as exc:
+    except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CatHistError as exc:
+    except CatHistError as exc:  # ValidityError and any other
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDITY
 

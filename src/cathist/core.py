@@ -45,19 +45,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _checked(labels: tuple, counts: Sequence[float], positive: bool, origins: tuple = ()) -> np.ndarray:
-    """The check of both histogram types, over whole columns: labels are
-    distinct non-empty strs, counts finite and >= 0 (> 0 if positive), and
-    origins, if given, Origins. Returns counts as a read-only float64 array.
-    A column that fails is walked bin by bin to name its first bad bin."""
-    distinct = set(labels) if all(map(isinstance, labels, repeat(str))) else ()
-    if (
-        len(distinct) == len(labels)
-        and "" not in distinct
-        and all(map(math.isfinite, counts))
-        and (not counts or (min(counts) > 0 if positive else min(counts) >= 0))
-        and all(map(isinstance, origins, repeat(Origin)))
-    ):
-        return _frozen(np.array(counts, dtype=float))
+    """The check of both histogram types, bin by bin: labels are distinct
+    non-empty strs, counts finite and >= 0 (> 0 if positive), and origins, if
+    given, Origins. An error names the first bad bin. Returns counts as a
+    read-only float64 array."""
     name, bound = ("noisy count", "> 0") if positive else ("count", ">= 0")
     seen = set()
     for label, count, origin in zip(labels, counts, origins or repeat(Origin.ACTIVE)):
@@ -69,7 +60,7 @@ def _checked(labels: tuple, counts: Sequence[float], positive: bool, origins: tu
         if label in seen:
             raise ValidityError(f"duplicate category {label!r}")
         seen.add(label)
-    raise AssertionError("no bad bin")
+    return _frozen(np.array(counts, dtype=float))
 
 
 class _Columns:
@@ -88,6 +79,9 @@ class _Columns:
         if self._bins is None:
             self._bins = self._view()
         return self._bins
+
+    def items(self) -> Iterator[tuple[str, float]]:
+        return zip(self._labels, self.counts.tolist())
 
     def count(self, label: str, default: float = 0.0) -> float:
         i = self._index.get(label)
@@ -142,10 +136,7 @@ class Histogram(_Columns):
         return h
 
     def _view(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self._labels, self.counts.tolist()))
-
-    def items(self) -> Iterator[tuple[str, float]]:
-        return iter(self.bins)
+        return tuple(self.items())
 
     def active_domain(self) -> frozenset[str]:
         """Categories with strictly positive count.
@@ -210,9 +201,7 @@ class NoisyHistogram(_Columns):
     def _release(cls, labels: tuple[str, ...], counts: list[float], active: int) -> "NoisyHistogram":
         """The release of these bins, the first `active` of them active. The
         mechanism makes labels distinct and non-empty; a count can overflow."""
-        if not labels:
-            return _NO_RELEASE
-        if not (all(map(math.isfinite, counts)) and min(counts) > 0):
+        if counts and not (all(map(math.isfinite, counts)) and min(counts) > 0):
             _checked(labels, counts, positive=True)  # raises
         h = cls.__new__(cls)
         h._labels, h.counts = labels, _frozen(np.array(counts))
@@ -226,9 +215,6 @@ class NoisyHistogram(_Columns):
         origins = map((Origin.ACTIVE, Origin.INJECTED).__getitem__, self.injected)
         return tuple(map(NoisyBin, self._labels, self.counts.tolist(), origins))
 
-    def items(self) -> Iterator[tuple[str, float]]:
-        return zip(self._labels, self.counts.tolist())
-
     def active_bins(self) -> tuple[NoisyBin, ...]:
         return self._bins_where(False)
 
@@ -239,10 +225,6 @@ class NoisyHistogram(_Columns):
         if injected not in self.injected:  # and build no view
             return ()
         return tuple(compress(self.bins, map(is_, self.injected, repeat(injected))))
-
-
-# The release with no bins, shared by every release that keeps and injects none.
-_NO_RELEASE = NoisyHistogram()
 
 
 def shares(h: Histogram | NoisyHistogram) -> np.ndarray:

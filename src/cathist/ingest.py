@@ -331,8 +331,13 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
         triples = []
         for i, b in enumerate(bins):
             try:
-                triples.append((b["label"], float(b["count"]), b.get("origin") or ""))
-            except (TypeError, KeyError, ValueError) as exc:
+                label, count, origin = b["label"], b["count"], b.get("origin")
+                if type(count) not in (int, float):  # float() takes true and strings
+                    raise ValueError(f"count must be a number, got {count!r}")
+                if not (origin is None or isinstance(origin, str)):
+                    raise ValueError(f"origin must be a string or null, got {origin!r}")
+                triples.append((label, float(count), origin or ""))
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise IngestError(f"{path}: bad bin at index {i}: {exc}") from exc
         return _assemble(path, triples)
 

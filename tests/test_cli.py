@@ -502,6 +502,13 @@ class TestFidelity:
         assert code == 3
         assert "invalid JSON" in err
 
+    def test_json_bin_with_array_origin_exits_three(self, capsys, tmp_path):
+        t = write(tmp_path, "t.csv", "category,count,origin\na,1.0,\n")
+        s = write(tmp_path, "s.json", '{"bins": [{"label": "a", "count": 1.0, "origin": ["active"]}]}')
+        code, _, err = run(capsys, "fidelity", "--true-file", t, "--synth-file", s)
+        assert code == 3
+        assert err.splitlines() == [f"error: {s}: bad bin at index 0: origin must be a string or null, got ['active']"]
+
     @pytest.mark.parametrize("flag", ["--synth-file", "--true-file"])
     def test_json_file_not_an_object_exits_three(self, capsys, tmp_path, flag):
         good = write(tmp_path, "good.csv", "category,count,origin\na,1.0,\n")
@@ -537,6 +544,15 @@ class TestConfigFile:
         ("synth", "domain-size", [5]),
         ("synth", "seed", True),
         ("tau", "epsilon", "lots"),
+        ("synth", "drop-value", 5),
+        ("synth", "drop-value", ["NA", 1]),
+        ("synth", "no-header", "false"),
+        ("synth", "no-header", 0),
+        ("synth", "input", 0),
+        ("synth", "output", None),
+        ("synth", "format", "xml"),
+        ("sweep", "epsilons", [0.1, True]),
+        ("sweep", "rhos", ["0.5"]),
     ])
     def test_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, command, key, value):
         column = write(tmp_path, "col.csv", "v\ncat-0\n")
@@ -549,6 +565,17 @@ class TestConfigFile:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("usage error:"), err
         assert key in err
+
+    def test_drop_value_string_drops_that_value(self, capsys, tmp_path):
+        # Were "NA" taken as its letters, N would be dropped and NA, outside the domain, kept.
+        column = write(tmp_path, "col.csv", "v\nNA\nNA\nN\ncat-1\n")
+        flags = ["--input", column, "--column", "v", "--domain-list", "N,cat-1",
+                 "--epsilon", "1", "--rho", "0.5", "--seed", "3"]
+        cfg = write(tmp_path, "c.json", json.dumps({"drop-value": "NA"}))
+        code, _, err = run(capsys, "synth", "--config", cfg, *flags, "--output", str(tmp_path / "a.csv"))
+        assert code == 0, err
+        assert run(capsys, "synth", "--drop-value", "NA", *flags, "--output", str(tmp_path / "b.csv"))[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_invalid_json_exits_three(self, capsys, tmp_path):
         cfg = write(tmp_path, "c.json", "{oops")

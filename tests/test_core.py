@@ -1,8 +1,13 @@
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cathist
 from cathist.core import (
     ExplicitList,
     Histogram,
@@ -193,6 +198,10 @@ class TestNoisyHistogram:
         assert nh != NoisyHistogram([bins[0], NoisyBin("b", 0.5, Origin.ACTIVE), bins[2]])
         assert list(nh.items()) == [("a", 1.5), ("b", 0.5), ("c", 2.5)] and nh.total == 4.5
 
+    def test_empty_release_is_built_like_any_other(self):
+        empty = NoisyHistogram._release((), [], active=0)
+        assert empty == NoisyHistogram() and empty.counts.dtype == np.float64
+
 
 class TestPrivacyParams:
     def test_valid(self):
@@ -236,3 +245,28 @@ class TestDomainSpecs:
     def test_size_only_prefix_must_be_nonempty(self):
         with pytest.raises(ValidityError):
             SizeOnly(size=10, prefix="")
+
+
+class TestPackageRoot:
+    def test_import_loads_neither_sweep_nor_cli(self):
+        code = "import sys, cathist; print(*(m for m in sys.modules if m.startswith('cathist')))"
+        src = str(Path(cathist.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                              capture_output=True, text=True, check=True, timeout=60)
+        loaded = done.stdout.split()
+        assert "cathist.core" in loaded and "cathist.sweep" not in loaded and "cathist.cli" not in loaded, loaded
+
+    def test_exports_resolve(self):
+        # bench/setup_probe.py reads these four at the package root.
+        assert {"WordList", "WordPairs", "SizeOnly", "load_domain"} <= set(cathist.__all__)
+        assert all(hasattr(cathist, name) for name in cathist.__all__)
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+        scope: dict = {}
+        exec(compile(example, "README.md", "exec"), scope)
+        release = scope["release"]
+        assert len(release) >= 2 and len(scope["records"]) == 1000
+        assert set(scope["records"]) <= set(release.labels())

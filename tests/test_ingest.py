@@ -459,6 +459,26 @@ class TestLoadHistogramErrors:
         with pytest.raises(IngestError, match="'bins' array"):
             load_histogram(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ('{"label": "b", "count": 1.0, "origin": ["active"]}', "origin must be a string or null, got ['active']"),
+        ('{"label": "b", "count": 1.0, "origin": {"x": 1}}', "origin must be a string or null, got {'x': 1}"),
+        ('{"label": "b", "count": 1.0, "origin": false}', "origin must be a string or null, got False"),
+        ('{"label": "b", "count": 1.0, "origin": 0}', "origin must be a string or null, got 0"),
+        ('{"label": "b", "count": true, "origin": "active"}', "count must be a number, got True"),
+        ('{"label": "b", "count": "2.0", "origin": "active"}', "count must be a number, got '2.0'"),
+        ('{"label": "b", "count": null, "origin": "active"}', "count must be a number, got None"),
+        ('{"label": "b", "count": 1' + "0" * 400 + ', "origin": "active"}', "int too large to convert to float"),
+        ('{"count": 1.0, "origin": "active"}', "'label'"),
+        ('["b", 1.0, "active"]', "list indices must be integers or slices, not str"),
+    ], ids=["list-origin", "object-origin", "false-origin", "zero-origin", "bool-count", "string-count",
+            "null-count", "huge-count", "no-label", "not-an-object"])
+    def test_json_bad_bin_names_its_index(self, tmp_path, bad, message):
+        path = tmp_path / "h.json"
+        path.write_text('{"bins": [{"label": "a", "count": 2.0, "origin": "active"}, ' + bad + "]}", encoding="utf-8")
+        with pytest.raises(IngestError) as caught:
+            load_histogram(path)
+        assert str(caught.value) == f"{path}: bad bin at index 1: {message}"
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"bins"', "null"])
     def test_json_not_an_object(self, tmp_path, text):
         path = tmp_path / "h.json"
