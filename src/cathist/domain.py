@@ -6,8 +6,11 @@ uniform category is drawing a uniform index. Distinctness and exclusion are
 handled by rejection, which stays cheap while the number of requested
 categories is far below the domain size. Candidates are drawn in rounds of
 the draws still needed, one array call per round, on the same stream and
-with the same labels as drawing them one at a time. A domain with almost all
-of its slots excluded draws from its absent labels instead.
+with the same labels as drawing them one at a time. Each round's indices are
+decoded to labels in one step per sampler kind, and its repeated, excluded
+and already chosen labels are dropped with dict and set operations, not one
+label at a time. A domain with almost all of its slots excluded draws from
+its absent labels instead.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import functools
 from itertools import filterfalse
 from pathlib import Path
+
+import numpy as np
 
 from .core import DomainSpec, ExplicitList, SizeOnly, ValidityError, WordList, WordPairs
 from .numerics import Rng
@@ -36,6 +41,10 @@ class DomainSampler:
     size: int
 
     def decode(self, index: int) -> str:
+        raise NotImplementedError
+
+    def _decode_all(self, indices: np.ndarray) -> list[str]:
+        """The labels of an integer array of indices, in its order."""
         raise NotImplementedError
 
     def encode(self, label: str) -> int:
@@ -67,27 +76,29 @@ class DomainSampler:
             excluded_members = len(exclude) - len(self.non_members(exclude))
             if DENSE_RATIO * (self.size - excluded_members) < self.size:
                 self._require_room(k, excluded_members)
-                absent = list(filterfalse(exclude.__contains__, map(self.decode, range(self.size))))
+                absent = list(filterfalse(exclude.__contains__, self._decode_all(np.arange(self.size))))
                 return [absent[i] for i in rng.choice(len(absent), size=k, replace=False).tolist()]
         # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
         if k > self.size - len(exclude):
             self._require_room(k, len(exclude) - len(self.non_members(exclude)))
         # Each draw picks at most one label, so a round of the draws still
         # needed is exactly the next draws of a one-at-a-time loop, and one
-        # array call gives the same indices as that many scalar calls.
-        chosen: list[str] = []
-        picked: set[str] = set()
+        # array call gives the same indices as that many scalar calls. A
+        # round adds the first draw of each label that is neither excluded
+        # nor chosen already, in draw order; merging into chosen leaves the
+        # labels chosen earlier where they are.
+        chosen: dict[str, None] = {}
         drawn = 0
         while len(chosen) < k:
             want = min(k - len(chosen), RETRY_FACTOR * k - drawn)
             if want == 0:
                 raise ValidityError(f"domain exhausted: {drawn} rejection attempts for {k} categories")
             drawn += want
-            for label in map(self.decode, rng.integers(self.size, size=want).tolist()):
-                if label not in exclude and label not in picked:
-                    picked.add(label)
-                    chosen.append(label)
-        return chosen
+            fresh = dict.fromkeys(self._decode_all(rng.integers(self.size, size=want)))
+            for label in exclude.intersection(fresh):
+                del fresh[label]
+            chosen |= fresh
+        return list(chosen)
 
     def _require_room(self, k: int, excluded_members: int) -> None:
         if k > self.size - excluded_members:
@@ -118,6 +129,9 @@ class _LabelSampler(DomainSampler):
     def decode(self, index: int) -> str:
         return self._labels[index]
 
+    def _decode_all(self, indices: np.ndarray) -> list[str]:
+        return list(map(self._labels.__getitem__, indices.tolist()))
+
     def encode(self, label: str) -> int:
         try:
             return self._index[label]
@@ -145,6 +159,11 @@ class _WordPairSampler(DomainSampler):
         first, second = divmod(index, self._m)
         return f"{self._words[first]} {self._words[second]}"
 
+    def _decode_all(self, indices: np.ndarray) -> list[str]:
+        firsts, seconds = np.divmod(indices, self._m)
+        words = self._words
+        return [f"{words[first]} {words[second]}" for first, second in zip(firsts.tolist(), seconds.tolist())]
+
     def encode(self, label: str) -> int:
         parts = label.split(" ")
         if len(parts) != 2 or not all(parts):
@@ -164,6 +183,10 @@ class _SizeOnlySampler(DomainSampler):
 
     def decode(self, index: int) -> str:
         return f"{self._head}{index}"
+
+    def _decode_all(self, indices: np.ndarray) -> list[str]:
+        head = self._head
+        return [f"{head}{index}" for index in indices.tolist()]
 
     def encode(self, label: str) -> int:
         if not self.contains(label):

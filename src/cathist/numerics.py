@@ -20,6 +20,7 @@ domain sizes this package is used with.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -33,8 +34,11 @@ Rng = np.random.Generator
 
 _LN_HALF = math.log(0.5)
 
-# Expected injected-bin count above this is refused rather than sampled.
-BINOMIAL_MEAN_ENVELOPE = 1e6
+# Expected injected-bin count above this is refused rather than sampled. A
+# release never asks for more: (n - a) * p <= n * p <= -ln(rho) < 745 for any
+# positive double rho. It also bounds a cached inversion table to 1 353
+# entries (1 052 at n*p = 745).
+BINOMIAL_MEAN_ENVELOPE = 1e3
 
 
 def make_rng(seed: int, *key: int) -> Rng:
@@ -122,8 +126,10 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
     Inverse-CDF inversion walking the PMF recurrence
         P(k+1)/P(k) = ((n - k) / (k + 1)) * (p / (1 - p))
     from log P(0) = n*log1p(-p), carried in log space so the walk stays exact
-    even when P(0) underflows. Expected time is O(n*p); n*p above
-    BINOMIAL_MEAN_ENVELOPE is refused.
+    even when P(0) underflows. The walk's running CDF sums are kept per
+    (n, p): the first call for a pair walks in O(n*p), later calls bisect the
+    table in O(log(n*p)). Either way one uniform is drawn and the same k
+    returned. n*p above BINOMIAL_MEAN_ENVELOPE is refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -136,21 +142,31 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
         raise ValidityError(
             f"expected bin count out of envelope: n*p = {mean:.6g} > {BINOMIAL_MEAN_ENVELOPE:.0e}"
         )
-    u = rng.random()
+    cdf = _binomial_cdf(n, p)
+    # The walk returns the first k with u < cdf[k], or its stopping k, the
+    # table's last index, when no earlier entry exceeds u.
+    return bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
+
+
+# A loop of releases, or a sweep cell's repetitions, asks for one (n, p) again
+# and again.
+@functools.lru_cache(maxsize=256)
+def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
+    """The running CDF sums of sample_binomial's walk, k = 0 up to the k
+    where the walk stops whatever the uniform."""
+    mean = n * p
     log_p = math.log(p)
     log_q = math.log1p(-p)
     log_pmf = n * log_q
-    cdf = 0.0
+    cdf = []
+    total = 0.0
     k = 0
     while True:
-        cdf += math.exp(log_pmf)
-        if u < cdf:
-            return k
-        if k >= n:
-            return int(n)
-        # Past the mode with pmf far below the resolution of u, the remaining
-        # tail mass is unreachable.
-        if k > mean and log_pmf < -60.0:
-            return k
+        total += math.exp(log_pmf)
+        cdf.append(total)
+        # At k = n the support ends. Past the mode with pmf far below the
+        # resolution of a uniform, the remaining tail mass is unreachable.
+        if k >= n or (k > mean and log_pmf < -60.0):
+            return tuple(cdf)
         log_pmf += math.log((n - k) / (k + 1)) + log_p - log_q
         k += 1

@@ -2,16 +2,17 @@
 
 The mpmath oracles compute expected values straight from the defining
 formulas at 60 significant digits, sharing no code with the package under
-test. The loop references below them are the plain per-row and per-bin
-forms of code the package runs in bulk; the tests require bulk and loop to
-give identical results. Last comes the brute-force reference the mechanism
-must equal in distribution.
+test. The loop references below them are the plain per-row, per-bin and
+per-call forms of code the package runs in bulk or from a cache; the tests
+require the two to give identical results. Last comes the brute-force
+reference the mechanism must equal in distribution.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import weakref
 
@@ -76,6 +77,30 @@ def survival_oracle(count: float, epsilon: float, rho: float, n: int) -> float:
         if gap >= 0:
             return float(1 - mp.exp(-gap) / 2)
         return float(mp.exp(gap) / 2)
+
+
+def sample_binomial_by_walk(rng, n, p):
+    """sample_binomial as a plain inverse-CDF walk on every call: one uniform,
+    then the PMF recurrence from k = 0 in log space until the running CDF
+    exceeds it. The walk stops at k = n, or past the mean once the log-pmf is
+    below -60."""
+    mean = n * p
+    u = rng.random()
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    log_pmf = n * log_q
+    cdf = 0.0
+    k = 0
+    while True:
+        cdf += math.exp(log_pmf)
+        if u < cdf:
+            return k
+        if k >= n:
+            return int(n)
+        if k > mean and log_pmf < -60.0:
+            return k
+        log_pmf += math.log((n - k) / (k + 1)) + log_p - log_q
+        k += 1
 
 
 def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_values=frozenset()):

@@ -151,6 +151,16 @@ class TestRoundsEqualOneAtATime:
         exclude = {sampler.decode(i) for i in range(0, sampler.size, sampler.size // 50)}
         self.assert_same_stream(sampler, range(1, 301), exclude, 1)
 
+    def test_word_pairs_under_heavy_collisions(self, tmp_path):
+        # 11 absent pairs of 16: rounds repeat pairs drawn earlier in the same
+        # round and draw excluded ones.
+        path = tmp_path / "w.txt"
+        path.write_text("ant\nbee\ncat\ndog\n", encoding="utf-8")
+        sampler = load_domain(WordPairs(path))
+        exclude = {"ant ant", "ant dog", "bee cat", "cat bee", "dog dog"}
+        for seed in range(3):
+            self.assert_same_stream(sampler, range(1, 12), exclude, seed)
+
     def test_list_with_a_third_excluded(self):
         # 200 absent labels: rounds reject excluded labels and repeat labels
         # drawn earlier in the same round.

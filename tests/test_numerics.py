@@ -17,7 +17,7 @@ from cathist.numerics import (
     threshold_defined,
 )
 
-from oracles import expected_injected_oracle, inclusion_oracle, tau_oracle
+from oracles import expected_injected_oracle, inclusion_oracle, sample_binomial_by_walk, tau_oracle
 
 
 class TestThreshold:
@@ -174,7 +174,22 @@ class TestBinomialSampler:
     def test_envelope_guard(self):
         with pytest.raises(ValidityError, match="expected bin count out of envelope"):
             sample_binomial(make_rng(0), 10**10, 1e-3)
-        assert BINOMIAL_MEAN_ENVELOPE == 1e6
+        assert BINOMIAL_MEAN_ENVELOPE == 1e3
+
+    @pytest.mark.parametrize(
+        "n, mean",
+        [(n, mean) for mean in (0.69, 40, 500, 744) for n in (1_007, 171_000**2, 2**63 - 1)]
+        # The walk stops at k = n; the first CDF sums underflow to 0.0.
+        + [(5, 2.5), (10**12, 900)],
+    )
+    def test_cached_inversion_equals_the_walk(self, n, mean):
+        # Same draws, and the same generator state after them, as walking the
+        # PMF from k = 0 on every call.
+        p = mean / n
+        rng, reference = make_rng(111, n % 1000, int(mean)), make_rng(111, n % 1000, int(mean))
+        for i in range(3_000):
+            assert sample_binomial(rng, n, p) == sample_binomial_by_walk(reference, n, p), i
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     @staticmethod
     def assert_chi_square_fit(n, p, seed, runs, pmf):
