@@ -35,7 +35,7 @@ from .domain import load_domain
 from .ingest import ColumnSelector, load_histogram, read_histogram, write_histogram
 # synthesize_records is bound here for bench/layers.py, which traces it at
 # this name; synth draws the records' bin indices instead.
-from .mechanism import CatHistConfig, cat_hist, record_indices, synthesize_records  # noqa: F401
+from .mechanism import CatHistConfig, cat_hist, record_chunks, synthesize_records  # noqa: F401
 from .metrics import fidelity, fidelity_pointwise
 from .numerics import inclusion_probability, make_rng, noisy_threshold
 from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, SweepConfig, run_sweep, write_sweep_csv
@@ -274,6 +274,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     output = str(_require(args, "output"))
     epsilon = float(_require(args, "epsilon"))
     rho = float(_require(args, "rho"))
+    if args.records < 0:
+        raise UsageError(f"--records must be >= 0, got {args.records}")
     if args.records and not args.records_output:
         raise UsageError("--records requires --records-output")
     privacy = PrivacyParams(epsilon, rho)
@@ -287,6 +289,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     noisy = cat_hist(config, hist, sampler=sampler)
+    # Refuses an empty release before either file is written.
+    chunks = record_chunks(make_rng(args.seed, 2), noisy, args.records) if args.records else ()
     threshold = noisy_threshold(epsilon, rho, sampler.size)
     meta = {"epsilon": epsilon, "rho": rho, "n": sampler.size, "tau": threshold, "seed": args.seed}
     write_histogram(noisy, output, fmt=args.format, meta=meta)
@@ -298,17 +302,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.records:
-        # Each record is its bin's CSV line, written some records at a time.
+        # Each record is its bin's CSV line, written a chunk at a time as drawn.
         lines = np.array(_csv_lines(noisy.labels()), dtype=object)
-        at = record_indices(make_rng(args.seed, 2), noisy, args.records)
         with open(args.records_output, "w", encoding="utf-8", newline="") as fh:
             fh.write("category\n")
-            for start in range(0, at.size, RECORDS_PER_WRITE):
-                fh.write("".join(lines[at[start:start + RECORDS_PER_WRITE]].tolist()))
+            for at in chunks:
+                fh.write("".join(lines[at].tolist()))
     return EXIT_OK
-
-
-RECORDS_PER_WRITE = 1 << 16
 
 
 def _csv_lines(labels: Iterable[str]) -> list[str]:

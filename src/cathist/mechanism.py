@@ -39,7 +39,7 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import neg, sub, truediv
@@ -237,27 +237,53 @@ def _nonzero(rng: Rng, u: np.ndarray) -> np.ndarray:
 
 def synthesize_records(rng: Rng, noisy: NoisyHistogram, m: int) -> list[str]:
     """Draw m category labels iid from the normalized noisy histogram."""
-    return np.array(noisy.labels(), dtype=object)[record_indices(rng, noisy, m)].tolist()
+    labels = np.array(noisy.labels(), dtype=object)
+    records: list[str] = []
+    for at in record_chunks(rng, noisy, m):
+        records.extend(labels[at].tolist())
+    return records
 
 
 def record_indices(rng: Rng, noisy: NoisyHistogram, m: int) -> np.ndarray:
     """The bins of m records drawn iid from the release's shares: those
-    rng.choice(len(noisy), size=m, p=shares) draws. That call looks each
-    uniform u up in the normalized cumulative shares by searchsorted(side=
-    "right"). A guide table holds that answer for the left end j / 2^b of
-    each of 2^b buckets; u * 2^b and j / 2^b are exact, so stepping forward
-    from the answer at u's bucket lands on searchsorted's answer for u."""
+    rng.choice(len(noisy), size=m, p=shares) draws (see record_chunks)."""
+    return np.concatenate([np.empty(0, np.intp), *record_chunks(rng, noisy, m)])
+
+
+# Most records a chunk of record_chunks draws and holds at once.
+RECORDS_PER_CHUNK = 1 << 16
+
+
+def record_chunks(rng: Rng, noisy: NoisyHistogram, m: int) -> Iterator[np.ndarray]:
+    """The bins of m records drawn iid from the release's shares, in chunks
+    of at most RECORDS_PER_CHUNK: together those rng.choice(len(noisy),
+    size=m, p=shares) draws, as PCG64's successive random(k) calls give the
+    doubles of one random(m) call. That call looks each uniform u up in the
+    normalized cumulative shares by searchsorted(side="right"). A guide
+    table holds that answer for the left end j / 2^b of each of 2^b buckets;
+    u * 2^b and j / 2^b are exact, so stepping forward from the answer at
+    u's bucket lands on searchsorted's answer for u.
+
+    Checks m and the release when called, before any draw.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if len(noisy) == 0:
         raise CatHistError("nothing to sample: the noisy histogram is empty")
     cdf = np.cumsum(shares(noisy))
     cdf /= cdf[-1]
-    u = rng.random(m)
     buckets = 4 << len(noisy).bit_length()
-    at = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")[(u * buckets).astype(np.intp)]
-    at += cdf[at] <= u  # cdf[-1] is 1.0 > u: no step passes the last bin
-    # Uniforms more than one step past their bucket's answer: search them outright.
-    ahead = np.flatnonzero(cdf[at] <= u)
-    at[ahead] = np.searchsorted(cdf, u[ahead], side="right")
-    return at
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    return _lookups(rng, cdf, guide, m, RECORDS_PER_CHUNK)
+
+
+def _lookups(rng: Rng, cdf: np.ndarray, guide: np.ndarray, m: int, chunk: int) -> Iterator[np.ndarray]:
+    buckets = guide.size
+    for start in range(0, m, chunk):
+        u = rng.random(min(chunk, m - start))
+        at = guide[(u * buckets).astype(np.intp)]
+        at += cdf[at] <= u  # cdf[-1] is 1.0 > u: no step passes the last bin
+        # Uniforms more than one step past their bucket's answer: search them outright.
+        ahead = np.flatnonzero(cdf[at] <= u)
+        at[ahead] = np.searchsorted(cdf, u[ahead], side="right")
+        yield at

@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cathist import mechanism
 from cathist.cli import main
 from cathist.domain import load_domain
 from cathist.ingest import load_histogram
@@ -200,6 +202,52 @@ class TestSynth:
         assert set(special) <= set(expected)
         assert set(expected) - set(special)
         assert records.read_bytes() == records_csv_per_row(expected)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 199])
+    def test_records_across_chunk_bounds(self, capsys, tmp_path, monkeypatch, m):
+        monkeypatch.setattr(mechanism, "RECORDS_PER_CHUNK", 64)
+        records = tmp_path / "records.csv"
+        code, _, err = run(
+            capsys, "synth", *self.synth_args(tmp_path), "--records", str(m), "--records-output", str(records)
+        )
+        assert code == 0, err
+        release = load_histogram(tmp_path / "out.json")
+        expected = synthesize_records(make_rng(4, 2), release, m)
+        assert records.read_bytes() == records_csv_per_row(expected)
+
+    @pytest.mark.parametrize(
+        "cells, m, exit_code, message",
+        [("a\nb\n", "-5", 1, "--records must be >= 0"), ("", "5", 2, "nothing to sample")],
+        ids=["negative-records", "empty-release"],
+    )
+    def test_records_refused_before_any_output(self, capsys, tmp_path, cells, m, exit_code, message):
+        column = write(tmp_path, "cells.csv", "v\n" + cells)
+        records = tmp_path / "records.csv"
+        code, _, err = run(
+            # rho near 1: the empty column injects no bin either.
+            capsys, "synth", *self.synth_args(tmp_path, **{"--input": column, "--rho": "0.999999"}),
+            "--records", m, "--records-output", str(records),
+        )
+        assert code == exit_code
+        assert message in err and "tau=" not in err
+        assert not (tmp_path / "out.json").exists() and not records.exists()
+
+    def test_records_memory_does_not_grow_with_the_count(self, capsys, tmp_path):
+        # numpy's buffers are traced too: drawing all 2e6 records at once
+        # held about 48 MB, drawing them a chunk at a time holds a few.
+        column = write(tmp_path, "col.csv", "v\n" + "".join(f"c-{i}\n" * (i + 1) for i in range(200)))
+        argv = ["synth", "--input", column, "--column", "v", "--domain-size", "1000", "--domain-prefix", "c",
+                "--epsilon", "1", "--rho", "0.5", "--seed", "3", "--output", str(tmp_path / "out.json"),
+                "--records", "2000000", "--records-output", str(tmp_path / "records.csv")]
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert (tmp_path / "records.csv").stat().st_size > 2_000_000 * 4
+        assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
     def test_records_without_destination_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", *self.synth_args(tmp_path), "--records", "5")

@@ -18,6 +18,7 @@ from cathist.core import (
     WordList,
     WordPairs,
 )
+from cathist import mechanism
 from cathist.domain import load_domain
 from cathist.mechanism import (
     ARRAY_NOISE_BINS,
@@ -26,6 +27,7 @@ from cathist.mechanism import (
     _draw_batch,
     _nonzero,
     cat_hist,
+    record_chunks,
     record_indices,
     synthesize_records,
 )
@@ -528,6 +530,50 @@ class TestRecordIndices:
             want = make_rng(seed, 2).choice(len(counts), size=m, p=shares)
             assert got.dtype == want.dtype and np.array_equal(got, want), seed
             assert synthesize_records(make_rng(seed, 2), nh, m) == [f"b{i}" for i in want.tolist()]
+
+
+class TestRecordChunks:
+    """Records are drawn in chunks of RECORDS_PER_CHUNK; the chunks together
+    must be the one Generator.choice draw, whatever m is against the chunk."""
+
+    CHUNK = 64
+    # 2 000 tiny bins under one heavy bin share guide buckets, so some
+    # uniforms in each chunk take the searchsorted path.
+    COUNTS = [1.0] * 2_000 + [6e4]
+
+    @pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_equal_to_generator_choice_across_chunk_bounds(self, monkeypatch, m):
+        monkeypatch.setattr(mechanism, "RECORDS_PER_CHUNK", self.CHUNK)
+        nh = NoisyHistogram(NoisyBin(f"b{i}", count, Origin.ACTIVE) for i, count in enumerate(self.COUNTS))
+        shares = np.array(self.COUNTS) / sum(self.COUNTS)
+        for seed in range(3):
+            want_rng = make_rng(seed, 2)
+            want = want_rng.choice(len(self.COUNTS), size=m, p=shares)
+            rng = make_rng(seed, 2)
+            sizes = [chunk.size for chunk in record_chunks(rng, nh, m)]
+            assert sizes == [self.CHUNK] * (m // self.CHUNK) + ([m % self.CHUNK] if m % self.CHUNK else [])
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            got = record_indices(make_rng(seed, 2), nh, m)
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            assert synthesize_records(make_rng(seed, 2), nh, m) == [f"b{i}" for i in want.tolist()]
+
+    @pytest.mark.parametrize(
+        "bins, m, error, match",
+        [
+            ([NoisyBin("a", 1.0, Origin.ACTIVE)], -1, ValueError, "m must be >= 0"),
+            ([], 5, CatHistError, "nothing to sample"),
+        ],
+        ids=["negative-m", "empty-release"],
+    )
+    def test_errors_raise_when_called_before_any_draw(self, bins, m, error, match):
+        rng = make_rng(5, 2)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=match):
+            record_chunks(rng, NoisyHistogram(bins), m)  # not iterated
+        for draw in (record_indices, synthesize_records):
+            with pytest.raises(error, match=match):
+                draw(rng, NoisyHistogram(bins), m)
+        assert rng.bit_generator.state == state
 
 
 class TestSynthesizeRecords:
