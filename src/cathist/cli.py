@@ -16,7 +16,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from typing import Iterable
 
 import numpy as np
@@ -289,22 +291,31 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     noisy = cat_hist(config, hist, sampler=sampler)
-    # Refuses an empty release before either file is written.
+    # Refuses an empty release, and opens the records file, before the
+    # release is written; a release that cannot be written removes the
+    # records file again. So a run that fails on either file writes neither.
     chunks = record_chunks(make_rng(args.seed, 2), noisy, args.records) if args.records else ()
-    threshold = noisy_threshold(epsilon, rho, sampler.size)
-    meta = {"epsilon": epsilon, "rho": rho, "n": sampler.size, "tau": threshold, "seed": args.seed}
-    write_histogram(noisy, output, fmt=args.format, meta=meta)
-    injected = noisy.injected.count(True)
-    surviving = len(noisy) - injected
-    removed = len(hist.active_domain()) - surviving
-    print(
-        f"tau={threshold!r} surviving={surviving} removed={removed} injected={injected}",
-        file=sys.stderr,
-    )
-    if args.records:
-        # Each record is its bin's CSV line, written a chunk at a time as drawn.
-        lines = np.array(_csv_lines(noisy.labels()), dtype=object)
-        with open(args.records_output, "w", encoding="utf-8", newline="") as fh:
+    records = open(args.records_output, "w", encoding="utf-8", newline="") if args.records else nullcontext()
+    with records as fh:
+        threshold = noisy_threshold(epsilon, rho, sampler.size)
+        meta = {"epsilon": epsilon, "rho": rho, "n": sampler.size, "tau": threshold, "seed": args.seed}
+        try:
+            write_histogram(noisy, output, fmt=args.format, meta=meta)
+        except BaseException:
+            if fh is not None:
+                fh.close()
+                os.remove(args.records_output)
+            raise
+        injected = noisy.injected.count(True)
+        surviving = len(noisy) - injected
+        removed = len(hist.active_domain()) - surviving
+        print(
+            f"tau={threshold!r} surviving={surviving} removed={removed} injected={injected}",
+            file=sys.stderr,
+        )
+        if fh is not None:
+            # Each record is its bin's CSV line, written a chunk at a time as drawn.
+            lines = np.array(_csv_lines(noisy.labels()), dtype=object)
             fh.write("category\n")
             for at in chunks:
                 fh.write("".join(lines[at].tolist()))

@@ -124,11 +124,6 @@ class Histogram(_Columns):
         self.counts = _checked(self._labels, list(map(float, map(itemgetter(1), pairs))), positive=False)
 
     @classmethod
-    def from_counts(cls, counts: Iterable[tuple[str, float]] | dict[str, float]) -> "Histogram":
-        items = counts.items() if isinstance(counts, dict) else counts
-        return cls(items)
-
-    @classmethod
     def _of(cls, labels: tuple[str, ...], counts: np.ndarray) -> "Histogram":
         """The histogram of columns known to be valid, unchecked."""
         h = cls.__new__(cls)
@@ -298,7 +293,7 @@ class WordList:
 class WordPairs:
     """Domain of ordered word pairs ("word word") over a wordlist file.
 
-    Size is the square of the wordlist size.
+    Size is the square of the wordlist size. No word may hold a space.
     """
 
     path: Path

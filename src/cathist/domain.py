@@ -1,21 +1,21 @@
 """Uniform sampling of distinct categories from large implicit domains.
 
-A domain is never materialized. Each sampler pairs an exact size with an
-integer indexer (a bijection between [0, size) and labels), so drawing a
+A domain is never materialized. Each sampler kind has an exact size, one
+indexer, decode, which maps an array of indices in [0, size) to their labels
+(a bijection onto the domain), and one membership test, contains. Drawing a
 uniform category is drawing a uniform index. Distinctness and exclusion are
 handled by rejection, which stays cheap while the number of requested
 categories is far below the domain size. Candidates are drawn in rounds of
 the draws still needed, one array call per round, on the same stream and
 with the same labels as drawing them one at a time. Each round's indices are
-decoded to labels in one step per sampler kind, and its repeated, excluded
-and already chosen labels are dropped with dict and set operations, not one
-label at a time. A domain with almost all of its slots excluded draws from
-its absent labels instead.
+decoded to labels in one decode call, and its repeated, excluded and already
+chosen labels are dropped with dict and set operations, not one label at a
+time. A domain with almost all of its slots excluded draws from its absent
+labels instead.
 """
 
 from __future__ import annotations
 
-import functools
 from itertools import filterfalse
 from pathlib import Path
 
@@ -35,28 +35,18 @@ DENSE_RATIO = 100
 
 
 class DomainSampler:
-    """Base interface: exact size, decode/encode bijection, membership."""
+    """Base interface: exact size, an indexer onto the labels, membership."""
 
     spec: DomainSpec
     size: int
 
-    def decode(self, index: int) -> str:
-        raise NotImplementedError
-
-    def _decode_all(self, indices: np.ndarray) -> list[str]:
-        """The labels of an integer array of indices, in its order."""
-        raise NotImplementedError
-
-    def encode(self, label: str) -> int:
-        """Index of label, raising ValidityError when it is not in the domain."""
+    def decode(self, indices: np.ndarray) -> list[str]:
+        """The labels of an integer array of indices in [0, size), in its order."""
         raise NotImplementedError
 
     def contains(self, label: str) -> bool:
-        try:
-            self.encode(label)
-        except ValidityError:
-            return False
-        return True
+        """Whether label is in the domain."""
+        raise NotImplementedError
 
     def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
         """The labels that are not in the domain."""
@@ -76,7 +66,7 @@ class DomainSampler:
             excluded_members = len(exclude) - len(self.non_members(exclude))
             if DENSE_RATIO * (self.size - excluded_members) < self.size:
                 self._require_room(k, excluded_members)
-                absent = list(filterfalse(exclude.__contains__, self._decode_all(np.arange(self.size))))
+                absent = list(filterfalse(exclude.__contains__, self.decode(np.arange(self.size))))
                 return [absent[i] for i in rng.choice(len(absent), size=k, replace=False).tolist()]
         # At most len(exclude) slots are excluded, so only then can k exhaust the domain.
         if k > self.size - len(exclude):
@@ -94,7 +84,7 @@ class DomainSampler:
             if want == 0:
                 raise ValidityError(f"domain exhausted: {drawn} rejection attempts for {k} categories")
             drawn += want
-            fresh = dict.fromkeys(self._decode_all(rng.integers(self.size, size=want)))
+            fresh = dict.fromkeys(self.decode(rng.integers(self.size, size=want)))
             for label in exclude.intersection(fresh):
                 del fresh[label]
             chosen |= fresh
@@ -109,10 +99,7 @@ class DomainSampler:
 
 
 class _LabelSampler(DomainSampler):
-    """An explicit label list or a wordlist: the labels in order and as a set.
-
-    The label -> index dict only encode needs is built on its first call.
-    """
+    """An explicit label list or a wordlist: the labels in order and as a set."""
 
     def __init__(
         self, spec: ExplicitList | WordList, labels: tuple[str, ...], members: frozenset[str] | dict[str, None]
@@ -122,21 +109,8 @@ class _LabelSampler(DomainSampler):
         self._members = members
         self.size = len(labels)
 
-    @functools.cached_property
-    def _index(self) -> dict[str, int]:
-        return dict(zip(self._labels, range(self.size)))
-
-    def decode(self, index: int) -> str:
-        return self._labels[index]
-
-    def _decode_all(self, indices: np.ndarray) -> list[str]:
+    def decode(self, indices: np.ndarray) -> list[str]:
         return list(map(self._labels.__getitem__, indices.tolist()))
-
-    def encode(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValidityError(f"category {label!r} is not in the domain") from None
 
     def contains(self, label: str) -> bool:
         return label in self._members
@@ -146,32 +120,27 @@ class _LabelSampler(DomainSampler):
 
 
 class _WordPairSampler(DomainSampler):
-    """Ordered pairs "first second" over one wordlist; size is the square."""
+    """Ordered pairs "first second" over one wordlist; size is the square.
 
-    def __init__(self, spec: WordPairs, words: tuple[str, ...]) -> None:
+    No word holds a space, so a label splits back into its pair at its one
+    space.
+    """
+
+    def __init__(self, spec: WordPairs, words: dict[str, None]) -> None:
         self.spec = spec
-        self._words = words
-        self._index = dict(zip(words, range(len(words))))
+        self._words = tuple(words)
+        self._members = words
         self._m = len(words)
         self.size = self._m * self._m
 
-    def decode(self, index: int) -> str:
-        first, second = divmod(index, self._m)
-        return f"{self._words[first]} {self._words[second]}"
-
-    def _decode_all(self, indices: np.ndarray) -> list[str]:
+    def decode(self, indices: np.ndarray) -> list[str]:
         firsts, seconds = np.divmod(indices, self._m)
         words = self._words
         return [f"{words[first]} {words[second]}" for first, second in zip(firsts.tolist(), seconds.tolist())]
 
-    def encode(self, label: str) -> int:
-        parts = label.split(" ")
-        if len(parts) != 2 or not all(parts):
-            raise ValidityError(f"category {label!r} is not a word pair")
-        try:
-            return self._index[parts[0]] * self._m + self._index[parts[1]]
-        except KeyError:
-            raise ValidityError(f"category {label!r} is not in the word-pair domain") from None
+    def contains(self, label: str) -> bool:
+        first, _, second = label.partition(" ")
+        return first in self._members and second in self._members
 
 
 class _SizeOnlySampler(DomainSampler):
@@ -181,17 +150,9 @@ class _SizeOnlySampler(DomainSampler):
         self._head = spec.prefix + "-"
         self._bound = (len(str(spec.size)), str(spec.size))
 
-    def decode(self, index: int) -> str:
-        return f"{self._head}{index}"
-
-    def _decode_all(self, indices: np.ndarray) -> list[str]:
+    def decode(self, indices: np.ndarray) -> list[str]:
         head = self._head
         return [f"{head}{index}" for index in indices.tolist()]
-
-    def encode(self, label: str) -> int:
-        if not self.contains(label):
-            raise ValidityError(f"category {label!r} is not in the generated domain")
-        return int(label[len(self._head):])
 
     def contains(self, label: str) -> bool:
         # "<prefix>-" and an index below size in ASCII digits, with no leading
@@ -205,6 +166,8 @@ class _SizeOnlySampler(DomainSampler):
 
 
 def _read_words(path: Path) -> dict[str, None]:
+    """Read a UTF-8 wordlist, one word per line, trimmed, blanks ignored,
+    duplicates removed keeping first occurrence."""
     with open(path, encoding="utf-8") as fh:
         # Newlines are universal, so "\r\n" and "\r" arrive as "\n"; split on
         # "\n" only, as iterating the file does (str.splitlines would also
@@ -215,12 +178,6 @@ def _read_words(path: Path) -> dict[str, None]:
     return words
 
 
-def load_words(path: Path) -> tuple[str, ...]:
-    """Read a UTF-8 wordlist, one word per line, trimmed, blanks ignored,
-    duplicates removed keeping first occurrence."""
-    return tuple(_read_words(path))
-
-
 def load_domain(spec: DomainSpec) -> DomainSampler:
     """Materialize a sampler for a domain description (reads wordlist files)."""
     if isinstance(spec, ExplicitList):
@@ -229,7 +186,14 @@ def load_domain(spec: DomainSpec) -> DomainSampler:
         words = _read_words(spec.path)
         return _LabelSampler(spec, tuple(words), words)
     if isinstance(spec, WordPairs):
-        return _WordPairSampler(spec, load_words(spec.path))
+        words = _read_words(spec.path)
+        # Joining adds no space, so this finds a word that holds one.
+        if " " in "".join(words):
+            spaced = next(word for word in words if " " in word)
+            raise ValidityError(
+                f"wordlist {spec.path} holds {spaced!r}, a word with a space: word pairs must split at their space"
+            )
+        return _WordPairSampler(spec, words)
     if isinstance(spec, SizeOnly):
         return _SizeOnlySampler(spec)
     raise TypeError(f"unknown domain spec: {spec!r}")

@@ -244,12 +244,6 @@ def synthesize_records(rng: Rng, noisy: NoisyHistogram, m: int) -> list[str]:
     return records
 
 
-def record_indices(rng: Rng, noisy: NoisyHistogram, m: int) -> np.ndarray:
-    """The bins of m records drawn iid from the release's shares: those
-    rng.choice(len(noisy), size=m, p=shares) draws (see record_chunks)."""
-    return np.concatenate([np.empty(0, np.intp), *record_chunks(rng, noisy, m)])
-
-
 # Most records a chunk of record_chunks draws and holds at once.
 RECORDS_PER_CHUNK = 1 << 16
 

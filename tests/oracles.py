@@ -131,7 +131,7 @@ def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_va
 
 
 def load_words_per_line(path):
-    """load_words as one loop over the lines of the file."""
+    """A wordlist's words as one loop over the lines of the file."""
     words = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -155,7 +155,7 @@ def sample_distinct_by_rejection(sampler, rng, k, exclude=frozenset()):
     chosen = []
     rejected = set(exclude)
     while len(chosen) < k:
-        label = sampler.decode(int(rng.integers(sampler.size)))
+        label = sampler.decode(np.array([rng.integers(sampler.size)]))[0]
         if label not in rejected:
             rejected.add(label)
             chosen.append(label)
@@ -276,6 +276,6 @@ _DECODED = weakref.WeakKeyDictionary()
 
 def _decoded_domain(sampler):
     if sampler not in _DECODED:
-        labels = [sampler.decode(i) for i in range(sampler.size)]
+        labels = sampler.decode(np.arange(sampler.size))
         _DECODED[sampler] = labels, dict(zip(labels, range(len(labels))))
     return _DECODED[sampler]

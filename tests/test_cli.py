@@ -232,6 +232,27 @@ class TestSynth:
         assert message in err and "tau=" not in err
         assert not (tmp_path / "out.json").exists() and not records.exists()
 
+    @pytest.mark.parametrize("missing", ["records", "release"])
+    def test_unwritable_output_writes_neither_file(self, capsys, tmp_path, missing):
+        paths = {"records": tmp_path / "records.csv", "release": tmp_path / "out.json"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code, _, err = run(
+            capsys, "synth", *self.synth_args(tmp_path, **{"--output": str(paths["release"])}),
+            "--records", "5", "--records-output", str(paths["records"]),
+        )
+        assert code == 3, err
+        assert "tau=" not in err
+        assert not paths["records"].exists() and not paths["release"].exists()
+
+    def test_word_pairs_over_a_word_with_a_space_exits_two(self, capsys, tmp_path):
+        words = write(tmp_path, "w.txt", "a\na b\nb c\nc\n")
+        args = self.synth_args(tmp_path)
+        i = args.index("--domain-list")
+        args[i:i + 2] = ["--domain-word-pairs", words]
+        code, _, err = run(capsys, "synth", *args)
+        assert code == 2 and "'a b'" in err and "tau=" not in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_records_memory_does_not_grow_with_the_count(self, capsys, tmp_path):
         # numpy's buffers are traced too: drawing all 2e6 records at once
         # held about 48 MB, drawing them a chunk at a time holds a few.
@@ -382,6 +403,15 @@ class TestSweep:
         }
         args.update(over)
         return [x for pair in args.items() for x in pair if x is not None]
+
+    def test_word_pairs_over_a_word_with_a_space_exits_two(self, capsys, tmp_path):
+        words = write(tmp_path, "w.txt", "a\na b\nb c\nc\n")
+        args = self.sweep_args(tmp_path)
+        i = args.index("--domain-size")
+        args[i:i + 4] = ["--domain-word-pairs", words]  # and --domain-prefix
+        code, _, err = run(capsys, "sweep", *args)
+        assert code == 2 and "'a b'" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_writes_plain_csv(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", *self.sweep_args(tmp_path))

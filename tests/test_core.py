@@ -27,7 +27,7 @@ class TestHistogram:
         assert h.labels() == ("b", "a", "c")
 
     def test_from_counts(self):
-        h = Histogram.from_counts({"x": 3, "y": 1})
+        h = Histogram({"x": 3, "y": 1}.items())
         assert h.count("x") == 3.0
         assert h.count("y") == 1.0
         assert h.total == 4.0
@@ -71,7 +71,7 @@ class TestHistogram:
         assert h.counts.tolist() == [0.0, 2.5, 0.0, 1.0] and h.counts.dtype == np.float64
         assert not h.counts.flags.writeable
         assert h.bins == pairs and all(type(count) is float for _, count in h.bins)
-        assert Histogram(h.bins) == h and Histogram.from_counts(dict(pairs)) == h
+        assert Histogram(h.bins) == h and Histogram(dict(pairs).items()) == h
         assert h != Histogram(pairs[:3]) and h != Histogram(pairs[:3] + (("d", 1.5),))
         assert [h.count(label, default=9.0) for label, _ in pairs] == [0.0, 2.5, 0.0, 1.0]
         assert h.count("e", default=9.0) == 9.0

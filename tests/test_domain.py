@@ -1,13 +1,48 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cathist.domain as domain_mod
-from cathist.core import ExplicitList, SizeOnly, ValidityError, WordList, WordPairs
-from cathist.domain import load_domain, load_words
+from cathist.core import ExplicitList, Histogram, PrivacyParams, SizeOnly, ValidityError, WordList, WordPairs
+from cathist.domain import load_domain
+from cathist.mechanism import CatHistConfig, cat_hist
 from cathist.numerics import make_rng
 
 from conftest import WORDLIST_SIZE
 from oracles import load_words_per_line, sample_distinct_by_rejection, size_only_index_by_parsing
+
+# Seeded, few and small examples, so tier-1 stays deterministic and quick.
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+# Letters, a digit, a hyphen, non-ASCII and astral characters, and the
+# blanks and breaks a wordlist reader trims, keeps or splits at. A fixed
+# alphabet spares hypothesis building its Unicode tables on a fresh checkout.
+ALPHABET = "ab0-é€\U0001d11e \t\r\x0c\x85\u2028"
+LABELS = st.text(ALPHABET, min_size=1, max_size=6)
+# The lines of a wordlist.
+WORDS = st.lists(LABELS.filter(str.strip), min_size=1, max_size=15)
+
+
+def assert_decode_is_a_bijection_onto_members(sampler):
+    """decode(arange(size)) gives size distinct labels, each in the domain."""
+    labels = sampler.decode(np.arange(sampler.size))
+    assert len(set(labels)) == len(labels) == sampler.size
+    assert all(map(sampler.contains, labels))
+    assert sampler.non_members(set(labels)) == set()
+
+
+def words_of(path):
+    """The words of a wordlist file, in index order."""
+    sampler = load_domain(WordList(path))
+    return tuple(sampler.decode(np.arange(sampler.size)))
+
+
+def write_words(tmp_path_factory, words):
+    path = tmp_path_factory.getbasetemp() / "property-words.txt"
+    path.write_text("\n".join(words), encoding="utf-8")
+    return path
 
 
 class TestExplicitSampler:
@@ -17,17 +52,22 @@ class TestExplicitSampler:
     def test_size(self):
         assert self.sampler.size == 10
 
-    def test_encode_decode_bijection(self):
-        for i in range(10):
-            assert self.sampler.encode(self.sampler.decode(i)) == i
+    @PROPERTY
+    @given(st.lists(LABELS, min_size=1, max_size=40, unique=True))
+    def test_decode_is_a_bijection_onto_members(self, labels):
+        sampler = load_domain(ExplicitList(labels))
+        assert sampler.decode(np.arange(sampler.size)) == labels
+        assert_decode_is_a_bijection_onto_members(sampler)
 
     def test_contains(self):
         assert self.sampler.contains("a")
         assert not self.sampler.contains("z")
 
     def test_unknown_label_errors(self):
-        with pytest.raises(ValidityError):
-            self.sampler.encode("z")
+        assert self.sampler.non_members({"a", "z"}) == {"z"}
+        config = CatHistConfig(PrivacyParams(1.0, 0.5), self.sampler.spec, seed=1)
+        with pytest.raises(ValidityError, match="outside the declared domain"):
+            cat_hist(config, Histogram([("a", 3.0), ("z", 1.0)]), sampler=self.sampler)
 
     def test_sampling_is_roughly_uniform(self):
         rng = make_rng(201)
@@ -81,7 +121,7 @@ class TestExplicitSampler:
         # slots absent.
         for spec in (ExplicitList(labels=tuple(f"x{i}" for i in range(100))), SizeOnly(size=100, prefix="x")):
             sampler = load_domain(spec)
-            exclude = {sampler.decode(i) for i in range(excluded)} | {f"y{i}" for i in range(foreign)}
+            exclude = set(sampler.decode(np.arange(excluded))) | {f"y{i}" for i in range(foreign)}
             for seed in range(20):
                 k = 1 + seed % (100 - excluded)
                 drawn = sampler.sample_distinct(make_rng(208, seed), k, exclude)
@@ -114,7 +154,7 @@ class TestExplicitSampler:
             path = tmp_path / "w.txt"
             path.write_text("".join(f"w{i}\n" for i in range(22)), encoding="utf-8")
             sampler = load_domain(WordPairs(path))
-        labels = tuple(map(sampler.decode, range(sampler.size)))
+        labels = tuple(sampler.decode(np.arange(sampler.size)))
         listed = load_domain(ExplicitList(labels=labels))
         exclude = frozenset(labels[4:]) | {"foreign"}
         for seed in range(50):
@@ -142,13 +182,13 @@ class TestRoundsEqualOneAtATime:
     @pytest.mark.parametrize("size", [10**3, 2**32 - 1, 2**32, 2**32 + 1, 10**12, 2**63])
     def test_generated(self, size):
         sampler = load_domain(SizeOnly(size=size))
-        exclude = {sampler.decode(i) for i in range(5)} | {sampler.decode(size - 1), "foreign"}
+        exclude = set(sampler.decode(np.array([0, 1, 2, 3, 4, size - 1]))) | {"foreign"}
         self.assert_same_stream(sampler, range(1, 301), exclude, size % 1000)
 
     @pytest.mark.parametrize("kind", [WordList, WordPairs])
     def test_words(self, kind, wordlist_path):
         sampler = load_domain(kind(wordlist_path))
-        exclude = {sampler.decode(i) for i in range(0, sampler.size, sampler.size // 50)}
+        exclude = set(sampler.decode(np.arange(0, sampler.size, sampler.size // 50)))
         self.assert_same_stream(sampler, range(1, 301), exclude, 1)
 
     def test_word_pairs_under_heavy_collisions(self, tmp_path):
@@ -174,8 +214,7 @@ class TestWordListSampler:
     def test_loads_trims_and_dedupes(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("  alpha  \nbeta\n\nalpha\ngamma\n   \n", encoding="utf-8")
-        words = load_words(path)
-        assert words == ("alpha", "beta", "gamma")
+        assert words_of(path) == ("alpha", "beta", "gamma")
 
     def test_matches_per_line_loop(self, tmp_path):
         # CRLF, a lone CR, blank and whitespace-only lines, duplicates,
@@ -188,7 +227,7 @@ class TestWordListSampler:
         )
         path = tmp_path / "w.txt"
         path.write_bytes(text.encode("utf-8"))
-        words = load_words(path)
+        words = words_of(path)
         assert words == load_words_per_line(path)
         assert words == (
             "alpha", "beta", "gamma", "café", "été", "form\x0cfeed", "next\x85line",
@@ -198,23 +237,16 @@ class TestWordListSampler:
     def test_invalid_utf8_raises_decode_error(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_bytes(b"alpha\nbe\xfft\n")
-        with pytest.raises(UnicodeDecodeError):
-            load_words(path)
-
-    def test_label_index_built_only_for_encode(self, small_wordlist_path):
-        sampler = load_domain(WordList(small_wordlist_path))
-        assert sampler.contains("Male") and not sampler.contains("nope")
-        assert sampler.non_members({"Male", "nope"}) == {"nope"}
-        sampler.sample_distinct(make_rng(211), 3, {"Male"})
-        assert "_index" not in vars(sampler)
-        assert sampler.encode(sampler.decode(7)) == 7
-        assert "_index" in vars(sampler)
+        for kind in (WordList, WordPairs):
+            with pytest.raises(UnicodeDecodeError):
+                load_domain(kind(path))
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("\n  \n", encoding="utf-8")
-        with pytest.raises(ValidityError, match="no words"):
-            load_words(path)
+        for kind in (WordList, WordPairs):
+            with pytest.raises(ValidityError, match="no words"):
+                load_domain(kind(path))
 
     def test_full_wordlist_size(self, wordlist_path):
         sampler = load_domain(WordList(wordlist_path))
@@ -222,10 +254,21 @@ class TestWordListSampler:
         assert sampler.contains("Male")
         assert sampler.contains("Female")
 
-    def test_encode_decode_round_trip(self, small_wordlist_path):
-        sampler = load_domain(WordList(small_wordlist_path))
-        for i in range(sampler.size):
-            assert sampler.encode(sampler.decode(i)) == i
+    def test_word_with_a_space_is_kept(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("a\na b\nb c\nc\n", encoding="utf-8")
+        sampler = load_domain(WordList(path))
+        assert words_of(path) == ("a", "a b", "b c", "c")
+        assert sampler.contains("a b") and not sampler.contains("b")
+        assert sampler.non_members({"a b", "b"}) == {"b"}
+
+    @PROPERTY
+    @given(WORDS)
+    def test_decode_is_a_bijection_onto_members(self, tmp_path_factory, words):
+        path = write_words(tmp_path_factory, words)
+        sampler = load_domain(WordList(path))
+        assert words_of(path) == load_words_per_line(path)
+        assert_decode_is_a_bijection_onto_members(sampler)
 
 
 class TestWordPairSampler:
@@ -238,26 +281,48 @@ class TestWordPairSampler:
         assert sampler.size == WORDLIST_SIZE**2
 
     def test_round_trip_on_random_indices(self, wordlist_path):
+        # Index i is the pair (i // m, i % m) of the m words.
         sampler = load_domain(WordPairs(wordlist_path))
-        rng = np.random.default_rng(208)
-        for index in rng.integers(sampler.size, size=10_000):
-            index = int(index)
-            label = sampler.decode(index)
-            first, space, second = label.partition(" ")
-            assert space == " " and first and second
-            assert sampler.encode(label) == index
+        words = load_domain(WordList(wordlist_path))
+        indices = np.random.default_rng(208).integers(sampler.size, size=10_000)
+        firsts, seconds = np.divmod(indices, words.size)
+        for label, first, second in zip(sampler.decode(indices), words.decode(firsts), words.decode(seconds)):
+            assert label == f"{first} {second}"
+            assert sampler.contains(label)
 
     def test_single_words_are_not_pairs(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))
-        with pytest.raises(ValidityError, match="not a word pair"):
-            sampler.encode("Male")
-        with pytest.raises(ValidityError):
-            sampler.encode("Male Female extra")
+        labels = {"Male", "Male ", " Male", "Male  Female", "Male Female extra", " ", ""}
+        for label in labels:
+            assert not sampler.contains(label), label
+        assert sampler.non_members(labels | {"Male Female"}) == labels
 
     def test_unknown_word_in_pair(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))
-        with pytest.raises(ValidityError, match="not in the word-pair domain"):
-            sampler.encode("Male zzzzz")
+        assert not sampler.contains("Male zzzzz") and not sampler.contains("zzzzz Male")
+        assert sampler.contains("Male Female")
+
+    def test_word_with_a_space_is_refused(self, tmp_path):
+        # Over "a", "a b", "b c", "c" the pairs ("a b", "c") and ("a", "b c")
+        # would both be "a b c", and "a b c" would not split back at its space.
+        path = tmp_path / "w.txt"
+        path.write_text("a\na b\nb c\nc\n", encoding="utf-8")
+        with pytest.raises(ValidityError, match=r"holds 'a b', a word with a space"):
+            load_domain(WordPairs(path))
+
+    @PROPERTY
+    @given(WORDS)
+    def test_decode_is_a_bijection_onto_members(self, tmp_path_factory, words):
+        path = write_words(tmp_path_factory, words)
+        loaded = load_words_per_line(path)
+        spaced = [word for word in loaded if " " in word]
+        if spaced:
+            with pytest.raises(ValidityError, match=re.escape(repr(spaced[0]))):
+                load_domain(WordPairs(path))
+            return
+        sampler = load_domain(WordPairs(path))
+        assert sampler.size == len(loaded) ** 2
+        assert_decode_is_a_bijection_onto_members(sampler)
 
     def test_sampling_draws_pairs(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))
@@ -270,19 +335,26 @@ class TestWordPairSampler:
 class TestSizeOnlySampler:
     def test_decode_format(self):
         sampler = load_domain(SizeOnly(size=1_000))
-        assert sampler.decode(0) == "cat-0"
-        assert sampler.decode(999) == "cat-999"
+        assert sampler.decode(np.array([0, 999])) == ["cat-0", "cat-999"]
 
     def test_custom_prefix(self):
         sampler = load_domain(SizeOnly(size=5, prefix="tok"))
-        assert sampler.decode(3) == "tok-3"
-        assert sampler.encode("tok-3") == 3
+        assert sampler.decode(np.array([3])) == ["tok-3"]
+        assert sampler.contains("tok-3") and not sampler.contains("cat-3")
 
-    def test_encode_rejects_non_canonical(self):
+    def test_contains_rejects_non_canonical(self):
         sampler = load_domain(SizeOnly(size=1_000))
-        for bad in ("cat-007", "cat-", "cat", "dog-1", "cat-1000", "cat--1", "cat-1.5"):
-            with pytest.raises(ValidityError):
-                sampler.encode(bad)
+        bad = {"cat-007", "cat-", "cat", "dog-1", "cat-1000", "cat--1", "cat-1.5"}
+        for label in bad:
+            assert not sampler.contains(label), label
+        assert sampler.non_members(bad) == bad
+
+    @PROPERTY
+    @given(st.integers(1, 300), LABELS)
+    def test_decode_is_a_bijection_onto_members(self, size, prefix):
+        sampler = load_domain(SizeOnly(size=size, prefix=prefix))
+        assert_decode_is_a_bijection_onto_members(sampler)
+        assert not sampler.contains(f"{prefix}-{size}")
 
     def test_huge_domain_sampling(self):
         sampler = load_domain(SizeOnly(size=10**12))
@@ -294,7 +366,8 @@ class TestSizeOnlySampler:
 
     def test_prefix_containing_hyphen_round_trips(self):
         sampler = load_domain(SizeOnly(size=10, prefix="a-b"))
-        assert sampler.encode(sampler.decode(7)) == 7
+        assert sampler.decode(np.array([7])) == ["a-b-7"]
+        assert sampler.contains("a-b-7") and not sampler.contains("a-7")
 
     @pytest.mark.parametrize("prefix", ["cat", "a-b"])
     def test_membership_check_matches_parsing(self, prefix):
@@ -313,10 +386,7 @@ class TestSizeOnlySampler:
             index = size_only_index_by_parsing(prefix, size, label)
             assert sampler.contains(label) == (index is not None), label
             assert sampler.non_members({label}) == (set() if index is not None else {label}), label
-            if index is None:
-                with pytest.raises(ValidityError):
-                    sampler.encode(label)
-            else:
+            if index is not None:
                 members += 1
-                assert sampler.encode(label) == index and sampler.decode(index) == label
+                assert sampler.decode(np.array([index])) == [label]
         assert members == 3 + (prefix == "cat")

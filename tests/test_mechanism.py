@@ -28,7 +28,6 @@ from cathist.mechanism import (
     _nonzero,
     cat_hist,
     record_chunks,
-    record_indices,
     synthesize_records,
 )
 from cathist.numerics import make_rng, noisy_threshold, sample_laplace, sample_shifted_exponential
@@ -298,7 +297,7 @@ class TestMatchesPerBinLoop:
         domain = WordList(wordlist_path)
         sampler = load_domain(domain)
         rng = np.random.default_rng(501)
-        words = [sampler.decode(int(i)) for i in rng.choice(sampler.size, size=1_500, replace=False)]
+        words = sampler.decode(rng.choice(sampler.size, size=1_500, replace=False))
         h = Histogram(zip(words, rng.integers(0, 40, size=len(words)).tolist()))
         assert len(h.active_domain()) >= 1_000
         for seed in self.SEEDS:
@@ -402,7 +401,7 @@ class TestBatch:
         domain = WordList(wordlist_path)
         sampler = load_domain(domain)
         rng = np.random.default_rng(bins)
-        words = [sampler.decode(int(i)) for i in rng.choice(sampler.size, size=bins, replace=False)]
+        words = sampler.decode(rng.choice(sampler.size, size=bins, replace=False))
         h = Histogram(zip(words, rng.integers(1, 40, size=bins).tolist()))
         monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 3 * bins)
         surviving = injected = 0
@@ -505,8 +504,8 @@ class TestNaiveOracle:
 
 
 class TestRecordIndices:
-    """synth --records writes the bins at record_indices; they must be the
-    indices Generator.choice draws from the release's shares."""
+    """synth --records writes the bins record_chunks draws; together they
+    must be the indices Generator.choice draws from the release's shares."""
 
     @pytest.mark.parametrize(
         "counts, m",
@@ -526,7 +525,7 @@ class TestRecordIndices:
         shares = np.array(counts) / sum(counts)
         for seed in range(4):
             rng = make_rng(seed, 2)
-            got = record_indices(rng, nh, m)
+            got = np.concatenate([np.empty(0, np.intp), *record_chunks(rng, nh, m)])
             want = make_rng(seed, 2).choice(len(counts), size=m, p=shares)
             assert got.dtype == want.dtype and np.array_equal(got, want), seed
             assert synthesize_records(make_rng(seed, 2), nh, m) == [f"b{i}" for i in want.tolist()]
@@ -550,10 +549,11 @@ class TestRecordChunks:
             want_rng = make_rng(seed, 2)
             want = want_rng.choice(len(self.COUNTS), size=m, p=shares)
             rng = make_rng(seed, 2)
-            sizes = [chunk.size for chunk in record_chunks(rng, nh, m)]
+            chunks = list(record_chunks(rng, nh, m))
+            sizes = [chunk.size for chunk in chunks]
             assert sizes == [self.CHUNK] * (m // self.CHUNK) + ([m % self.CHUNK] if m % self.CHUNK else [])
             assert rng.bit_generator.state == want_rng.bit_generator.state
-            got = record_indices(make_rng(seed, 2), nh, m)
+            got = np.concatenate([np.empty(0, np.intp), *chunks])
             assert got.dtype == want.dtype and np.array_equal(got, want), seed
             assert synthesize_records(make_rng(seed, 2), nh, m) == [f"b{i}" for i in want.tolist()]
 
@@ -570,9 +570,8 @@ class TestRecordChunks:
         state = rng.bit_generator.state
         with pytest.raises(error, match=match):
             record_chunks(rng, NoisyHistogram(bins), m)  # not iterated
-        for draw in (record_indices, synthesize_records):
-            with pytest.raises(error, match=match):
-                draw(rng, NoisyHistogram(bins), m)
+        with pytest.raises(error, match=match):
+            synthesize_records(rng, NoisyHistogram(bins), m)
         assert rng.bit_generator.state == state
 
 
