@@ -58,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_column(value: str) -> str | int:
-    return int(value) if value.isdigit() else value
+    # isdigit would also pass "²", which int() refuses; int() takes every
+    # decimal digit.
+    return int(value) if value.isdecimal() else value
 
 
 def _parse_grid(value: object) -> tuple[float, ...]:

@@ -175,6 +175,11 @@ class NoisyBin:
         object.__setattr__(self, "origin", origin)
 
 
+# A release of fewer counts than this checks them in Python, a larger one as
+# one array: numpy's calls cost more than a few counts, less than many.
+ARRAY_CHECK_COUNTS = 64
+
+
 class NoisyHistogram(_Columns):
     """A privatized release: surviving active bins followed by injected bins.
 
@@ -193,13 +198,19 @@ class NoisyHistogram(_Columns):
         self.injected = tuple(map(is_, origins, repeat(Origin.INJECTED)))
 
     @classmethod
-    def _release(cls, labels: tuple[str, ...], counts: list[float], active: int) -> "NoisyHistogram":
-        """The release of these bins, the first `active` of them active. The
-        mechanism makes labels distinct and non-empty; a count can overflow."""
-        if counts and not (all(map(math.isfinite, counts)) and min(counts) > 0):
-            _checked(labels, counts, positive=True)  # raises
+    def _release(cls, labels: tuple[str, ...], counts: np.ndarray, active: int) -> "NoisyHistogram":
+        """The release of these bins, the first `active` of them active, with
+        counts a float64 array it takes over. The mechanism makes labels
+        distinct and non-empty; a count can overflow."""
+        if counts.size < ARRAY_CHECK_COUNTS:
+            values = counts.tolist()
+            valid = all(map(math.isfinite, values)) and min(values, default=1.0) > 0
+        else:
+            valid = 0 < counts.min() and counts.max() < math.inf  # a nan fails the first
+        if not valid:
+            _checked(labels, counts.tolist(), positive=True)  # raises
         h = cls.__new__(cls)
-        h._labels, h.counts = labels, _frozen(np.array(counts))
+        h._labels, h.counts = labels, _frozen(counts)
         h.injected = (False,) * active + (True,) * (len(labels) - active)
         return h
 

@@ -10,8 +10,10 @@ the draws still needed, one array call per round, on the same stream and
 with the same labels as drawing them one at a time. Each round's indices are
 decoded to labels in one decode call, and its repeated, excluded and already
 chosen labels are dropped with dict and set operations, not one label at a
-time. A domain with almost all of its slots excluded draws from its absent
-labels instead.
+time. A word-pair domain decodes from one UTF-8 buffer of its words: one
+array gather copies each label's bytes, and the labels are split out of one
+decoded string, so no label is built from word objects. A domain with almost
+all of its slots excluded draws from its absent labels instead.
 """
 
 from __future__ import annotations
@@ -85,9 +87,12 @@ class DomainSampler:
                 raise ValidityError(f"domain exhausted: {drawn} rejection attempts for {k} categories")
             drawn += want
             fresh = dict.fromkeys(self.decode(rng.integers(self.size, size=want)))
-            for label in exclude.intersection(fresh):
+            for label in fresh.keys() & exclude:  # iterates the smaller side
                 del fresh[label]
-            chosen |= fresh
+            if chosen:
+                chosen |= fresh
+            else:
+                chosen = fresh
         return list(chosen)
 
     def _require_room(self, k: int, excluded_members: int) -> None:
@@ -119,24 +124,55 @@ class _LabelSampler(DomainSampler):
         return labels.difference(self._members)
 
 
+# Bytes of a word-pair buffer searched for "\n" at once.
+NEWLINE_BLOCK = 1 << 16
+
+
 class _WordPairSampler(DomainSampler):
     """Ordered pairs "first second" over one wordlist; size is the square.
 
-    No word holds a space, so a label splits back into its pair at its one
-    space.
+    The words are kept as one UTF-8 buffer, each followed by "\n", and by
+    their start offsets there. No word holds "\n" (the list is split at it)
+    or " " (refused), so a label splits back into its pair at its one space.
     """
 
     def __init__(self, spec: WordPairs, words: dict[str, None]) -> None:
+        buffer = ("\n".join(words) + "\n").encode("utf-8")
+        if b" " in buffer:
+            spaced = next(word for word in words if " " in word)
+            raise ValidityError(
+                f"wordlist {spec.path} holds {spaced!r}, a word with a space: word pairs must split at their space"
+            )
         self.spec = spec
-        self._words = tuple(words)
         self._members = words
         self._m = len(words)
         self.size = self._m * self._m
+        self._buffer = np.frombuffer(buffer, np.uint8)
+        # Word i with its "\n" is buffer[starts[i]:starts[i + 1]]. The "\n"s
+        # are found a block at a time: whole-buffer temporaries would leave
+        # holes of their size in the heap.
+        self._starts = np.zeros(self._m + 1, np.int32 if len(buffer) < 2**31 else np.int64)
+        found = 0
+        for start in range(0, len(buffer), NEWLINE_BLOCK):
+            newlines = np.flatnonzero(self._buffer[start:start + NEWLINE_BLOCK] == ord("\n"))
+            self._starts[found + 1:found + 1 + newlines.size] = newlines + (start + 1)
+            found += newlines.size
 
     def decode(self, indices: np.ndarray) -> list[str]:
-        firsts, seconds = np.divmod(indices, self._m)
-        words = self._words
-        return [f"{words[first]} {words[second]}" for first, second in zip(firsts.tolist(), seconds.tolist())]
+        # One gather copies the runs of each label's two words, each with its
+        # "\n", to where the runs before it end; the first word's "\n" then
+        # becomes the space.
+        words = np.empty((indices.size, 2), indices.dtype)
+        np.divmod(indices, self._m, out=(words[:, 0], words[:, 1]))
+        words = words.ravel()
+        at = self._starts[words]
+        length = self._starts[words + 1] - at
+        end = np.cumsum(length)
+        gather = np.repeat(at + length - end, length)
+        gather += np.arange(gather.size)
+        joined = self._buffer[gather]
+        joined[end[0::2] - 1] = ord(" ")
+        return joined.tobytes().decode("utf-8").split("\n")[:-1]
 
     def contains(self, label: str) -> bool:
         first, _, second = label.partition(" ")
@@ -186,14 +222,7 @@ def load_domain(spec: DomainSpec) -> DomainSampler:
         words = _read_words(spec.path)
         return _LabelSampler(spec, tuple(words), words)
     if isinstance(spec, WordPairs):
-        words = _read_words(spec.path)
-        # Joining adds no space, so this finds a word that holds one.
-        if " " in "".join(words):
-            spaced = next(word for word in words if " " in word)
-            raise ValidityError(
-                f"wordlist {spec.path} holds {spaced!r}, a word with a space: word pairs must split at their space"
-            )
-        return _WordPairSampler(spec, words)
+        return _WordPairSampler(spec, _read_words(spec.path))
     if isinstance(spec, SizeOnly):
         return _SizeOnlySampler(spec)
     raise TypeError(f"unknown domain spec: {spec!r}")

@@ -12,6 +12,8 @@ noises only the active bins and models the rest of the domain analytically:
      labels, every one of which must be in the domain.
   4. Pick that many distinct categories uniformly from the domain (excluding
      the active ones) and weight each by threshold + Exponential(epsilon).
+     The weights are one float64 array, with math.log1p per element, and
+     the release's counts are the surviving counts followed by them.
 
 Step 3/4 is distributionally identical to brute-forcing the full domain (the
 Laplace tail above the threshold is exactly a shifted exponential), which the
@@ -41,8 +43,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
-from operator import neg, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -121,9 +121,12 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     injected = ()
     if weights.size:
         injected = sampler.sample_distinct(draws.rng, weights.size, exclude=h.active_domain())
-        # sample_shifted_exponential's threshold - log1p(-u) / epsilon
-        exponentials = map(truediv, map(math.log1p, map(neg, weights.tolist())), repeat(epsilon))
-        noisy.extend(map(sub, repeat(threshold), exponentials))
+        # sample_shifted_exponential's threshold - log1p(-u) / epsilon, with
+        # math.log1p (np.log1p can differ in the last bit). It may overflow at
+        # a tiny epsilon; the release refuses that weight.
+        logs = np.fromiter(map(math.log1p, (-weights).tolist()), float, weights.size)
+        with np.errstate(over="ignore"):
+            noisy = np.concatenate((noisy, threshold - logs / epsilon))
     return NoisyHistogram._release((*kept, *injected), noisy, len(kept))
 
 
@@ -134,7 +137,7 @@ ARRAY_NOISE_BINS = 32
 
 def _survivors(
     u: np.ndarray, positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
-) -> tuple[list[str], list[float]]:
+) -> tuple[list[str], np.ndarray]:
     """The surviving labels and noisy counts of one row of uniforms: count
     plus sample_laplace's noise, with math.log1p per element (np.log1p can
     differ in the last bit), kept at >= threshold and > 0."""
@@ -148,7 +151,7 @@ def _survivors(
             if noisy >= threshold and noisy > 0:
                 kept.append(label)
                 kept_noisy.append(noisy)
-        return kept, kept_noisy
+        return kept, np.array(kept_noisy)
     # count + sign(u) * scale * -log1p(-2|u|) with u - 1/2 for u. It may
     # overflow at a tiny epsilon; the release refuses that count.
     u = u - 0.5
@@ -158,7 +161,7 @@ def _survivors(
         noisy = np.copysign(magnitude, u, out=magnitude)
         noisy += counts
     at = np.flatnonzero((noisy >= threshold) & (noisy > 0))
-    return list(map(labels.__getitem__, at.tolist())), noisy[at].tolist()
+    return list(map(labels.__getitem__, at.tolist())), noisy[at]
 
 
 # Most active-bin uniforms a batch draws and holds at once: it draws its

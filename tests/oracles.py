@@ -141,6 +141,13 @@ def load_words_per_line(path):
     return tuple(words)
 
 
+def word_pairs_by_format(words, indices):
+    """The word-pair labels of an index array, one f-string per index: index
+    i is the pair (i // m, i % m) of the m words."""
+    m = len(words)
+    return [f"{words[i // m]} {words[i % m]}" for i in indices.tolist()]
+
+
 def size_only_index_by_parsing(prefix, size, label):
     """The index a SizeOnly(size, prefix) domain gives label, or None: the
     label must be prefix, "-" and an index below size as Python writes it."""

@@ -353,6 +353,15 @@ class TestSynth:
         release = load_histogram(tmp_path / "out.json")
         assert all(b.origin.value == "injected" for b in release.bins)
 
+    @pytest.mark.parametrize("column, read", [("²", {"a", "c"}), ("1", {"b"}), ("٠", {"a", "c"})])
+    def test_column_is_an_index_only_in_decimal_digits(self, capsys, tmp_path, column, read):
+        # "²" passes str.isdigit but not int(), so it names the header's "²";
+        # every decimal digit, ASCII or not, gives an index.
+        path = write(tmp_path, "sq.csv", "²,x\na,b\na,b\nc,b\n")
+        code, _, err = run(capsys, "synth", *self.synth_args(tmp_path, **{"--input": path, "--column": column}))
+        assert code == 0, err
+        assert {b.label for b in load_histogram(tmp_path / "out.json").active_bins()} == read
+
     def test_stdin_input(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("v\na\na\nb\n"))
         code, _, _ = run(

@@ -9,6 +9,7 @@ import pytest
 
 import cathist
 from cathist.core import (
+    ARRAY_CHECK_COUNTS,
     ExplicitList,
     Histogram,
     NoisyBin,
@@ -199,8 +200,20 @@ class TestNoisyHistogram:
         assert list(nh.items()) == [("a", 1.5), ("b", 0.5), ("c", 2.5)] and nh.total == 4.5
 
     def test_empty_release_is_built_like_any_other(self):
-        empty = NoisyHistogram._release((), [], active=0)
+        empty = NoisyHistogram._release((), np.empty(0), active=0)
         assert empty == NoisyHistogram() and empty.counts.dtype == np.float64
+
+    @pytest.mark.parametrize("size", [3, ARRAY_CHECK_COUNTS - 1, ARRAY_CHECK_COUNTS, 500])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.inf, math.nan])
+    def test_release_names_its_first_bad_count(self, size, bad):
+        # Checked in Python below ARRAY_CHECK_COUNTS and as one array from
+        # there; either way the refusal names the first bad bin.
+        labels = tuple(f"b{i}" for i in range(size))
+        counts = np.arange(1.0, size + 1)
+        assert NoisyHistogram._release(labels, counts.copy(), active=1).counts.tolist() == counts.tolist()
+        counts[size // 2] = counts[-1] = bad
+        with pytest.raises(ValidityError, match=f"^noisy count for 'b{size // 2}' must be finite and > 0, got {bad}$"):
+            NoisyHistogram._release(labels, counts, active=1)
 
 
 class TestPrivacyParams:

@@ -11,7 +11,7 @@ from cathist.mechanism import CatHistConfig, cat_hist
 from cathist.numerics import make_rng
 
 from conftest import WORDLIST_SIZE
-from oracles import load_words_per_line, sample_distinct_by_rejection, size_only_index_by_parsing
+from oracles import load_words_per_line, sample_distinct_by_rejection, size_only_index_by_parsing, word_pairs_by_format
 
 # Seeded, few and small examples, so tier-1 stays deterministic and quick.
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
@@ -31,6 +31,12 @@ def assert_decode_is_a_bijection_onto_members(sampler):
     assert len(set(labels)) == len(labels) == sampler.size
     assert all(map(sampler.contains, labels))
     assert sampler.non_members(set(labels)) == set()
+
+
+def index_arrays(size):
+    """Empty, first, last, repeated and random index arrays over [0, size)."""
+    random = np.random.default_rng(208).integers(size, size=10_000)
+    return [np.arange(0), np.array([0]), np.array([size - 1]), np.array([size - 1, 0, size - 1, 0]), random]
 
 
 def words_of(path):
@@ -281,14 +287,22 @@ class TestWordPairSampler:
         assert sampler.size == WORDLIST_SIZE**2
 
     def test_round_trip_on_random_indices(self, wordlist_path):
-        # Index i is the pair (i // m, i % m) of the m words.
         sampler = load_domain(WordPairs(wordlist_path))
-        words = load_domain(WordList(wordlist_path))
-        indices = np.random.default_rng(208).integers(sampler.size, size=10_000)
-        firsts, seconds = np.divmod(indices, words.size)
-        for label, first, second in zip(sampler.decode(indices), words.decode(firsts), words.decode(seconds)):
-            assert label == f"{first} {second}"
-            assert sampler.contains(label)
+        words = load_words_per_line(wordlist_path)
+        for indices in index_arrays(sampler.size):
+            labels = sampler.decode(indices)
+            assert labels == word_pairs_by_format(words, indices)
+            assert all(map(sampler.contains, labels))
+
+    def test_offsets_found_across_search_blocks(self, tmp_path, monkeypatch):
+        # Blocks of 5 bytes cut words and their multi-byte characters apart.
+        monkeypatch.setattr(domain_mod, "NEWLINE_BLOCK", 5)
+        words = ("a", "é€", "\U0001d11e" * 3, "bb", "0-é", "x")
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(words), encoding="utf-8")
+        sampler = load_domain(WordPairs(path))
+        indices = np.arange(sampler.size)
+        assert sampler.decode(indices) == word_pairs_by_format(words, indices)
 
     def test_single_words_are_not_pairs(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))
@@ -323,6 +337,9 @@ class TestWordPairSampler:
         sampler = load_domain(WordPairs(path))
         assert sampler.size == len(loaded) ** 2
         assert_decode_is_a_bijection_onto_members(sampler)
+        # A bijection could still swap a pair's words or reorder the labels.
+        for indices in [np.arange(sampler.size), *index_arrays(sampler.size)]:
+            assert sampler.decode(indices) == word_pairs_by_format(loaded, indices)
 
     def test_sampling_draws_pairs(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))

@@ -427,6 +427,17 @@ class TestBatch:
                 with pytest.raises(ValidityError, match="must be finite"):
                     cat_hist(config_for(1e-308, 0.01, domain, seed=seed), h)
 
+    def test_overflowing_injected_weight_refused(self):
+        # The domain above has no absent slot, so it never injects. Here
+        # threshold - log1p(-u) / epsilon overflows to inf for some injected
+        # weight at each seed, under np.errstate.
+        h = Histogram([("cat-0", 5.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(3):
+                with pytest.raises(ValidityError, match="must be finite"):
+                    cat_hist(config_for(1e-308, 1e-300, SizeOnly(1000), seed=seed), h)
+
     def test_zero_uniforms_redrawn_in_row_major_order(self):
         # A 0.0 would make an infinite Laplace or weight; it is replaced by
         # the stream's next draws, as sample_laplace and
