@@ -226,6 +226,12 @@ def _require(args: argparse.Namespace, name: str) -> object:
     return value
 
 
+def _check_seed(args: argparse.Namespace) -> None:
+    # Checked up front: make_rng would refuse it only once the column is read.
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _resolve_domain(args: argparse.Namespace) -> DomainSpec:
     chosen: list[DomainSpec] = []
     if args.domain_list is not None:
@@ -282,6 +288,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(f"--records must be >= 0, got {args.records}")
     if args.records and not args.records_output:
         raise UsageError("--records requires --records-output")
+    _check_seed(args)
     privacy = PrivacyParams(epsilon, rho)
     domain = _resolve_domain(args)
     selector = _selector(args)
@@ -339,6 +346,7 @@ def _csv_lines(labels: Iterable[str]) -> list[str]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     output = str(_require(args, "output"))
+    _check_seed(args)
     domain = _resolve_domain(args)
     selector = _selector(args)
     config = SweepConfig(

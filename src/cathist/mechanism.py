@@ -41,6 +41,7 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,6 +63,7 @@ from .numerics import (
     inclusion_probability,
     make_rng,
     noisy_threshold,
+    pcg64_state,
     sample_binomial,
 )
 # Bound here although unused: bench/layers.py traces these at the names the
@@ -114,7 +116,7 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     """
     sampler = load_domain(config.domain) if sampler is None else sampler
     trials = _absent_slots(config.domain, h, sampler)
-    draws = _draw_batch(config, h, 1, sampler, trials)
+    draws = _draw_batch(config, h, 1, sampler, trials, _thread_rng(config.seed))
     epsilon, threshold = config.privacy.epsilon, draws.threshold
     (block,), (weights,) = draws.uniforms, draws.weights
     kept, noisy = _survivors(block[0], draws.positive, 1.0 / epsilon, threshold)
@@ -128,6 +130,21 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
         with np.errstate(over="ignore"):
             noisy = np.concatenate((noisy, threshold - logs / epsilon))
     return NoisyHistogram._release((*kept, *injected), noisy, len(kept))
+
+
+# One generator per thread that cat_hist re-seeds for each release, saving
+# make_rng's fresh PCG64 and Generator. It never leaves cat_hist, which uses
+# up every draw before it returns.
+_THREAD = threading.local()
+
+
+def _thread_rng(seed: int) -> Rng:
+    """This thread's generator, set to make_rng(seed)'s state."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = make_rng(0)
+    rng.bit_generator.state = pcg64_state(seed)
+    return rng
 
 
 # Releases of fewer active bins than this are noised bin by bin, wider ones
@@ -188,8 +205,13 @@ class _BatchDraws(NamedTuple):
     rng: Rng
 
 
-def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int) -> _BatchDraws:
+def _draw_batch(
+    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int, rng: Rng | None = None
+) -> _BatchDraws:
     """What reps releases draw: cat_hist's one, or a sweep cell's.
+
+    The draws come from rng, which must be at make_rng(config.seed)'s state,
+    or from a fresh make_rng(config.seed) when rng is None.
 
     trials is _absent_slots' count for h, which the caller works out once
     per batch or per sweep: only the absent in-domain slots can be injected,
@@ -206,7 +228,7 @@ def _draw_batch(config: CatHistConfig, h: Histogram, reps: int, sampler: DomainS
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    rng = make_rng(config.seed)
+    rng = make_rng(config.seed) if rng is None else rng
     weights = []
     for _ in range(reps):
         m = sample_binomial(rng, trials, p) if trials > 0 else 0

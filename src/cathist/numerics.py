@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import bisect
 import functools
+import hashlib
 import math
+import operator
 
 import numpy as np
 
 from .core import ValidityError
 
-# Seedable generator with independent derived streams. All randomness in the
-# package flows through one of these, injected by the caller.
+# A seeded PCG64 generator with independent derived streams. All randomness
+# in the package flows through one of these, injected by the caller; its
+# state is a keyed hash of the seed words (see pcg64_state).
 Rng = np.random.Generator
 
 _LN_HALF = math.log(0.5)
@@ -40,14 +43,43 @@ _LN_HALF = math.log(0.5)
 # entries (1 052 at n*p = 745).
 BINOMIAL_MEAN_ENVELOPE = 1e3
 
+# BLAKE2b's personalization tag for seed hashing: it keys the map from seed
+# words to generator states to this package.
+_SEED_PERSON = b"cathist.pcg64"
+
+
+def pcg64_state(seed: int, *key: int) -> dict:
+    """The PCG64 state make_rng(seed, *key) starts from, as bit_generator.state.
+
+    One BLAKE2b hash (32-byte digest, personalized) of the words, each
+    length-prefixed, so distinct word tuples hash distinct inputs: the
+    digest's first 16 bytes are the 128-bit state, its last 16 (with the
+    low bit set) the odd increment. Raises ValueError on a negative word.
+    """
+    h = hashlib.blake2b(digest_size=32, person=_SEED_PERSON)
+    for word in map(operator.index, (seed, *key)):
+        if word < 0:
+            raise ValueError(f"seed words must be >= 0, got {word} in {(seed, *key)}")
+        size = (word.bit_length() + 7) >> 3
+        h.update(size.to_bytes(8, "little") + word.to_bytes(size, "little"))
+    digest = h.digest()
+    state = {"state": int.from_bytes(digest[:16], "little"), "inc": int.from_bytes(digest[16:], "little") | 1}
+    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+
 
 def make_rng(seed: int, *key: int) -> Rng:
-    """Build a generator from a base seed and an optional derivation key.
+    """A fresh generator at pcg64_state(seed, *key).
 
-    Distinct keys give statistically independent streams for the same seed;
-    the construction is deterministic and platform-stable.
+    Distinct (seed, *key) tuples give statistically independent streams; the
+    construction is deterministic and platform-stable. The generator's
+    SeedSequence, which its spawn() draws children from, is keyed by the
+    hashed state, so the children of distinct seeds differ too. Raises
+    ValueError on a negative seed or key word.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    state = pcg64_state(seed, *key)
+    rng = Rng(np.random.PCG64(np.random.SeedSequence(state["state"]["state"])))
+    rng.bit_generator.state = state
+    return rng
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -11,6 +11,7 @@ reference the mechanism must equal in distribution.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import re
@@ -101,6 +102,31 @@ def sample_binomial_by_walk(rng, n, p):
             return k
         log_pmf += math.log((n - k) / (k + 1)) + log_p - log_q
         k += 1
+
+
+# PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy's PCG64).
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_doubles(k, seed, *key):
+    """The first k doubles of make_rng(seed, *key), on Python ints: the
+    BLAKE2b digest of the length-prefixed words gives the LCG state and odd
+    increment; each double is the top 53 bits of an XSL-RR output taken
+    after one LCG step."""
+    data = b"".join(
+        len(b).to_bytes(8, "little") + b
+        for b in (w.to_bytes((w.bit_length() + 7) // 8, "little") for w in (seed, *key))
+    )
+    digest = hashlib.blake2b(data, digest_size=32, person=b"cathist.pcg64").digest()
+    state, inc = int.from_bytes(digest[:16], "little"), int.from_bytes(digest[16:], "little") | 1
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(k):
+        state = (state * PCG64_MULTIPLIER + inc) % (1 << 128)
+        x, rot = ((state >> 64) ^ state) & mask, state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & mask
+        out.append((x >> 11) * 2.0**-53)
+    return out
 
 
 def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_values=frozenset()):

@@ -275,6 +275,15 @@ class TestSynth:
         assert code == 1
         assert "--records-output" in err
 
+    def test_negative_seed_is_usage_error_before_reading_input(self, capsys, tmp_path):
+        # The input file does not exist: a run that read it would exit 3.
+        args = self.synth_args(tmp_path, **{"--seed": "-1", "--input": str(tmp_path / "nope.csv")})
+        code, _, err = run(capsys, "synth", *args, "--records", "5",
+                           "--records-output", str(tmp_path / "records.csv"))
+        assert code == 1
+        assert "usage error: --seed must be >= 0, got -1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
+
     def test_missing_output_is_usage_error(self, capsys, tmp_path):
         args = self.synth_args(tmp_path)
         i = args.index("--output")
@@ -421,6 +430,14 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", *args)
         assert code == 2 and "'a b'" in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_negative_seed_is_usage_error_before_any_cell(self, capsys, tmp_path):
+        # The input file does not exist: a run that read it would exit 3.
+        args = self.sweep_args(tmp_path, **{"--seed": "-1", "--input": str(tmp_path / "nope.csv")})
+        code, _, err = run(capsys, "sweep", *args, "--jobs", "2")
+        assert code == 1
+        assert "usage error: --seed must be >= 0, got -1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
 
     def test_writes_plain_csv(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", *self.sweep_args(tmp_path))

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,6 +332,58 @@ class TestMatchesPerBinLoop:
             assert len(labels) >= 500 and all(map(sampler.contains, labels)), seed
 
 
+class TestThreadGenerator:
+    """cat_hist re-seeds one generator per thread for each release; every
+    release must still equal its replay from a fresh make_rng(seed)."""
+
+    DOMAIN = SizeOnly(size=10_000)
+    H = Histogram([("cat-1", 30.0), ("cat-2", 3.0), ("cat-3", 1.0)])
+
+    def config(self, seed):
+        # rho = 0.05: about three injected bins a release.
+        return config_for(1.0, 0.05, self.DOMAIN, seed=seed)
+
+    def test_equals_replay_after_serving_other_seeds(self):
+        sampler = load_domain(self.DOMAIN)
+        want = {seed: cat_hist_per_bin(self.config(seed), self.H, sampler) for seed in range(4)}
+        assert sum(len(release.injected_bins()) for release in want.values()) > 0
+        for seed in (0, 1, 0, 3, 2, 2, 1, 3, 0):
+            assert cat_hist(self.config(seed), self.H, sampler=sampler) == want[seed], seed
+
+    def test_equals_replay_from_threads_at_once(self):
+        # More threads than cores, switching every microsecond: a generator
+        # shared between threads would be re-seeded mid-release.
+        sampler = load_domain(self.DOMAIN)
+        seeds = list(range(40))
+        want = [cat_hist_per_bin(self.config(seed), self.H, sampler) for seed in seeds]
+        start = threading.Barrier(4, timeout=30)
+
+        def releases(order):
+            start.wait()
+            return [(seed, cat_hist(self.config(seed), self.H, sampler=sampler)) for seed in order * 10]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = list(pool.map(releases, (seeds, seeds[::-1], seeds[1::2], seeds[::2]), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for seed, release in run:
+                assert release == want[seed], seed
+
+    def test_held_generator_untouched(self):
+        sampler = load_domain(self.DOMAIN)
+        held, reference = make_rng(5), make_rng(5)
+        held.random(2)
+        reference.random(2)
+        state = held.bit_generator.state
+        assert cat_hist(self.config(5), self.H, sampler=sampler) == cat_hist_per_bin(self.config(5), self.H, sampler)
+        assert held.bit_generator.state == state
+        assert held.random(3).tolist() == reference.random(3).tolist()
+
+
 def releases_from_draws(config, h, reps, sampler):
     """The reps releases that _draw_batch's draws make, built with the
     per-call samplers: sample_laplace reads each repetition's active-bin
@@ -417,15 +472,26 @@ class TestBatch:
     @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS])
     def test_overflowing_counts_refused_on_both_noise_paths(self, bins):
         # At epsilon = 1e-308 the threshold is finite but a Laplace draw can
-        # overflow a count to inf. Either noise path refuses the release, and
-        # the array path overflows under np.errstate, with no RuntimeWarning.
+        # overflow a count to inf. Either noise path refuses exactly the
+        # releases whose replayed noise overflows (the domain has no absent
+        # slot, so the stream holds the bins' uniforms only), and the array
+        # path overflows under np.errstate, with no RuntimeWarning.
         domain = ExplicitList([f"cat-{i}" for i in range(bins)])
         h = Histogram((f"cat-{i}", 5.0) for i in range(bins))
+        scale = 1.0 / 1e-308
+        refused = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for seed in range(5):
-                with pytest.raises(ValidityError, match="must be finite"):
-                    cat_hist(config_for(1e-308, 0.01, domain, seed=seed), h)
+                u = make_rng(seed).random(bins).tolist()
+                config = config_for(1e-308, 0.01, domain, seed=seed)
+                if any(v > 0.5 and math.isinf(5.0 + scale * -math.log1p(-2.0 * (v - 0.5))) for v in u):
+                    refused += 1
+                    with pytest.raises(ValidityError, match="must be finite"):
+                        cat_hist(config, h)
+                else:
+                    cat_hist(config, h)
+        assert refused > 0
 
     def test_overflowing_injected_weight_refused(self):
         # The domain above has no absent slot, so it never injects. Here
