@@ -214,6 +214,13 @@ class NoisyHistogram(_Columns):
         h.injected = (False,) * active + (True,) * (len(labels) - active)
         return h
 
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], counts: np.ndarray, injected: tuple[bool, ...]) -> "NoisyHistogram":
+        """The release of columns known to be valid, unchecked."""
+        h = cls.__new__(cls)
+        h._labels, h.counts, h.injected = labels, _frozen(counts), injected
+        return h
+
     def __eq__(self, other: object) -> bool:
         return super().__eq__(other) and self.injected == other.injected
 

@@ -4,6 +4,14 @@ Raw data comes in as one delimited column (file or stdin); histograms go out
 as CSV (header ``category,count,origin``) or JSON (``bins`` array plus a
 ``meta`` block). Numeric serialization uses full round-trip precision so that
 write -> read reproduces counts exactly.
+
+A regular file is counted by distinct line: its text is read in chunks,
+split at "\n" and counted whole. When the column is the first and no line
+holds the delimiter or a CR, each distinct line is one cell and no csv parse
+runs; a delimiter or a CR sends the distinct lines through csv.reader once
+each. A quote, NUL, an invalid byte, a lone CR inside a line, an oversized
+field, a short row, a header problem or mostly distinct lines send the file
+to the row reader, as does any source that is not a regular file.
 """
 
 from __future__ import annotations
@@ -19,17 +27,20 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat, takewhile, tee
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
-from .core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin, ValidityError
+from .core import Histogram, IngestError, NoisyHistogram, Origin, ValidityError, _checked
 
 CSV_HEADER = ("category", "count", "origin")
+_ORIGINS = {origin.value for origin in Origin}
 
-# Characters read per block when checking a CSV source for NUL and bad bytes.
+# Characters read per block: by the line count, and by the row reader when
+# checking a CSV source for NUL and bad bytes.
 _BLOCK_CHARS = 1 << 16
 # The line count pays off only when whole lines repeat. It gives up, for the
 # row reader, as soon as more than this share of the lines read are distinct
@@ -144,14 +155,18 @@ def _count_rows(fh: IO[str], selector: ColumnSelector) -> Iterable[tuple[str, in
 def _count_lines(
     fh: IO[str], selector: ColumnSelector, drop_values: frozenset[str]
 ) -> tuple[dict[str, int], int] | None:
-    """_merge over each distinct line, counted whole and parsed once.
+    """_merge over each distinct line, counted whole and parsed at most once.
 
-    That is valid while every line is one whole record: with no quote, no
-    NUL and no invalid byte, csv.reader ends a record at every line end.
+    The text is read in chunks of _BLOCK_CHARS and split on "\n"; the
+    unfinished last line of a chunk is carried into the next. That is valid
+    while every line is one whole record: with no quote, no NUL and no
+    invalid byte, csv.reader ends a record at every line end. When the
+    column is the first and no line holds the delimiter or a CR, each line is
+    one field, so the distinct lines go to _merge with no csv parse.
     Returns None, for the caller to read row by row and word any error with
     its line number, on any such character, a header problem, a short row
-    or a csv.Error; and also once too many of the lines read are distinct
-    (see _MAX_DISTINCT_SHARE).
+    or a csv.Error (a lone CR inside a line is one); and also once too many
+    of the lines read are distinct (see _MAX_DISTINCT_SHARE).
     """
     header = fh.readline() if selector.has_header else ""
     if _unsafe(header):
@@ -162,15 +177,29 @@ def _count_lines(
         return None
     lines: Counter[str] = Counter()
     read = 0
-    while block := fh.readlines(_BLOCK_CHARS):
-        if _unsafe("".join(block)):
+    one_field = index == 0
+    unfinished: list[str] = []  # pieces of the line that runs past the chunks read so far
+    while chunk := fh.read(_BLOCK_CHARS):
+        if _unsafe(chunk):
             return None
-        lines.update(block)
-        read += len(block)
-        if len(lines) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
-            return None
-    for blank in ("\n", "\r\n", "\r"):  # the only lines that parse to no fields
+        one_field = one_field and selector.delimiter not in chunk and "\r" not in chunk
+        block = chunk.split("\n")
+        rest = block.pop()
+        if block:
+            unfinished.append(block[0])
+            block[0] = "".join(unfinished)
+            unfinished.clear()
+            lines.update(block)
+            read += len(block)
+            if len(lines) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
+                return None
+        unfinished.append(rest)
+    lines["".join(unfinished)] += 1
+    for blank in ("", "\r"):  # the only lines that parse to no fields
         lines.pop(blank, None)
+    # csv.reader refuses a field past its limit; so does the row reader.
+    if one_field and max(map(len, lines), default=0) <= csv.field_size_limit():
+        return _merge(lines.items(), drop_values)
     rows = csv.reader(lines, delimiter=selector.delimiter)
     try:
         return _merge(zip(map(itemgetter(index), rows), lines.values()), drop_values)
@@ -258,10 +287,6 @@ def _resolve_column(rows: Iterator[list[str]], selector: ColumnSelector) -> int:
         ) from None
 
 
-def _format_count(count: float) -> str:
-    return repr(float(count))
-
-
 def _infer_format(path: str | Path, fmt: str | None) -> str:
     if fmt is not None:
         if fmt not in ("csv", "json"):
@@ -287,18 +312,21 @@ def write_histogram(
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for label, count, origin in _rows(h):
-                writer.writerow((label, _format_count(count), origin))
+            writer.writerows((label, repr(count), origin) for label, count, origin in _rows(h))
         else:
-            payload: dict[str, Any] = {
-                "bins": [
-                    {"label": label, "count": float(count), "origin": origin or None}
-                    for label, count, origin in _rows(h)
-                ],
-                "meta": meta or {},
-            }
-            json.dump(payload, out, ensure_ascii=False, indent=2)
-            out.write("\n")
+            # The bytes json.dump(payload, out, ensure_ascii=False, indent=2)
+            # writes, built bin by bin in C: indent would force json's
+            # pure-Python encoder. Counts are finite floats, which json
+            # writes as repr does.
+            bins = ",\n".join([
+                f'    {{\n      "label": {encode_basestring(label)},\n      "count": {count!r},\n'
+                f'      "origin": {encode_basestring(origin) if origin else "null"}\n    }}'
+                for label, count, origin in _rows(h)
+            ])
+            meta_text = json.dumps(meta or {}, ensure_ascii=False, indent=2).replace("\n", "\n  ")
+            if bins:
+                bins = f"\n{bins}\n  "
+            out.write(f'{{\n  "bins": [{bins}],\n  "meta": {meta_text}\n}}\n')
     finally:
         if out is not sys.stdout:
             out.close()
@@ -328,18 +356,17 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
         bins = payload.get("bins") if isinstance(payload, dict) else None
         if not isinstance(bins, list):
             raise IngestError(f"{path}: expected a JSON object with a 'bins' array")
-        triples = []
-        for i, b in enumerate(bins):
-            try:
-                label, count, origin = b["label"], b["count"], b.get("origin")
-                if type(count) not in (int, float):  # float() takes true and strings
-                    raise ValueError(f"count must be a number, got {count!r}")
-                if not (origin is None or isinstance(origin, str)):
-                    raise ValueError(f"origin must be a string or null, got {origin!r}")
-                triples.append((label, float(count), origin or ""))
-            except (TypeError, KeyError, ValueError, OverflowError) as exc:
-                raise IngestError(f"{path}: bad bin at index {i}: {exc}") from exc
-        return _assemble(path, triples)
+        try:
+            labels = [b["label"] for b in bins]
+            counts = [b["count"] for b in bins]
+            origins = [b.get("origin") for b in bins]
+            if not (set(map(type, counts)) <= {int, float} and set(map(type, origins)) <= {str, type(None)}):
+                raise TypeError("a count or an origin of the wrong type")
+            counts = list(map(float, counts))
+        except (TypeError, KeyError, OverflowError):
+            _check_bins(path, bins)  # raises, naming the first bad bin
+            raise
+        return _assemble(path, labels, counts, [origin or "" for origin in origins])
 
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh, _csv_reader(fh, path) as reader:
         try:
@@ -348,27 +375,49 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
             raise IngestError(f"{path}: empty histogram file") from None
         if tuple(header) != CSV_HEADER:
             raise IngestError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        triples = []
+        labels, counts, origins = [], [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
                 raise IngestError(f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}")
             try:
-                count = float(row[1])
+                counts.append(float(row[1]))
             except ValueError:
                 raise IngestError(f"{path}: line {reader.line_num}: bad count {row[1]!r}") from None
-            triples.append((row[0], count, row[2]))
-    return _assemble(path, triples)
+            labels.append(row[0])
+            origins.append(row[2])
+    return _assemble(path, labels, counts, origins)
 
 
-def _assemble(path: str | Path, triples: list[tuple[str, float, str]]) -> Histogram | NoisyHistogram:
-    origins = {origin for _, _, origin in triples}
+def _check_bins(path: str | Path, bins: list) -> None:
+    """Raise the error naming the first JSON bin that is not a label, a
+    number and an optional origin string."""
+    for i, b in enumerate(bins):
+        try:
+            _, count, origin = b["label"], b["count"], b.get("origin")
+            if type(count) not in (int, float):  # float() takes true and strings
+                raise ValueError(f"count must be a number, got {count!r}")
+            if not (origin is None or isinstance(origin, str)):
+                raise ValueError(f"origin must be a string or null, got {origin!r}")
+            float(count)
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise IngestError(f"{path}: bad bin at index {i}: {exc}") from exc
+
+
+def _assemble(path: str | Path, labels: list, counts: list[float], origins: list[str]) -> Histogram | NoisyHistogram:
+    """The histogram of these columns, checked in one pass; origins are all
+    blank for a plain histogram."""
+    kinds = set(origins)
+    labels = tuple(labels)
     try:
-        if origins <= {""}:
-            return Histogram((label, count) for label, count, _ in triples)
-        if "" in origins:
+        if kinds <= {""}:
+            return Histogram._of(labels, _checked(labels, counts, positive=False))
+        if "" in kinds:
             raise IngestError(f"{path}: mixed blank and non-blank origins")
-        return NoisyHistogram(NoisyBin(label, count, Origin(origin)) for label, count, origin in triples)
+        if not kinds <= _ORIGINS:
+            Origin(next(origin for origin in origins if origin not in _ORIGINS))  # raises, naming it
+        injected = tuple(map(Origin.INJECTED.value.__eq__, origins))
+        return NoisyHistogram._of(labels, _checked(labels, counts, positive=True), injected)
     except (ValueError, ValidityError) as exc:
         raise IngestError(f"{path}: {exc}") from None

@@ -11,6 +11,8 @@ true active one and nothing was lost); F = 0 when they are disjoint. Counts
 on either side only matter through their normalized masses, so the score is
 scale-invariant.
 
+The intersection is found from the release's side: its labels, which are
+few, are indexed, and the true column's labels are looked up in one scan.
 Sums over the intersection use math.fsum: it is exact, so a score does not
 depend on the order the intersection is summed in.
 """
@@ -36,20 +38,21 @@ class FidelityScore:
 
 
 def _shared_shares(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> tuple[np.ndarray, np.ndarray]:
-    """The true and the synth shares of the intersection, in synth bin order.
+    """The true and the synth shares of the intersection, in true bin order.
 
     The true histogram is normalized first, so an empty column is an error
-    even against an empty release; an empty release shares nothing.
+    even against an empty release; an empty release shares nothing. The
+    release's labels are indexed and the true labels looked up in one scan:
+    a release holds few of a wide column's labels.
     """
     true_shares = shares(true_h)
     if len(synth_h) == 0:
         return np.empty(0), np.empty(0)
     synth_shares = shares(synth_h)
-    # Each synth bin's index in the true histogram, or -1 where it has none.
-    at = np.fromiter(map(true_h._index.get, synth_h.labels(), repeat(-1)), np.intp, len(synth_h))
-    found = np.flatnonzero(at >= 0)
-    shared = found[true_h.counts[at[found]] > 0]
-    return true_shares[at[shared]], synth_shares[shared]
+    # Each true bin's index in the release, or -1 where it has none.
+    at = np.fromiter(map(synth_h._index.get, true_h.labels(), repeat(-1)), np.intp, len(true_h))
+    shared = np.flatnonzero((at >= 0) & (true_h.counts > 0))
+    return true_shares[shared], synth_shares[at[shared]]
 
 
 def fidelity(true_h: Histogram, synth_h: Histogram | NoisyHistogram) -> FidelityScore:

@@ -22,6 +22,7 @@ import numpy as np
 
 from cathist.core import NoisyBin, NoisyHistogram, Origin, ValidityError
 from cathist.domain import load_domain
+from cathist.metrics import FidelityScore
 from cathist.numerics import (
     inclusion_probability,
     make_rng,
@@ -260,6 +261,19 @@ def records_csv_per_row(records):
     for record in records:
         writer.writerow([record])
     return out.getvalue().encode("utf-8")
+
+
+def fidelity_by_dict(true_h, synth_h):
+    """fidelity and fidelity_pointwise from the definition, over label dicts."""
+    true_total = sum(count for _, count in true_h.items())
+    true = {label: count / true_total for label, count in true_h.items() if count > 0}
+    synth_total = sum(count for _, count in synth_h.items())
+    synth = {label: count / synth_total for label, count in synth_h.items()}
+    shared = [label for label in synth if label in true]
+    true_mass = math.fsum(true[label] for label in shared)
+    synth_mass = math.fsum(synth[label] for label in shared)
+    pointwise = math.fsum(true[label] * synth[label] for label in shared)
+    return FidelityScore(true_mass * synth_mass, len(shared), true_mass, synth_mass), pointwise
 
 
 def naive_full_domain_oracle(config, h, sampler=None):

@@ -121,11 +121,11 @@ def test_criterion_2_expected_injected(calibration_stats):
 # Criterion 3: distributional equivalence against the brute-force reference.
 
 def _accumulate(release, inclusion, weight_sum, weight_sq):
-    for b in release.bins:
-        idx = int(b.label[4:])
+    for label, count in zip(release.labels(), release.counts.tolist()):
+        idx = int(label[4:])
         inclusion[idx] += 1
-        weight_sum[idx] += b.count
-        weight_sq[idx] += b.count * b.count
+        weight_sum[idx] += count
+        weight_sq[idx] += count * count
 
 
 def test_criterion_3_oracle_equivalence():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -621,6 +622,47 @@ class TestFidelity:
         code, _, err = run(capsys, "fidelity", *(part for item in files.items() for part in item))
         assert code == 3
         assert err.splitlines() == [f"error: {bad}: expected a JSON object with a 'bins' array"]
+
+
+class TestGoldenOutputs:
+    """Same-seed outputs of a small column, pinned by their sha256 digests.
+
+    A change to how columns are read or releases written and read must keep
+    every byte. The labels need JSON escapes (a quote, a backslash, non-ASCII
+    text) and CSV quoting; injected ones come from the domain's extra labels.
+    """
+
+    DIGESTS = {
+        "release.json": "7422d9cd2e0ce8cb78fbe334915343c5357e99ebf4d11ecdb7ad336efeef90fa",
+        "records.csv": "c51a1b1dc9686d78b8656d9ea93bdfd52833f067df3e7dccf314a0c16dfe78b0",
+        "release.csv": "dd58649bd559a18c657fdec235f1311c324b403ee1ad5b67f178adfa5b03973e",
+        "fidelity": "78431aff97add85e0afef232b97affbfd4596700c23a0a0f61a8b970f4cb8d99",
+        "fidelity_pointwise": "8e03a2f50cc74878ef61a2d9322941c381be14168b08f3438fbdb44649df585e",
+    }
+
+    def test_synth_and_fidelity_bytes(self, capsys, tmp_path):
+        labels = [f"w{i}" for i in range(40)] + ["é", "a\\b", "日本", "x y"]
+        cells = [label for i, label in enumerate(labels) for _ in range(1 + (7 * i) % 23)]
+        order = np.random.default_rng(5).permutation(len(cells))
+        column = write(tmp_path, "col.csv", "word\n" + "".join(f" {cells[i]}\n" for i in order))
+        extra = [f'z{i}"{"é" * (i % 2)}\\' for i in range(200)]
+        synth = ["synth", "--input", column, "--column", "word", "--domain-list", ",".join(labels + extra),
+                 "--epsilon", "0.5", "--rho", "0.001", "--seed", "11"]
+        outputs = {}
+        code, _, err = run(capsys, *synth, "--output", str(tmp_path / "release.json"),
+                           "--records", "300", "--records-output", str(tmp_path / "records.csv"))
+        assert code == 0, err
+        code, _, err = run(capsys, *synth, "--output", str(tmp_path / "release.csv"))
+        assert code == 0, err
+        for name in ("release.json", "records.csv", "release.csv"):
+            outputs[name] = (tmp_path / name).read_bytes()
+        for variant in ("product", "pointwise"):
+            code, out, err = run(capsys, "fidelity", "--true-input", column, "--true-column", "word",
+                                 "--synth-file", str(tmp_path / "release.json"), "--variant", variant)
+            assert code == 0, err
+            outputs["fidelity" if variant == "product" else "fidelity_pointwise"] = out.encode("utf-8")
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == self.DIGESTS
 
 
 class TestConfigFile:

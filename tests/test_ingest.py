@@ -30,6 +30,7 @@ from oracles import read_histogram_per_row
 MALFORMED = ["\x00", "x" * (csv.field_size_limit() + 1), "\udcff"]
 MALFORMED_IDS = ["nul", "oversized", "invalid-utf8"]
 WRITE_RAW = {"encoding": "utf-8", "errors": "surrogateescape"}
+BLOCK = ingest._BLOCK_CHARS
 
 
 def write_csv(path, rows):
@@ -142,6 +143,10 @@ class TestReadHistogram:
         path.write_text("v,w\n" + "a,b\n" * 100_000 + f"c,{MALFORMED[1]}\nd,e\n", encoding="utf-8")
         with pytest.raises(IngestError, match="malformed CSV at line 100002: field larger than field limit"):
             read_histogram(ColumnSelector(str(path), "v"))
+        # One column, whose lines are counted with no csv parse.
+        path.write_text("v\n" + "a\n" * 100_000 + f"{MALFORMED[1]}\nd\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="malformed CSV at line 100002: field larger than field limit"):
+            read_histogram(ColumnSelector(str(path), "v"))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
     def test_named_pipe_with_a_late_quote(self, tmp_path):
@@ -241,31 +246,40 @@ class TestReadHistogram:
             assert dict(h.items()) == {k: float(v) for k, v in reference.items()}
 
     @pytest.mark.parametrize(
-        "text, column, options, drop",
+        "text, column, options, drop, by_row",
         [
-            ("v\n a\nb\na\n a \nb \n", "v", {}, ()),
-            ("v\n  \nx\n\t\nx\n \t \n", "v", {}, ()),
-            ("v\n NA\nNA \nx\n NA \nNAN\n", "v", {}, ("NA",)),
-            ("v\na\n\n\nb\n\na\n\n", "v", {}, ()),
-            ('v,w\n1,"a,b\nc"\n2,"a,b\nc"\n3,x\n4," a,b\nc "\n', "w", {}, ()),
-            ("a,1\nb,2\na,3\n, 4\n", 1, {"has_header": False}, ()),
-            ("a,1\nb,2\na,3\n, 4\n", 0, {"has_header": False}, ()),
-            ("k;v\n1;x\n2; y\n3;x\n4;a,b\n", "v", {"delimiter": ";"}, ()),
-            ("v\né\nÅngström\n é\n 日本\n日本\n", "v", {}, ()),
-            ("v,w\r\n1, a\r\n2,b\r\n\r\n3,a\r\n4, \r\n", "w", {}, ()),
-            ("v\r a\rb\r\ra \r \rb\r", "v", {}, ()),
-            ("v\na\n b\nb\na", "v", {}, ()),
-            ("v\n a\nc\n" + "b\n" * 40_000 + "a \nc\n\ta\n", "v", {}, ()),
-            ("v\nNA\nx\n" + "y\n" * 40_000 + " NA \nx\n", "v", {}, ("NA",)),
-            ("v,w\n" + "1,a\n" * 20_000 + '2,"b,\nc"\n3, a\n4,"b,\nc"\n', "w", {}, ()),
-            ('"v",w\n1,a\n2, a\n', "v", {}, ()),
+            ("v\n a\nb\na\n a \nb \n", "v", {}, (), False),
+            ("v\n  \nx\n\t\nx\n \t \n", "v", {}, (), False),
+            ("v\n NA\nNA \nx\n NA \nNAN\n", "v", {}, ("NA",), False),
+            ("v\na\n\n\nb\n\na\n\n", "v", {}, (), False),
+            ('v,w\n1,"a,b\nc"\n2,"a,b\nc"\n3,x\n4," a,b\nc "\n', "w", {}, (), True),
+            ("a,1\nb,2\na,3\n, 4\n", 1, {"has_header": False}, (), False),
+            ("a,1\nb,2\na,3\n, 4\n", 0, {"has_header": False}, (), False),
+            ("k;v\n1;x\n2; y\n3;x\n4;a,b\n", "v", {"delimiter": ";"}, (), False),
+            ("v\né\nÅngström\n é\n 日本\n日本\n", "v", {}, (), False),
+            ("v,w\r\n1, a\r\n2,b\r\n\r\n3,a\r\n4, \r\n", "w", {}, (), False),
+            ("v\r a\rb\r\ra \r \rb\r", "v", {}, (), True),
+            ("v\na\n b\nb\na", "v", {}, (), False),
+            ("v\n a\nc\n" + "b\n" * 40_000 + "a \nc\n\ta\n", "v", {}, (), False),
+            ("v\nNA\nx\n" + "y\n" * 40_000 + " NA \nx\n", "v", {}, ("NA",), False),
+            ("v,w\n" + "1,a\n" * 20_000 + '2,"b,\nc"\n3, a\n4,"b,\nc"\n', "w", {}, (), True),
+            ('"v",w\n1,a\n2, a\n', "v", {}, (), True),
+            # The chunks of _count_lines start after the header line.
+            ("v\r\n" + "a" * (BLOCK - 1) + "\r\nb\r\n\r\n" + "a" * (BLOCK - 1) + "\r\n b\r\n", "v", {}, (), False),
+            ("v\n" + "a" * (BLOCK + BLOCK // 2) + "\nb\n " + "a" * (BLOCK + BLOCK // 2) + "\nb\n", "v", {}, (), False),
+            ("v\n" + "a\n" * BLOCK + "b\rc\n a\n", "v", {}, (), True),
+            ("v\n" + "a\n" * BLOCK + "b,c\n a\n", "v", {}, (), False),
+            ("a\n b\n" + "c\n" * BLOCK + "\n a \n", 0, {"has_header": False}, (), False),
+            ("v\n" + "a\n" * (BLOCK // 2 - 2) + " b" * (BLOCK // 2), "v", {}, (), False),
         ],
         ids=["leading-space-first", "whitespace-only", "drop-after-trim", "blank-lines",
              "quoted-delimiter-newline", "headerless-index-1", "headerless-index-0",
              "semicolon", "non-ascii", "crlf", "lone-cr", "no-final-newline",
-             "padding-blocks-apart", "drop-blocks-apart", "late-quote", "quoted-header"],
+             "padding-blocks-apart", "drop-blocks-apart", "late-quote", "quoted-header",
+             "crlf-split-by-a-block", "cell-longer-than-a-block", "late-lone-cr",
+             "late-delimiter-one-column", "headerless-index-0-one-column", "no-final-newline-across-blocks"],
     )
-    def test_matches_per_row_loop(self, tmp_path, text, column, options, drop):
+    def test_matches_per_row_loop(self, tmp_path, rows_read, text, column, options, drop, by_row):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
         bins, skipped = read_histogram_per_row(path, column, drop_values=frozenset(drop), **options)
@@ -275,6 +289,7 @@ class TestReadHistogram:
         assert h.bins == bins
         messages = [str(w.message) for w in caught]
         assert messages == ([f"{path}: skipped {skipped} empty cells"] if skipped else [])
+        assert rows_read == ([str(path)] if by_row else [])
 
     def test_repeated_lines_are_counted_by_line(self, tmp_path, rows_read):
         # The first 20 000 lines are all distinct, and then each repeats.
@@ -382,6 +397,27 @@ class TestSerializationRoundTrip:
         write_histogram(Histogram([]), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["bins"] == []
+
+    @pytest.mark.parametrize("h, meta", [
+        (NoisyHistogram([NoisyBin(label, 1.5 + i / 7, Origin.INJECTED if i % 2 else Origin.ACTIVE)
+                         for i, label in enumerate(['a"b', "c\\d", "e\x00\x01\x1f\x7f\n\t", "ü日本\U0001d11e",
+                                                    "line\u2028sep\u2029"])]),
+         {"epsilon": 0.5, "seed": 7, "note": 'q"\u2028\n', "grid": [1.0, {"rho": [0.1]}], "empty": {}}),
+        (Histogram([("a", 0.0), ("b", 1e-17), ("c", 12345678901234.5), ("d", 1e300)]), {}),
+        (NoisyHistogram(), {"n": 10}),
+        (Histogram(), None),
+    ], ids=["escaped-labels", "plain-null-origin", "empty-release", "empty-no-meta"])
+    def test_json_bytes_match_json_dumps(self, tmp_path, h, meta):
+        path = tmp_path / "h.json"
+        write_histogram(h, path, fmt="json", meta=meta)
+        origins = [b.origin.value for b in h.bins] if isinstance(h, NoisyHistogram) else [None] * len(h)
+        payload = {
+            "bins": [{"label": label, "count": count, "origin": origin}
+                     for (label, count), origin in zip(h.items(), origins)],
+            "meta": meta or {},
+        }
+        want = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_release_reloads_as_empty_histogram(self, tmp_path, fmt):

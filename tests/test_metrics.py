@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cathist.core import Histogram, NoisyBin, NoisyHistogram, Origin, ValidityError
 from cathist.metrics import FidelityScore, fidelity, fidelity_pointwise
 
+from oracles import fidelity_by_dict
+
 
 def noisy(*bins):
     return NoisyHistogram([NoisyBin(label, count, Origin.ACTIVE) for label, count in bins])
+
+
+# Seeded, few and small examples, so tier-1 stays deterministic and quick.
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+# True labels from a small pool, so that true and synth labels often meet; a
+# release may also hold labels that are not in the column at all.
+TRUE_LABELS = [f"c{i}" for i in range(8)]
+TRUE_BINS = st.dictionaries(st.sampled_from(TRUE_LABELS), st.integers(0, 40).map(float), max_size=8).filter(
+    lambda bins: sum(bins.values()) > 0
+)
+SYNTH_BINS = st.dictionaries(
+    st.sampled_from(TRUE_LABELS + ["x0", "x1", "x2"]), st.floats(1e-3, 1e6), max_size=11
+)
 
 
 class TestFidelity:
@@ -99,6 +115,20 @@ class TestFidelity:
         score = fidelity(true_h, synth_h)
         assert score.intersection_size == 1
         assert score.synth_mass_in_intersection == pytest.approx(0.5)
+
+
+class TestAgainstDictReference:
+    @PROPERTY
+    @given(TRUE_BINS, SYNTH_BINS)
+    @example({"c0": 3.0, "c1": 0.0}, {"c1": 2.0, "x0": 1.0})  # a zero-count true bin
+    @example({"c0": 3.0, "c1": 1.0}, {"x0": 2.0, "x1": 1.0})  # a disjoint release
+    @example({"c0": 3.0}, {})  # an empty release
+    def test_scores_equal_the_reference_exactly(self, true_bins, synth_bins):
+        true_h = Histogram(true_bins.items())
+        synth_h = noisy(*synth_bins.items())
+        score, pointwise = fidelity_by_dict(true_h, synth_h)
+        assert fidelity(true_h, synth_h) == score
+        assert fidelity_pointwise(true_h, synth_h) == pointwise
 
 
 class TestFidelityPointwise:
