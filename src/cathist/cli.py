@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -63,10 +63,8 @@ def _parse_column(value: str) -> str | int:
     return int(value) if value.isdecimal() else value
 
 
-def _parse_grid(value: object) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    parts = [p.strip() for p in str(value).split(",") if p.strip()]
+def _parse_grid(value: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
         raise UsageError("empty grid list")
     return tuple(float(p) for p in parts)
@@ -157,13 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="product of intersection masses (default) or pointwise sum")
     p_fid.set_defaults(func=cmd_fidelity)
 
-    parser.command_parsers = {  # type: ignore[attr-defined]
-        "tau": p_tau, "synth": p_synth, "sweep": p_sweep, "fidelity": p_fid,
-    }
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv. A --config file's flags go in right after the command
+    word, so an explicit flag wins and repeated flags add up."""
     args = parser.parse_args(argv)
     config_path = getattr(args, "config", None)
     if not config_path:
@@ -175,51 +172,45 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         raise IngestError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise IngestError(f"{config_path}: expected a JSON object of flag values")
-    known = set(vars(args)) - {"func", "command", "config"}
-    # Defaults must land on the subcommand's own parser: the subparser fills a
-    # fresh namespace, so defaults set here on the top-level parser are lost.
-    command_parser = parser.command_parsers[args.command]  # type: ignore[attr-defined]
-    actions = {action.dest: action for action in command_parser._actions}
-    defaults = {}
+    flags = _config_flags(config_path, data, args)
+    try:
+        parser.parse_args([args.command, *flags])  # on their own, so an error names the file
+    except UsageError as exc:
+        raise UsageError(f"{config_path}: {exc}") from None
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+
+
+# Flags that take one comma-separated value: a config list is joined.
+_JOINED_FLAGS = frozenset({"epsilons", "rhos", "domain_list"})
+
+
+def _config_flags(config_path: str, data: dict, args: argparse.Namespace) -> list[str]:
+    """The command-line flags that spell a config object for args' command."""
+    flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        # A full flag name only: argparse would take an abbreviation.
+        if dest in ("func", "command", "config") or not hasattr(args, dest):
             raise UsageError(f"{config_path}: unknown config key {key!r}")
-        try:
-            defaults[dest] = _config_value(actions[dest], value)
-        except ValueError as exc:
-            raise UsageError(f"{config_path}: config key {key!r}: {exc}") from None
-    command_parser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag, parsed = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if isinstance(parsed, bool):  # a switch
+            if not isinstance(value, bool):
+                raise UsageError(f"{config_path}: config key {key!r}: expected true or false, got {value!r}")
+            flags += [flag] if value else []
+            continue
+        many = isinstance(value, list) and (isinstance(parsed, list) or dest in _JOINED_FLAGS)
+        items = value if many else [value]
+        if not all(isinstance(item, (str, int, float)) and not isinstance(item, bool) for item in items):
+            raise UsageError(f"{config_path}: config key {key!r}: expected a string or a number, got {value!r}")
+        texts = [item if isinstance(item, str) else repr(item) for item in items]  # a number is its text
+        if dest in _JOINED_FLAGS:
+            texts = [",".join(texts)]
+        flags += [f"{flag}={text}" for text in texts]  # = keeps a value that starts with -
+    return flags
 
 
-def _config_value(action: argparse.Action, value: object) -> object:
-    """A config file's value for one flag; ValueError says what the flag takes."""
-    if action.type is not None:
-        # argparse converts string defaults only; a JSON number, list or
-        # boolean must convert as its text on the command line would.
-        try:
-            return value if isinstance(value, str) else action.type(str(value))
-        except ValueError:
-            raise ValueError(f"invalid {action.type.__name__} value {value!r}") from None
-    if isinstance(action, argparse._StoreTrueAction):
-        takes, ok = "true or false", isinstance(value, bool)
-    elif isinstance(action, argparse._AppendAction):
-        value = [value] if isinstance(value, str) else value
-        takes = "a string or a list of strings"
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    elif action.dest in ("epsilons", "rhos") and not isinstance(value, str):
-        takes = "a string or a list of numbers"
-        ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-    else:
-        takes = " or ".join(action.choices or ["a string"])
-        ok = isinstance(value, str) and value in (action.choices or [value])
-    if not ok:
-        raise ValueError(f"expected {takes}, got {value!r}")
-    return value
-
-
-def _require(args: argparse.Namespace, name: str) -> object:
+def _require(args: argparse.Namespace, name: str) -> Any:
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
         raise UsageError(f"--{name} is required")
@@ -235,14 +226,14 @@ def _check_seed(args: argparse.Namespace) -> None:
 def _resolve_domain(args: argparse.Namespace) -> DomainSpec:
     chosen: list[DomainSpec] = []
     if args.domain_list is not None:
-        labels = [part.strip() for part in str(args.domain_list).split(",")]
+        labels = [part.strip() for part in args.domain_list.split(",")]
         chosen.append(ExplicitList(labels))
     if args.domain_words is not None:
         chosen.append(WordList(args.domain_words))
     if args.domain_word_pairs is not None:
         chosen.append(WordPairs(args.domain_word_pairs))
     if args.domain_size is not None:
-        chosen.append(SizeOnly(int(args.domain_size), args.domain_prefix))
+        chosen.append(SizeOnly(args.domain_size, args.domain_prefix))
     if len(chosen) != 1:
         raise UsageError(
             "exactly one of --domain-list, --domain-words, --domain-word-pairs, "
@@ -258,16 +249,16 @@ def _selector(args: argparse.Namespace, prefix: str = "") -> ColumnSelector:
         raise UsageError(f"--{prefix + '-' if prefix else ''}column is required")
     return ColumnSelector(
         source=getattr(args, f"{dest}input"),
-        column=_parse_column(str(column)),
+        column=_parse_column(column),
         has_header=not getattr(args, f"{dest}no_header"),
         delimiter=getattr(args, f"{dest}delimiter"),
     )
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    epsilon = float(_require(args, "epsilon"))
-    rho = float(_require(args, "rho"))
-    n = int(_require(args, "n"))
+    epsilon = _require(args, "epsilon")
+    rho = _require(args, "rho")
+    n = _require(args, "n")
     PrivacyParams(epsilon, rho)
     threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
@@ -281,9 +272,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    output = str(_require(args, "output"))
-    epsilon = float(_require(args, "epsilon"))
-    rho = float(_require(args, "rho"))
+    output = _require(args, "output")
+    epsilon = _require(args, "epsilon")
+    rho = _require(args, "rho")
     if args.records < 0:
         raise UsageError(f"--records must be >= 0, got {args.records}")
     if args.records and not args.records_output:
@@ -345,7 +336,7 @@ def _csv_lines(labels: Iterable[str]) -> list[str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    output = str(_require(args, "output"))
+    output = _require(args, "output")
     _check_seed(args)
     domain = _resolve_domain(args)
     selector = _selector(args)
@@ -372,13 +363,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    if args.true_file and args.true_column:
+    if args.true_file and (args.true_column is not None or args.true_input != "-"):
         raise UsageError("give either --true-file or --true-input/--true-column, not both")
     if args.true_file:
         true_h = load_histogram(args.true_file)  # a release scores as the counts it holds
     else:
         true_h = read_histogram(_selector(args, prefix="true"), frozenset(args.drop_value))
-    synth_file = str(_require(args, "synth-file"))
+    synth_file = _require(args, "synth-file")
     synth_h = load_histogram(synth_file)
     if args.variant == "pointwise":
         print(f"fidelity_pointwise = {fidelity_pointwise(true_h, synth_h)!r}")
@@ -396,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            args = _apply_config_file(parser, argv)
+            args = _parse_args(parser, argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         if not getattr(args, "command", None):

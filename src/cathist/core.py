@@ -36,6 +36,11 @@ def _check_label(label: object) -> str:
         raise ValidityError(f"category label must be str, got {type(label).__name__}")
     if label == "":
         raise ValidityError("category label must be non-empty")
+    if not label.isascii():  # an ASCII label encodes; only others are tried
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidityError(f"category label {label!r} is not valid UTF-8 text") from None
     return label
 
 

@@ -132,9 +132,10 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     return NoisyHistogram._release((*kept, *injected), noisy, len(kept))
 
 
-# One generator per thread that cat_hist re-seeds for each release, saving
-# make_rng's fresh PCG64 and Generator. It never leaves cat_hist, which uses
-# up every draw before it returns.
+# One generator per thread that cat_hist re-seeds for each release and a
+# sweep cell for each cell, saving make_rng's fresh PCG64 and Generator. It
+# never leaves the call that seeded it, which uses up every draw before it
+# returns.
 _THREAD = threading.local()
 
 
@@ -206,12 +207,11 @@ class _BatchDraws(NamedTuple):
 
 
 def _draw_batch(
-    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int, rng: Rng | None = None
+    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int, rng: Rng
 ) -> _BatchDraws:
     """What reps releases draw: cat_hist's one, or a sweep cell's.
 
-    The draws come from rng, which must be at make_rng(config.seed)'s state,
-    or from a fresh make_rng(config.seed) when rng is None.
+    The draws come from rng, which must be at make_rng(config.seed)'s state.
 
     trials is _absent_slots' count for h, which the caller works out once
     per batch or per sweep: only the absent in-domain slots can be injected,
@@ -228,7 +228,6 @@ def _draw_batch(
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    rng = make_rng(config.seed) if rng is None else rng
     weights = []
     for _ in range(reps):
         m = sample_binomial(rng, trials, p) if trials > 0 else 0

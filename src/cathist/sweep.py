@@ -44,7 +44,7 @@ import numpy as np
 from .core import DomainSpec, Histogram, PrivacyParams, ValidityError
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, _absent_slots, _draw_batch
+from .mechanism import CatHistConfig, _absent_slots, _draw_batch, _thread_rng
 # Bound here although unused: bench/layers.py traces the mechanism and the
 # score at the names the sweep imports.
 from .mechanism import cat_hist  # noqa: F401
@@ -102,7 +102,7 @@ def _run_cell(
         domain=config.domain,
         seed=derive_seed(config.base_seed, eps_index, rho_index),
     )
-    draws = _draw_batch(cell_config, hist, config.repetitions, sampler, trials)
+    draws = _draw_batch(cell_config, hist, config.repetitions, sampler, trials, _thread_rng(cell_config.seed))
     counts = draws.positive[1]
     shares = counts / hist.total
     scale = 1.0 / epsilon

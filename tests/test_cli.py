@@ -254,6 +254,20 @@ class TestSynth:
         assert code == 2 and "'a b'" in err and "tau=" not in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("domain", [
+        ["--domain-list", ",".join(f"x{i}\udcff" for i in range(20))],
+        ["--domain-size", "20", "--domain-prefix", "x\udcff"],
+    ])
+    def test_label_not_utf8_exits_two_before_any_output(self, capsys, tmp_path, domain):
+        # A lone surrogate is what a command-line argument of non-UTF-8 bytes
+        # decodes to. Every cell is dropped and rho is small, so the release
+        # injects labels and only the domain's own check can refuse them.
+        column = write(tmp_path, "col.csv", "v\nNA\nNA\n")
+        code, _, err = run(capsys, "synth", "--input", column, "--column", "v", "--drop-value", "NA", *domain,
+                           "--epsilon", "1", "--rho", "0.001", "--output", str(tmp_path / "out.json"))
+        assert code == 2 and "not valid UTF-8" in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
+
     def test_records_memory_does_not_grow_with_the_count(self, capsys, tmp_path):
         # numpy's buffers are traced too: drawing all 2e6 records at once
         # held about 48 MB, drawing them a chunk at a time holds a few.
@@ -577,6 +591,13 @@ class TestFidelity:
         assert code == 1
         assert "not both" in err
 
+    def test_true_file_with_true_input_is_usage_error(self, capsys, tmp_path):
+        h = write(tmp_path, "h.csv", "category,count,origin\na,1.0,\n")
+        column = write(tmp_path, "col.csv", "v\nb\n")
+        code, _, err = run(capsys, "fidelity", "--true-file", h, "--true-input", column, "--synth-file", h)
+        assert code == 1
+        assert "not both" in err
+
     def test_missing_synth_file_flag(self, capsys, tmp_path):
         h = write(tmp_path, "h.csv", "category,count,origin\na,1.0,\n")
         code, _, err = run(capsys, "fidelity", "--true-file", h)
@@ -627,8 +648,8 @@ class TestFidelity:
 class TestGoldenOutputs:
     """Same-seed outputs of a small column, pinned by their sha256 digests.
 
-    A change to how columns are read or releases written and read must keep
-    every byte. The labels need JSON escapes (a quote, a backslash, non-ASCII
+    A change to how columns are read, releases written and read, or sweep
+    cells drawn must keep every byte. The labels need JSON escapes (a quote, a backslash, non-ASCII
     text) and CSV quoting; injected ones come from the domain's extra labels.
     """
 
@@ -639,15 +660,20 @@ class TestGoldenOutputs:
         "fidelity": "78431aff97add85e0afef232b97affbfd4596700c23a0a0f61a8b970f4cb8d99",
         "fidelity_pointwise": "8e03a2f50cc74878ef61a2d9322941c381be14168b08f3438fbdb44649df585e",
     }
+    SWEEP_DIGEST = "9facb15f35d0e17a1ea731aa219c1663e3d1a0bc51d7020c7daf9efc230f879f"
 
-    def test_synth_and_fidelity_bytes(self, capsys, tmp_path):
+    @staticmethod
+    def column_and_domain(tmp_path):
         labels = [f"w{i}" for i in range(40)] + ["é", "a\\b", "日本", "x y"]
         cells = [label for i, label in enumerate(labels) for _ in range(1 + (7 * i) % 23)]
         order = np.random.default_rng(5).permutation(len(cells))
         column = write(tmp_path, "col.csv", "word\n" + "".join(f" {cells[i]}\n" for i in order))
         extra = [f'z{i}"{"é" * (i % 2)}\\' for i in range(200)]
-        synth = ["synth", "--input", column, "--column", "word", "--domain-list", ",".join(labels + extra),
-                 "--epsilon", "0.5", "--rho", "0.001", "--seed", "11"]
+        return ["--input", column, "--column", "word", "--domain-list", ",".join(labels + extra)]
+
+    def test_synth_and_fidelity_bytes(self, capsys, tmp_path):
+        synth = ["synth", *self.column_and_domain(tmp_path), "--epsilon", "0.5", "--rho", "0.001", "--seed", "11"]
+        column = str(tmp_path / "col.csv")
         outputs = {}
         code, _, err = run(capsys, *synth, "--output", str(tmp_path / "release.json"),
                            "--records", "300", "--records-output", str(tmp_path / "records.csv"))
@@ -663,6 +689,15 @@ class TestGoldenOutputs:
             outputs["fidelity" if variant == "product" else "fidelity_pointwise"] = out.encode("utf-8")
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
         assert digests == self.DIGESTS
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_bytes(self, capsys, tmp_path, jobs):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", *self.column_and_domain(tmp_path), "--epsilons", "0.1,0.5,2",
+                           "--rhos", "0.001,0.5", "--repetitions", "40", "--seed", "11", "--jobs", jobs,
+                           "--output", str(out))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEP_DIGEST
 
 
 class TestConfigFile:
@@ -684,21 +719,23 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in err
 
+    # The refusals keep their places, so each keeps its test id.
     @pytest.mark.parametrize("command, key, value", [
         ("sweep", "repetitions", [3]),
         ("synth", "seed", 1.5),
         ("synth", "domain-size", [5]),
         ("synth", "seed", True),
         ("tau", "epsilon", "lots"),
-        ("synth", "drop-value", 5),
-        ("synth", "drop-value", ["NA", 1]),
+        ("synth", "config", "other.json"),
+        ("synth", "help", True),
         ("synth", "no-header", "false"),
         ("synth", "no-header", 0),
-        ("synth", "input", 0),
+        ("tau", "eps", 1),
         ("synth", "output", None),
         ("synth", "format", "xml"),
         ("sweep", "epsilons", [0.1, True]),
-        ("sweep", "rhos", ["0.5"]),
+        ("tau", "n", None),
+        ("sweep", "rhos", [{"rho": 0.5}]),
     ])
     def test_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, command, key, value):
         column = write(tmp_path, "col.csv", "v\ncat-0\n")
@@ -709,8 +746,58 @@ class TestConfigFile:
         cfg = write(tmp_path, "c.json", json.dumps({**flags, key: value}))
         code, _, err = run(capsys, command, "--config", cfg)
         assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("usage error:"), err
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {cfg}:"), err
         assert key in err
+
+    COLUMN = "v\n" + "cat-1\n" * 5 + "cat-2\n" * 3 + "NA\n" * 2 + "1\n" + "5\n" * 2
+    RELEASE = "category,count,origin\ncat-1,4.5,active\ncat-9,1.0,injected\n"
+
+    # Each case: the config, its command-line spelling, and flags both runs add.
+    @pytest.mark.parametrize("command, config, flags, common", [
+        ("tau", {"epsilon": 1, "rho": 0.9, "n": 171000}, ["--epsilon", "1", "--rho", "0.9", "--n", "171000"], []),
+        (
+            "synth",
+            {"input": 0, "column": 0, "no-header": False, "domain-list": ["cat-1", "cat-2", "cat-3", "cat-4"],
+             "drop-value": ["NA", 1], "epsilon": 1, "rho": 0.5, "seed": 9, "records": 20,
+             "records-output": "records.csv"},
+            ["--input", "0", "--column", "0", "--domain-list", "cat-1,cat-2,cat-3,cat-4", "--drop-value", "NA",
+             "--drop-value", "1", "--epsilon", "1", "--rho", "0.5", "--seed", "9", "--records", "20",
+             "--records-output", "records.csv"],
+            ["--drop-value", "5", "--seed", "3", "--output", "release.json"],
+        ),
+        (
+            "sweep",
+            {"input": 0, "column": "v", "epsilons": [0.5, 1], "rhos": ["0.5"], "repetitions": 5,
+             "domain-size": 1000, "drop-value": 5},
+            ["--input", "0", "--column", "v", "--epsilons", "0.5,1", "--rhos", "0.5", "--repetitions", "5",
+             "--domain-size", "1000", "--drop-value", "5"],
+            ["--drop-value", "NA", "--drop-value", "1", "--output", "sweep.csv"],
+        ),
+        (
+            "fidelity",
+            {"true-input": 0, "true-column": "v", "true-no-header": False, "drop-value": ["NA", 1, 5],
+             "synth-file": "release.csv", "variant": "pointwise"},
+            ["--true-input", "0", "--true-column", "v", "--drop-value", "NA", "--drop-value", "1",
+             "--drop-value", "5", "--synth-file", "release.csv", "--variant", "pointwise"],
+            [],
+        ),
+    ])
+    def test_config_gives_what_its_flags_give(self, capsys, tmp_path, monkeypatch, command, config, flags, common):
+        # A number is its text: {"input": 0} names the file 0. The command
+        # line's --drop-values add to the config's; were they to replace them,
+        # NA and 1 would be active labels outside the domain.
+        cfg = write(tmp_path, "c.json", json.dumps(config))
+        results = []
+        for name, argv in (("config", ["--config", cfg]), ("flags", flags)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            write(cwd, "0", self.COLUMN)
+            write(cwd, "release.csv", self.RELEASE)
+            monkeypatch.chdir(cwd)
+            code, out, err = run(capsys, command, *argv, *common)
+            assert code == 0, err
+            results.append((out, err, {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}))
+        assert results[0] == results[1]
 
     def test_drop_value_string_drops_that_value(self, capsys, tmp_path):
         # Were "NA" taken as its letters, N would be dropped and NA, outside the domain, kept.

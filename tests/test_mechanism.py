@@ -390,7 +390,7 @@ def releases_from_draws(config, h, reps, sampler):
     uniforms, and sample_shifted_exponential its weight uniforms, from a
     stand-in generator that hands them out in turn. Each repetition's labels
     then come in turn from the stream that follows every uniform."""
-    draws = _draw_batch(config, h, reps, sampler, _absent_slots(config.domain, h, sampler))
+    draws = _draw_batch(config, h, reps, sampler, _absent_slots(config.domain, h, sampler), make_rng(config.seed))
     epsilon, threshold = config.privacy.epsilon, draws.threshold
     labels, counts = draws.positive
     rows = [row for block in draws.uniforms for row in block.tolist()]
@@ -523,7 +523,7 @@ class TestBatch:
         h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
         trials = n - len(h.active_domain())
         cfg = config_for(epsilon, rho, domain, seed=20251018)
-        draws = _draw_batch(cfg, h, runs, load_domain(domain), trials)
+        draws = _draw_batch(cfg, h, runs, load_domain(domain), trials, make_rng(cfg.seed))
         injected = [weights.size for weights in draws.weights]
         zero_fraction = injected.count(0) / runs
         assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
