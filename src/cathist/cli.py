@@ -64,10 +64,15 @@ def _parse_column(value: str) -> str | int:
 
 
 def _parse_grid(value: str) -> tuple[float, ...]:
+    # The type of --epsilons and --rhos: argparse words an error as
+    # "argument --epsilons: <message>".
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
-        raise UsageError("empty grid list")
-    return tuple(float(p) for p in parts)
+        raise argparse.ArgumentTypeError("empty grid list")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_config_flag(sub: argparse.ArgumentParser) -> None:
@@ -136,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p_sweep)
     _add_input_flags(p_sweep)
     _add_domain_flags(p_sweep)
-    p_sweep.add_argument("--epsilons", default=",".join(map(str, DEFAULT_EPSILONS)),
+    p_sweep.add_argument("--epsilons", type=_parse_grid, default=DEFAULT_EPSILONS,
                          metavar="E1,E2,...", help="epsilon grid")
-    p_sweep.add_argument("--rhos", default=",".join(map(str, DEFAULT_RHOS)),
+    p_sweep.add_argument("--rhos", type=_parse_grid, default=DEFAULT_RHOS,
                          metavar="R1,R2,...", help="rho grid")
     p_sweep.add_argument("--repetitions", type=int, default=100, help="runs per cell (default 100)")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
@@ -343,8 +348,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         column=selector,
         domain=domain,
-        epsilons=_parse_grid(args.epsilons),
-        rhos=_parse_grid(args.rhos),
+        epsilons=args.epsilons,
+        rhos=args.rhos,
         repetitions=args.repetitions,
         base_seed=args.seed,
         drop_values=frozenset(args.drop_value),
@@ -363,9 +368,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    if args.true_file and (args.true_column is not None or args.true_input != "-"):
-        raise UsageError("give either --true-file or --true-input/--true-column, not both")
     if args.true_file:
+        # The flags that read a column mean nothing for a histogram file.
+        column_flags = {
+            "--true-input": args.true_input != "-",
+            "--true-column": args.true_column is not None,
+            "--true-no-header": args.true_no_header,
+            "--true-delimiter": args.true_delimiter != ",",
+            "--drop-value": bool(args.drop_value),
+        }
+        given = [flag for flag, is_given in column_flags.items() if is_given]
+        if given:
+            raise UsageError(f"give either --true-file or {', '.join(given)}, not both")
         true_h = load_histogram(args.true_file)  # a release scores as the counts it holds
     else:
         true_h = read_histogram(_selector(args, prefix="true"), frozenset(args.drop_value))

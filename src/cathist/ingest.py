@@ -30,7 +30,7 @@ from itertools import chain, repeat, takewhile, tee
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
         if merged is None:
             if regular:
                 fh.seek(0)
-            merged = _merge(_count_rows(fh, selector), drop_values)
+            raw = _count_rows(fh, selector)
+            merged = _merge(raw.keys(), raw.values(), drop_values)
     counts, skipped_empty = merged
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
@@ -117,26 +118,29 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     return Histogram._of(tuple(counts), np.fromiter(counts.values(), float, len(counts)))
 
 
-def _merge(cells: Iterable[tuple[str, int]], drop_values: frozenset[str]) -> tuple[dict[str, int], int]:
+def _merge(
+    raw_cells: Collection[str], counts: Collection[int], drop_values: frozenset[str]
+) -> tuple[dict[str, int], int]:
     """Counts per trimmed cell, without drop_values, and the empty cells skipped.
 
-    cells are (raw cell, count) pairs, each raw cell or line once, in
-    first-appearance order. The first raw variant of a trimmed cell is its
+    raw_cells are raw cells or lines, each once, in first-appearance order,
+    and counts their counts. The first raw variant of a trimmed cell is its
     first appearance, so order is kept.
     """
-    counts: dict[str, int] = {}
-    skipped_empty = 0
-    for raw_cell, n in cells:
-        cell = raw_cell.strip()
-        if cell == "":
-            skipped_empty += n
-        elif cell not in drop_values:
-            counts[cell] = counts.get(cell, 0) + n
-    return counts, skipped_empty
+    counted = dict(zip(map(str.strip, raw_cells), counts))  # built in C
+    if len(counted) < len(raw_cells):
+        # Two raw cells trim to one cell: add up their counts.
+        counted = {}
+        for cell, n in zip(map(str.strip, raw_cells), counts):
+            counted[cell] = counted.get(cell, 0) + n
+    skipped_empty = counted.pop("", 0)
+    for value in drop_values:
+        counted.pop(value, None)
+    return counted, skipped_empty
 
 
-def _count_rows(fh: IO[str], selector: ColumnSelector) -> Iterable[tuple[str, int]]:
-    """(raw cell, count) pairs from every parsed row."""
+def _count_rows(fh: IO[str], selector: ColumnSelector) -> Counter[str]:
+    """The count of each raw cell over every parsed row."""
     with _csv_reader(fh, selector.source, selector.delimiter) as reader:
         index = _resolve_column(reader, selector)
         # Raw cells are counted in C. The second tee branch trails the first
@@ -149,7 +153,7 @@ def _count_rows(fh: IO[str], selector: ColumnSelector) -> Iterable[tuple[str, in
                 f"{selector.source}: line {reader.line_num}: expected at least "
                 f"{index + 1} fields, got {len(next(trailing))}"
             ) from None
-    return raw.items()
+    return raw
 
 
 def _count_lines(
@@ -199,12 +203,12 @@ def _count_lines(
         lines.pop(blank, None)
     # csv.reader refuses a field past its limit; so does the row reader.
     if one_field and max(map(len, lines), default=0) <= csv.field_size_limit():
-        return _merge(lines.items(), drop_values)
-    rows = csv.reader(lines, delimiter=selector.delimiter)
+        return _merge(lines.keys(), lines.values(), drop_values)
     try:
-        return _merge(zip(map(itemgetter(index), rows), lines.values()), drop_values)
+        cells = list(map(itemgetter(index), csv.reader(lines, delimiter=selector.delimiter)))
     except (IndexError, csv.Error):
         return None
+    return _merge(cells, lines.values(), drop_values)
 
 
 def _unsafe(text: str) -> bool:

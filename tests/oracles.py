@@ -157,6 +157,20 @@ def read_histogram_per_row(path, column, has_header=True, delimiter=",", drop_va
     return tuple((label, float(count)) for label, count in counts.items()), skipped_empty
 
 
+def merge_per_cell(cells, drop_values):
+    """ingest._merge as one loop over (raw cell, count) pairs: the counts per
+    trimmed cell, without drop_values, and the empty cells skipped."""
+    counts = {}
+    skipped_empty = 0
+    for raw_cell, n in cells:
+        cell = raw_cell.strip()
+        if cell == "":
+            skipped_empty += n
+        elif cell not in drop_values:
+            counts[cell] = counts.get(cell, 0) + n
+    return counts, skipped_empty
+
+
 def load_words_per_line(path):
     """A wordlist's words as one loop over the lines of the file."""
     words = {}

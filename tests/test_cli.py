@@ -454,6 +454,21 @@ class TestSweep:
         assert "usage error: --seed must be >= 0, got -1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilons", "0.1,abc", "could not convert string to float: 'abc'"),
+        ("--rhos", "0.5,,x", "could not convert string to float: 'x'"),
+        ("--epsilons", " , ", "empty grid list"),
+    ])
+    def test_bad_grid_value_names_its_flag(self, capsys, tmp_path, flag, value, message):
+        code, _, err = run(capsys, "sweep", *self.sweep_args(tmp_path, **{flag: value}))
+        assert (code, err) == (1, f"usage error: argument {flag}: {message}\n")
+        cfg = write(tmp_path, "c.json", json.dumps({flag[2:]: value}))
+        args = self.sweep_args(tmp_path)
+        del args[args.index(flag):args.index(flag) + 2]
+        code, _, err = run(capsys, "sweep", "--config", cfg, *args)
+        assert (code, err) == (1, f"usage error: {cfg}: argument {flag}: {message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_writes_plain_csv(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", *self.sweep_args(tmp_path))
         assert code == 0
@@ -597,6 +612,16 @@ class TestFidelity:
         code, _, err = run(capsys, "fidelity", "--true-file", h, "--true-input", column, "--synth-file", h)
         assert code == 1
         assert "not both" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--true-no-header"], ["--true-delimiter", ";"], ["--drop-value", "a"],
+    ], ids=["no-header", "delimiter", "drop-value"])
+    def test_true_file_with_a_column_flag_is_usage_error(self, capsys, tmp_path, flags):
+        # Each would be ignored: a histogram file is read as it is.
+        h = write(tmp_path, "h.csv", "category,count,origin\na,1.0,\n")
+        code, out, err = run(capsys, "fidelity", "--true-file", h, *flags, "--synth-file", h)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: give either --true-file or {flags[0]}, not both\n"
 
     def test_missing_synth_file_flag(self, capsys, tmp_path):
         h = write(tmp_path, "h.csv", "category,count,origin\na,1.0,\n")

@@ -23,6 +23,21 @@ ALPHABET = "ab0-é€\U0001d11e \t\r\x0c\x85\u2028"
 LABELS = st.text(ALPHABET, min_size=1, max_size=6)
 # The lines of a wordlist.
 WORDS = st.lists(LABELS.filter(str.strip), min_size=1, max_size=15)
+# Whole wordlist files. Half are ASCII words on "\n"-ended lines, read as
+# they are; the rest mix duplicates, blank and whitespace-only lines, CRLF and
+# lone CR, tabs, NEL, U+2028 and NBSP inside and around words, non-ASCII
+# characters and a missing final newline, and are decoded and trimmed.
+ASCII_LINES = st.lists(st.text("ab0-.", min_size=1, max_size=12).map(lambda word: word + "\n"), min_size=1, max_size=15)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+MIXED_LINES = st.lists(
+    st.tuples(st.text("ab0-é€\U0001d11e \t\x0c\x85\u2028\xa0", max_size=12), LINE_ENDS).map("".join),
+    min_size=1, max_size=15,
+)
+WORDLIST_FILES = st.tuples(st.one_of(ASCII_LINES, MIXED_LINES), st.booleans()).map(
+    lambda drawn: "".join(drawn[0]).rstrip("\r\n") if drawn[1] else "".join(drawn[0])
+)
+# Labels to check against a wordlist, with line breaks and lone surrogates.
+QUERIES = st.text("ab0-é \t\n\r\x85\ud800", max_size=10)
 
 
 def assert_decode_is_a_bijection_onto_members(sampler):
@@ -276,6 +291,62 @@ class TestWordListSampler:
         assert words_of(path) == load_words_per_line(path)
         assert_decode_is_a_bijection_onto_members(sampler)
 
+    @PROPERTY
+    @given(WORDLIST_FILES, st.lists(QUERIES, max_size=10))
+    def test_matches_per_line_loop_and_set_difference(self, tmp_path_factory, text, queries):
+        path = tmp_path_factory.getbasetemp() / "property-file.txt"
+        path.write_bytes(text.encode("utf-8"))
+        words = load_words_per_line(path)
+        if not words:
+            with pytest.raises(ValidityError, match="no words"):
+                load_domain(WordList(path))
+            return
+        sampler = load_domain(WordList(path))
+        assert sampler.size == len(words)
+        assert tuple(sampler.decode(np.arange(sampler.size))) == words
+        # The words, their near-misses and other labels.
+        labels = {*words, *queries, *(word + " " for word in words), *(word[:-1] for word in words)}
+        assert sampler.non_members(labels) == labels - set(words)
+        assert {label for label in labels if not sampler.contains(label)} == labels - set(words)
+
+    def test_non_members_of_near_words(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("alpha\nbeta\ncafé\nlongerthaneight\n", encoding="utf-8")
+        sampler = load_domain(WordList(path))
+        near = {
+            "alpha\n", "\nalpha", "beta\nalpha", "\n", "alpha\r", "\r", "\ud800", "caf\udce9", "alpha\ud800", "",
+            "alp", "caf", "longerthaneigh", "alpha ", "longerthaneight ", " beta",
+        }
+        assert sampler.non_members(near | {"alpha", "café", "longerthaneight"}) == near
+        assert not any(map(sampler.contains, near))
+        assert sampler.non_members({"alpha\nbeta", "\n"}) == {"alpha\nbeta", "\n"}
+        assert sampler.non_members(set()) == set()
+
+    @pytest.mark.parametrize("multiplier", [0, 1 << 56])
+    def test_forced_hash_collisions_keep_answers_exact(self, tmp_path, monkeypatch, multiplier):
+        # Multiplier 0 gives every word one hash, and 1 << 56 keeps only the
+        # first of the last 8 bytes read: whole groups of words collide,
+        # copies of a word among them.
+        monkeypatch.setattr(domain_mod, "HASH_MULTIPLIER", multiplier)
+        words = ["ab", "ba", "abcdefghij", "abcdefghik", "bcdefghija", "é", "a", "b", "\U0001d11e", "zz"]
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(words + ["ab", "zz", " a ", "abcdefghik"]) + "\n", encoding="utf-8")
+        near = {"", "c", "abcdefghi", "abcdefghijk", "ab ", "aa", "abcdefghia", "\ud83d", "e"}
+        sampler = load_domain(WordList(path))
+        assert np.unique(sampler.hashes).size < sampler.size
+        assert sampler.size == len(words)
+        assert sampler.decode(np.arange(sampler.size)) == words
+        assert sampler.decode(np.array([3, 0, 3])) == ["abcdefghik", "ab", "abcdefghik"]
+        assert sampler.non_members(near | set(words)) == near
+        assert all(map(sampler.contains, words)) and not any(map(sampler.contains, near))
+        pairs = load_domain(WordPairs(path))
+        indices = np.arange(pairs.size)
+        labels = pairs.decode(indices)
+        assert pairs.size == len(words) ** 2 and labels == word_pairs_by_format(words, indices)
+        near_pairs = {f"{a} {b}" for a in near for b in words[:3]} | {f"{a} {b}" for a in words[:3] for b in near}
+        assert pairs.non_members(near_pairs | set(labels)) == near_pairs
+        assert all(map(pairs.contains, labels)) and not any(map(pairs.contains, near_pairs))
+
 
 class TestWordPairSampler:
     def test_size_is_square(self, small_wordlist_path):
@@ -295,14 +366,36 @@ class TestWordPairSampler:
             assert all(map(sampler.contains, labels))
 
     def test_offsets_found_across_search_blocks(self, tmp_path, monkeypatch):
-        # Blocks of 5 bytes cut words and their multi-byte characters apart.
-        monkeypatch.setattr(domain_mod, "NEWLINE_BLOCK", 5)
-        words = ("a", "é€", "\U0001d11e" * 3, "bb", "0-é", "x")
+        # Blocks of 5 bytes, searched for "\n", cut words and their
+        # multi-byte characters apart; blocks of 5 words are hashed at once.
+        monkeypatch.setattr(domain_mod, "BLOCK", 5)
+        words = ("a", "é€", "\U0001d11e" * 3, "bb", "0-é", "x", "abcdefghijk", "y")
         path = tmp_path / "w.txt"
         path.write_text("\n".join(words), encoding="utf-8")
         sampler = load_domain(WordPairs(path))
         indices = np.arange(sampler.size)
-        assert sampler.decode(indices) == word_pairs_by_format(words, indices)
+        labels = sampler.decode(indices)
+        assert labels == word_pairs_by_format(words, indices)
+        assert sampler.non_members(set(labels) | {"a a a", "a b"}) == {"a a a", "a b"}
+        assert load_domain(WordList(path)).non_members({*words, "b", "abcdefghij"}) == {"b", "abcdefghij"}
+
+    def test_long_words_read_across_eight_byte_reads(self, tmp_path):
+        # Words are hashed and compared 8 bytes at a time: these cut words and
+        # their multi-byte characters apart, and near-misses differ only
+        # after the first 8 bytes or only in length.
+        words = ("a", "é€", "\U0001d11e" * 3, "bb", "0-é", "x", "abcdefgh", "abcdefghijklmnop", "abcdefghijklmnoq")
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(words), encoding="utf-8")
+        near = {"abcdefg", "abcdefghi", "abcdefghijklmno", "abcdefghijklmnopq", "\U0001d11e" * 2, "\U0001d11e" * 4}
+        sampler = load_domain(WordList(path))
+        assert sampler.decode(np.arange(sampler.size)) == list(words)
+        assert sampler.non_members(near | set(words)) == near
+        pairs = load_domain(WordPairs(path))
+        indices = np.arange(pairs.size)
+        labels = pairs.decode(indices)
+        assert labels == word_pairs_by_format(words, indices)
+        near_pairs = {f"{a} {b}" for a in near for b in words} | {f"{a} {b}" for a in words for b in near}
+        assert pairs.non_members(near_pairs | set(labels)) == near_pairs
 
     def test_single_words_are_not_pairs(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))

@@ -22,7 +22,7 @@ from cathist.ingest import (
 from cathist.numerics import noisy_threshold
 
 from conftest import SEX_COUNTS, WORKCLASS_COUNTS
-from oracles import read_histogram_per_row
+from oracles import merge_per_cell, read_histogram_per_row
 
 
 # Fields that make a line malformed CSV. "\udcff" is written as the single
@@ -290,6 +290,20 @@ class TestReadHistogram:
         messages = [str(w.message) for w in caught]
         assert messages == ([f"{path}: skipped {skipped} empty cells"] if skipped else [])
         assert rows_read == ([str(path)] if by_row else [])
+
+    @pytest.mark.parametrize("cells, drop", [
+        ([("a", 4), ("b", 1), ("c", 2)], ()),
+        ([(" a", 2), ("b", 1), ("a", 3), ("a ", 1)], ()),
+        ([("a", 1), ("", 2), ("b", 5), ("  ", 3)], ()),
+        ([("NA", 2), ("a", 1), (" NA ", 1), ("b", 1)], ("NA", "zz")),
+        ([("\tNA", 2), ("", 1), (" b", 4), ("b", 1), ("x", 1)], ("NA", "")),
+    ], ids=["distinct", "two-raw-cells-trim-to-one", "empty-cells", "dropped-value", "all-at-once"])
+    def test_merge_matches_per_cell_loop(self, cells, drop):
+        raw_cells = [cell for cell, _ in cells]
+        counts = [n for _, n in cells]
+        merged, skipped = ingest._merge(raw_cells, counts, frozenset(drop))
+        expected, expected_skipped = merge_per_cell(cells, frozenset(drop))
+        assert list(merged.items()) == list(expected.items()) and skipped == expected_skipped
 
     def test_repeated_lines_are_counted_by_line(self, tmp_path, rows_read):
         # The first 20 000 lines are all distinct, and then each repeats.
