@@ -313,7 +313,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise
         injected = noisy.injected.count(True)
         surviving = len(noisy) - injected
-        removed = len(hist.active_domain()) - surviving
+        removed = np.count_nonzero(hist.counts) - surviving
         print(
             f"tau={threshold!r} surviving={surviving} removed={removed} injected={injected}",
             file=sys.stderr,

@@ -141,8 +141,9 @@ class Histogram(_Columns):
     def active_domain(self) -> frozenset[str]:
         """Categories with strictly positive count.
 
-        Built on the first call and shared by every later one: a release, its
-        summary and its fidelity score all read the same set.
+        Built on the first call and shared by every later one. The package
+        reads the active labels as a column in bin order instead; a release
+        builds this set only to exclude it from its injected labels.
         """
         return self._active
 
@@ -214,10 +215,7 @@ class NoisyHistogram(_Columns):
             valid = 0 < counts.min() and counts.max() < math.inf  # a nan fails the first
         if not valid:
             _checked(labels, counts.tolist(), positive=True)  # raises
-        h = cls.__new__(cls)
-        h._labels, h.counts = labels, _frozen(counts)
-        h.injected = (False,) * active + (True,) * (len(labels) - active)
-        return h
+        return cls._of(labels, counts, (False,) * active + (True,) * (len(labels) - active))
 
     @classmethod
     def _of(cls, labels: tuple[str, ...], counts: np.ndarray, injected: tuple[bool, ...]) -> "NoisyHistogram":

@@ -28,6 +28,8 @@ call; no release path calls it.
 
 from __future__ import annotations
 
+import codecs
+from collections.abc import Collection
 from functools import cached_property
 from itertools import compress, filterfalse
 from pathlib import Path
@@ -76,8 +78,9 @@ class DomainSampler:
         """Whether label is in the domain."""
         raise NotImplementedError
 
-    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
-        """The labels that are not in the domain."""
+    def non_members(self, labels: Collection[str]) -> set[str]:
+        """The labels that are not in the domain, of any sized collection of
+        distinct labels: a release hands its active labels in bin order."""
         return {label for label in labels if not self.contains(label)}
 
     def sample_distinct(self, rng: Rng, k: int, exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
@@ -144,8 +147,8 @@ class _LabelSampler(DomainSampler):
     def contains(self, label: str) -> bool:
         return label in self._members
 
-    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
-        return labels.difference(self._members)
+    def non_members(self, labels: Collection[str]) -> set[str]:
+        return set(filterfalse(self._members.__contains__, labels))
 
 
 class _Lines:
@@ -243,7 +246,7 @@ class _Words(DomainSampler):
     def contains(self, label: str) -> bool:
         return label in self._members
 
-    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
+    def non_members(self, labels: Collection[str]) -> set[str]:
         joined = "\n".join(labels)
         outside: set[str] = set()
         if joined.count("\n") >= len(labels):  # a label holds "\n", which no word does
@@ -306,7 +309,7 @@ class _WordPairSampler(DomainSampler):
         first, _, second = label.partition(" ")
         return self._words.contains(first) and self._words.contains(second)
 
-    def non_members(self, labels: frozenset[str] | set[str]) -> set[str]:
+    def non_members(self, labels: Collection[str]) -> set[str]:
         # A label with no space has "" for its second word, and one with two
         # has a second word with a space: neither is a word.
         halves = {label: label.partition(" ")[::2] for label in labels}
@@ -338,8 +341,9 @@ class _SizeOnlySampler(DomainSampler):
 
 def _read_lines(path: Path) -> bytes:
     """A UTF-8 wordlist's lines, trimmed, blanks dropped, as UTF-8 with each
-    line followed by "\n". Duplicates are kept."""
-    data = path.read_bytes()
+    line followed by "\n". Duplicates are kept. A leading byte-order mark is
+    dropped."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     # An ASCII file that has nothing to trim and no blank line is its own
     # result; each check is one scan of the bytes.
     if data.isascii() and data[:1] not in (b"", b"\n") and b"\n\n" not in data \

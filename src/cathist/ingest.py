@@ -76,15 +76,17 @@ class ColumnSelector:
 def _open_source(source: str | Path) -> Iterator[IO[str]]:
     """The source ("-" for stdin) as UTF-8 text, invalid bytes kept as escapes.
 
-    _csv_reader rejects the escapes with their line number.
+    _csv_reader rejects the escapes with their line number. A leading UTF-8
+    byte-order mark, which spreadsheet exports write, is skipped, also after
+    seek(0); one anywhere else stays in the text.
     """
     if source != "-":
-        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             yield fh
     elif not hasattr(sys.stdin, "buffer"):  # a text stream with no bytes under it
         yield sys.stdin
     else:
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape", newline="")
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", errors="surrogateescape", newline="")
         try:
             yield fh
         finally:

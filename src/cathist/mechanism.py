@@ -33,6 +33,11 @@ true column: the fidelity of a release depends only on which active bins
 survived, their noisy counts and the injected weights. As the labels come
 last, a sweep cell reads every other draw without picking them.
 
+_draw_batch owns that layout for one release and for a sweep cell's
+repetitions alike, on plain values: its caller passes the generator and
+reads the histogram's active columns, and picks any labels from the
+generator after the draws.
+
 Unit sensitivity: neighboring datasets differ by adding or removing one
 record, so one bin's count changes by one and the Laplace scale is
 1/epsilon.
@@ -44,7 +49,6 @@ import math
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +96,7 @@ def _absent_slots(domain: DomainSpec, h: Histogram, sampler: DomainSampler) -> i
     memo = h._absent  # read once: another thread may replace it
     if memo is not None and memo[0] is sampler:
         return memo[1]
-    active = h.active_domain()
+    active = h._positive[0]
     outside = sampler.non_members(active)
     if outside:
         raise ValidityError(
@@ -113,16 +117,18 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     one repetition: its injected count and weights, then its k active-bin
     uniforms, then its injected labels. A sweep cell reads the same draws
     for all of its repetitions without building releases (see sweep.py).
+    It builds the active set only when it injects, to exclude it from the
+    injected labels.
     """
     sampler = load_domain(config.domain) if sampler is None else sampler
     trials = _absent_slots(config.domain, h, sampler)
-    draws = _draw_batch(config, h, 1, sampler, trials, _thread_rng(config.seed))
-    epsilon, threshold = config.privacy.epsilon, draws.threshold
-    (block,), (weights,) = draws.uniforms, draws.weights
-    kept, noisy = _survivors(block[0], draws.positive, 1.0 / epsilon, threshold)
+    rng = _thread_rng(config.seed)
+    epsilon, rho = config.privacy.epsilon, config.privacy.rho
+    threshold, (weights,), (block,) = _draw_batch(rng, epsilon, rho, sampler.size, trials, 1, len(h._positive[0]))
+    kept, noisy = _survivors(block[0], h._positive, 1.0 / epsilon, threshold)
     injected = ()
     if weights.size:
-        injected = sampler.sample_distinct(draws.rng, weights.size, exclude=h.active_domain())
+        injected = sampler.sample_distinct(rng, weights.size, exclude=h.active_domain())
         # sample_shifted_exponential's threshold - log1p(-u) / epsilon, with
         # math.log1p (np.log1p can differ in the last bit). It may overflow at
         # a tiny epsilon; the release refuses that weight.
@@ -188,41 +194,29 @@ def _survivors(
 BLOCK_DRAWS = 1 << 20
 
 
-class _BatchDraws(NamedTuple):
-    """A batch's threshold and its draws, up to (not including) the labels.
-
-    positive holds the labels and counts of the k active bins in input
-    order. weights holds, per repetition, the uniforms of its injected
-    weights, one per injected bin. uniforms gives the reps x k active-bin
-    uniforms as blocks of rows; when there are several blocks, each is drawn
-    as it is read. Once every block is read, rng is positioned at the labels
-    of the first repetition.
-    """
-
-    positive: tuple[tuple[str, ...], np.ndarray]
-    threshold: float
-    uniforms: Iterable[np.ndarray]
-    weights: list[np.ndarray]
-    rng: Rng
-
-
 def _draw_batch(
-    config: CatHistConfig, h: Histogram, reps: int, sampler: DomainSampler, trials: int, rng: Rng
-) -> _BatchDraws:
-    """What reps releases draw: cat_hist's one, or a sweep cell's.
+    rng: Rng, epsilon: float, rho: float, n: int, trials: int, reps: int, k: int
+) -> tuple[float, list[np.ndarray], Iterable[np.ndarray]]:
+    """What reps releases of k active bins draw: cat_hist's one, or a sweep
+    cell's. Returns (threshold, weights, blocks).
 
-    The draws come from rng, which must be at make_rng(config.seed)'s state.
+    The draws come from rng, which must be at make_rng(seed)'s state. The
+    threshold is noisy_threshold(epsilon, rho, n), which refuses a bad
+    epsilon or rho. weights holds, per repetition, the uniforms of its
+    injected weights, one per injected bin. blocks gives the reps x k
+    active-bin uniforms as blocks of rows; when there are several blocks,
+    each is drawn as it is read. Once every block is read, rng is positioned
+    at the labels of the first repetition.
 
-    trials is _absent_slots' count for h, which the caller works out once
-    per batch or per sweep: only the absent in-domain slots can be injected,
+    trials is _absent_slots' count, which the caller works out once per
+    release or per sweep: only the absent in-domain slots can be injected,
     so m never exceeds them. No uniform handed out is 0.0: each one is replaced,
     in row-major order, by the stream's next nonzero draw, the redraw
     sample_laplace and sample_shifted_exponential make. A caller that never
     picks labels makes the same draws as one that does, because the labels
     come last on the stream.
     """
-    epsilon = config.privacy.epsilon
-    threshold = noisy_threshold(epsilon, config.privacy.rho, sampler.size)
+    threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
 
     # No draw depends on the active counts, so the injection draws (counts
@@ -235,8 +229,7 @@ def _draw_batch(
             weights.append(_nonzero(rng, rng.random(m)))
         else:
             weights.append(_NO_DRAWS)
-    uniforms = _uniform_blocks(rng, reps, len(h.active_domain()))
-    return _BatchDraws(h._positive, threshold, uniforms, weights, rng)
+    return threshold, weights, _uniform_blocks(rng, reps, k)
 
 
 # The weights of a repetition that injects nothing; never written to.

@@ -5,10 +5,14 @@ column and reports mean/stddev fidelity plus mean injected and surviving bin
 counts. A cell's repetitions draw what mechanism._draw_batch draws for
 them: one seed, derived from (base_seed, epsilon index, rho index), and one
 random stream shared by all of them, laid out as a release's (cat_hist is
-_draw_batch's one repetition). So every cell is reproducible in isolation and
-the CSV is byte-identical however many threads ran the cells, in whatever
-order. The cells only read what they share: the column, the loaded domain and
-the count of absent domain slots that the sweep's one membership check gives.
+_draw_batch's one repetition). The cell hands _draw_batch plain values, its
+generator, epsilon, rho, the domain size and the two counts, and reads the
+column's active counts itself; it builds no release config, and a bad grid
+value is refused where the threshold is worked out. So every cell is
+reproducible in isolation and the CSV is byte-identical however many threads
+ran the cells, in whatever order. The cells only read what they share: the
+column, the loaded domain and the count of absent domain slots that the
+sweep's one membership check gives.
 
 A cell builds no releases. Injected labels are drawn outside the active set,
 so a release meets the column in its surviving active bins S only, and its
@@ -41,10 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainSpec, Histogram, PrivacyParams, ValidityError
+from .core import DomainSpec, Histogram, ValidityError
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
-from .mechanism import CatHistConfig, _absent_slots, _draw_batch, _thread_rng
+from .mechanism import _absent_slots, _draw_batch, _thread_rng
 # Bound here although unused: bench/layers.py traces the mechanism and the
 # score at the names the sweep imports.
 from .mechanism import cat_hist  # noqa: F401
@@ -97,17 +101,13 @@ def _run_cell(
     epsilon, rho = config.epsilons[eps_index], config.rhos[rho_index]
     if not threshold_defined(rho, sampler.size):
         return SweepRow(epsilon, rho, None, None, None, None, config.repetitions, "invalid")
-    cell_config = CatHistConfig(
-        privacy=PrivacyParams(epsilon, rho),
-        domain=config.domain,
-        seed=derive_seed(config.base_seed, eps_index, rho_index),
-    )
-    draws = _draw_batch(cell_config, hist, config.repetitions, sampler, trials, _thread_rng(cell_config.seed))
-    counts = draws.positive[1]
+    rng = _thread_rng(derive_seed(config.base_seed, eps_index, rho_index))
+    counts = hist._positive[1]
+    threshold, weights, blocks = _draw_batch(rng, epsilon, rho, sampler.size, trials, config.repetitions, counts.size)
     shares = counts / hist.total
     scale = 1.0 / epsilon
     true_mass, noisy_mass, surviving = [], [], []
-    for u in draws.uniforms:
+    for u in blocks:
         # cat_hist's per-bin arithmetic on the whole block, in place:
         # noisy = count + sign(u - 1/2) * scale * -log1p(-2|u - 1/2|).
         u -= 0.5
@@ -117,16 +117,16 @@ def _run_cell(
         noisy *= -scale
         np.copysign(noisy, u, out=noisy)
         noisy += counts
-        kept = (noisy >= draws.threshold) & (noisy > 0)
+        kept = (noisy >= threshold) & (noisy > 0)
         # Not noisy *= kept: a dropped bin's -inf times 0 would be nan.
         np.copyto(noisy, 0.0, where=~kept)
         true_mass.append(np.where(kept, shares, 0.0).sum(axis=1))
         noisy_mass.append(noisy.sum(axis=1))
         surviving.append(np.count_nonzero(kept, axis=1))
-    injected = np.array([weights.size for weights in draws.weights])
+    injected = np.array([w.size for w in weights])
     # Each injected weight is threshold + Exponential(epsilon).
-    exponentials = -np.log1p(-np.concatenate(draws.weights)) / epsilon
-    injected_mass = injected * draws.threshold + np.bincount(
+    exponentials = -np.log1p(-np.concatenate(weights)) / epsilon
+    injected_mass = injected * threshold + np.bincount(
         np.repeat(np.arange(config.repetitions), injected), exponentials, config.repetitions
     )
     noisy_mass = np.concatenate(noisy_mass)

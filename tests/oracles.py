@@ -4,8 +4,9 @@ The mpmath oracles compute expected values straight from the defining
 formulas at 60 significant digits, sharing no code with the package under
 test. The loop references below them are the plain per-row, per-bin and
 per-call forms of code the package runs in bulk or from a cache; the tests
-require the two to give identical results. Last comes the brute-force
-reference the mechanism must equal in distribution.
+require the two to give identical results. Then comes the brute-force
+reference the mechanism must equal in distribution, and last the exact law
+of a release's discrete part on tiny domains, for the privacy audit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
 import re
 import weakref
@@ -340,3 +342,71 @@ def _decoded_domain(sampler):
         labels = sampler.decode(np.arange(sampler.size))
         _DECODED[sampler] = labels, dict(zip(labels, range(len(labels))))
     return _DECODED[sampler]
+
+
+def release_law(epsilon, rho, domain, bins):
+    """The exact law of a release file's discrete part, at DPS digits.
+
+    domain is the tuple of domain labels and bins the histogram's (label,
+    count) pairs in bin order. An outcome is what the file shows without its
+    counts: its (label, origin) pairs in file order, the surviving active
+    bins in bin order and then the injected labels in draw order. Each
+    active bin survives on its own with P(count + Laplace(1/epsilon) >= tau),
+    the injected count is Binomial(n - a, p) over the a active labels, and
+    the injected labels are distinct and uniform over the absent ones, in
+    draw order: an ordered m-tuple of them has probability
+    C(n - a, m) p^m (1 - p)^(n - a - m) / (n - a)_m = p^m (1 - p)^(n - a - m) / m!.
+    Returns {outcome: probability}, over the outcomes of nonzero probability.
+    """
+    with mp.workdps(DPS):
+        n = len(domain)
+        p = 1 - mp.mpf(rho) ** (mp.mpf(1) / n)  # = (1/2) exp(-epsilon * tau)
+        tau = -mp.log(2 * p) / mp.mpf(epsilon)
+        active = [(label, mp.mpf(count)) for label, count in bins if count > 0]
+        absent = [label for label in domain if label not in dict(active)]
+        survival = [_laplace_tail(count - tau, epsilon) for _, count in active]
+        law = {}
+        for kept in itertools.product((False, True), repeat=len(active)):
+            p_kept = mp.fprod(s if k else 1 - s for s, k in zip(survival, kept))
+            survivors = tuple((label, "active") for (label, _), k in zip(active, kept) if k)
+            for m in range(len(absent) + 1):
+                p_m = p**m * (1 - p) ** (len(absent) - m) / mp.factorial(m)
+                for labels in itertools.permutations(absent, m):
+                    law[survivors + tuple((label, "injected") for label in labels)] = p_kept * p_m
+        return law
+
+
+def _laplace_tail(gap, epsilon):
+    """P(gap + Laplace(1/epsilon) >= 0)."""
+    gap = mp.mpf(epsilon) * gap
+    return 1 - mp.exp(-gap) / 2 if gap >= 0 else mp.exp(gap) / 2
+
+
+def marginal_law(law, key):
+    """The law of key(outcome)."""
+    with mp.workdps(DPS):
+        out = {}
+        for outcome, prob in law.items():
+            k = key(outcome)
+            out[k] = out.get(k, 0) + prob
+        return out
+
+
+def worst_privacy_ratio(law, other):
+    """The largest P(o) / P'(o) over both orders of the two laws, inf where
+    one law gives an outcome probability 0 that the other does not."""
+    with mp.workdps(DPS):
+        worst = mp.mpf(0)
+        for a, b in ((law, other), (other, law)):
+            for outcome, prob in a.items():
+                worst = max(worst, prob / b[outcome] if outcome in b else mp.inf)
+        return worst
+
+
+def neighbouring_counts(n, top):
+    """Every pair of count vectors over n labels, counts 0..top, that differ
+    by one record: by one in one place."""
+    for counts in itertools.product(range(top + 1), repeat=n):
+        for i in range(n):
+            if counts[i] < top:
+                yield counts, counts[:i] + (counts[i] + 1,) + counts[i + 1:]

@@ -46,6 +46,7 @@ def assert_decode_is_a_bijection_onto_members(sampler):
     assert len(set(labels)) == len(labels) == sampler.size
     assert all(map(sampler.contains, labels))
     assert sampler.non_members(set(labels)) == set()
+    assert sampler.non_members(tuple(labels)) == set()
 
 
 def index_arrays(size):
@@ -86,6 +87,7 @@ class TestExplicitSampler:
 
     def test_unknown_label_errors(self):
         assert self.sampler.non_members({"a", "z"}) == {"z"}
+        assert self.sampler.non_members(("z", "a")) == {"z"}
         config = CatHistConfig(PrivacyParams(1.0, 0.5), self.sampler.spec, seed=1)
         with pytest.raises(ValidityError, match="outside the declared domain"):
             cat_hist(config, Histogram([("a", 3.0), ("z", 1.0)]), sampler=self.sampler)
@@ -262,6 +264,19 @@ class TestWordListSampler:
             with pytest.raises(UnicodeDecodeError):
                 load_domain(kind(path))
 
+    @pytest.mark.parametrize("text", ["Male\nFemale\n", "Male\ncafé\r\nFemale"], ids=["ascii", "non-ascii"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text):
+        # A spreadsheet's "UTF-8" export starts with EF BB BF; a BOM later in
+        # the file is part of a word.
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8") + "\n\ufeffMale\n".encode("utf-8"))
+        sampler = load_domain(WordList(path))
+        assert words_of(path)[0] == "Male" and words_of(path)[-1] == "\ufeffMale"
+        assert sampler.non_members(("Male", "Female", "\ufeffMale")) == set()
+        config = CatHistConfig(PrivacyParams(1.0, 0.5), sampler.spec, seed=1)
+        cat_hist(config, Histogram([("Male", 3.0)]), sampler=sampler)  # not refused as out of domain
+        assert load_domain(WordPairs(path)).contains("Male Female")
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("\n  \n", encoding="utf-8")
@@ -307,6 +322,7 @@ class TestWordListSampler:
         # The words, their near-misses and other labels.
         labels = {*words, *queries, *(word + " " for word in words), *(word[:-1] for word in words)}
         assert sampler.non_members(labels) == labels - set(words)
+        assert sampler.non_members(tuple(labels)) == labels - set(words)
         assert {label for label in labels if not sampler.contains(label)} == labels - set(words)
 
     def test_non_members_of_near_words(self, tmp_path):
@@ -318,6 +334,7 @@ class TestWordListSampler:
             "alp", "caf", "longerthaneigh", "alpha ", "longerthaneight ", " beta",
         }
         assert sampler.non_members(near | {"alpha", "café", "longerthaneight"}) == near
+        assert sampler.non_members(("alpha", *sorted(near), "café")) == near
         assert not any(map(sampler.contains, near))
         assert sampler.non_members({"alpha\nbeta", "\n"}) == {"alpha\nbeta", "\n"}
         assert sampler.non_members(set()) == set()
@@ -403,6 +420,7 @@ class TestWordPairSampler:
         for label in labels:
             assert not sampler.contains(label), label
         assert sampler.non_members(labels | {"Male Female"}) == labels
+        assert sampler.non_members(("Male Female", *sorted(labels))) == labels
 
     def test_unknown_word_in_pair(self, small_wordlist_path):
         sampler = load_domain(WordPairs(small_wordlist_path))
@@ -458,6 +476,7 @@ class TestSizeOnlySampler:
         for label in bad:
             assert not sampler.contains(label), label
         assert sampler.non_members(bad) == bad
+        assert sampler.non_members(("cat-7", *sorted(bad))) == bad
 
     @PROPERTY
     @given(st.integers(1, 300), LABELS)

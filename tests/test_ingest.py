@@ -367,6 +367,51 @@ def random_histogram(rng, noisy=False):
     return Histogram([(label, float(rng.uniform(0, 1e6))) for label in labels])
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write, is skipped on every read path; one later in the input is data."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.BOM + text.encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("header", ["v\n", ""], ids=["by-name", "headerless"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["line-count", "row-reader"])
+    def test_file(self, tmp_path, rows_read, header, quoted):
+        # A quote sends the file back to the start, past the BOM again.
+        path = self.write(tmp_path, header + ('"cat-1"' if quoted else "cat-1") + "\ncat-1\ncat-2\n")
+        selector = ColumnSelector(path, "v") if header else ColumnSelector(path, 0, has_header=False)
+        assert list(read_histogram(selector).items()) == [("cat-1", 2.0), ("cat-2", 1.0)]
+        assert rows_read == ([path] if quoted else [])
+
+    def test_row_reader_after_many_blocks(self, tmp_path, rows_read):
+        # The line count gives up on the distinct row ids only after reading
+        # tens of thousands of lines, then reads again from the start.
+        rows = "".join(f"{'ab'[i % 2]},{i}\n" for i in range(50_000))
+        path = self.write(tmp_path, "w,id\n" + rows)
+        assert list(read_histogram(ColumnSelector(path, "w")).items()) == [("a", 25_000.0), ("b", 25_000.0)]
+        assert rows_read == [path]
+
+    @pytest.mark.parametrize("column", ["v", 0])
+    def test_stdin(self, monkeypatch, column):
+        text = "v\ncat-1\ncat-1\ncat-2\n" if column == "v" else "cat-1\ncat-1\ncat-2\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.BOM + text.encode("utf-8"))))
+        h = read_histogram(ColumnSelector("-", column, has_header=column == "v"))
+        assert list(h.items()) == [("cat-1", 2.0), ("cat-2", 1.0)]
+        assert not sys.stdin.closed
+
+    def test_later_byte_order_mark_is_data(self, tmp_path):
+        path = self.write(tmp_path, "v\ncat-1\n\ufeffcat-1\n")
+        assert read_histogram(ColumnSelector(path, "v")).labels() == ("cat-1", "\ufeffcat-1")
+        path = tmp_path / "plain.csv"
+        path.write_text("\ufeff\ufeffv\ncat-1\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"no column named 'v'; available columns: \['\\ufeffv'\]"):
+            read_histogram(ColumnSelector(str(path), "v"))
+
+
 class TestSerializationRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_hundred_random_histograms(self, tmp_path, fmt):

@@ -252,10 +252,11 @@ class TestAbsentSlotsMemo:
     def test_membership_checked_once_per_histogram_and_sampler(self, monkeypatch):
         sampler = load_domain(self.DOMAIN)
         calls = self.spy_non_members(monkeypatch, sampler)
-        h = Histogram([("cat-3", 40.0), ("cat-9", 25.0)])
+        h = Histogram([("cat-9", 25.0), ("cat-0", 0.0), ("cat-3", 40.0)])
         for seed in range(3):
             cat_hist(config_for(1.0, 0.01, self.DOMAIN, seed=seed), h, sampler=sampler)
-        assert calls == [{"cat-3", "cat-9"}]
+        # The active labels in bin order, not a set.
+        assert calls == [("cat-9", "cat-3")]
 
     def test_sampler_with_an_equal_spec_checks_again(self, monkeypatch):
         first, second = load_domain(self.DOMAIN), load_domain(self.DOMAIN)
@@ -276,6 +277,17 @@ class TestAbsentSlotsMemo:
             with pytest.raises(ValidityError, match=r"outside the declared domain: \['zzz'\]"):
                 cat_hist(config_for(1.0, 0.6, domain, seed=seed), h, sampler=sampler)
         assert len(calls) == 3
+
+    def test_release_without_injection_builds_no_active_set(self):
+        # Membership is checked on the bin-order labels; the active set is
+        # built only to exclude it from injected labels.
+        sampler = load_domain(self.DOMAIN)
+        h = Histogram([("cat-3", 40.0), ("cat-9", 25.0)])
+        release = cat_hist(config_for(1.0, 0.999, self.DOMAIN, seed=0), h, sampler=sampler)
+        assert not release.injected_bins()
+        assert "_active" not in vars(h)
+        injecting = cat_hist(config_for(1.0, 1e-100, self.DOMAIN, seed=0), h, sampler=sampler)
+        assert injecting.injected_bins() and vars(h)["_active"] == {"cat-3", "cat-9"}
 
     def test_release_of_a_memoized_histogram_equals_a_fresh_one(self):
         sampler = load_domain(self.DOMAIN)
@@ -390,17 +402,20 @@ def releases_from_draws(config, h, reps, sampler):
     uniforms, and sample_shifted_exponential its weight uniforms, from a
     stand-in generator that hands them out in turn. Each repetition's labels
     then come in turn from the stream that follows every uniform."""
-    draws = _draw_batch(config, h, reps, sampler, _absent_slots(config.domain, h, sampler), make_rng(config.seed))
-    epsilon, threshold = config.privacy.epsilon, draws.threshold
-    labels, counts = draws.positive
-    rows = [row for block in draws.uniforms for row in block.tolist()]
+    rng, epsilon = make_rng(config.seed), config.privacy.epsilon
+    trials = _absent_slots(config.domain, h, sampler)
+    labels, counts = h._positive
+    threshold, weights_per_rep, blocks = _draw_batch(
+        rng, epsilon, config.privacy.rho, sampler.size, trials, reps, len(labels)
+    )
+    rows = [row for block in blocks for row in block.tolist()]
     releases = []
-    for row, weights in zip(rows, draws.weights):
+    for row, weights in zip(rows, weights_per_rep):
         replay = SimpleNamespace(random=iter(row).__next__)
         noisy = [sample_laplace(replay, count, 1.0 / epsilon) for count in counts.tolist()]
         bins = [NoisyBin(label, c, Origin.ACTIVE) for label, c in zip(labels, noisy) if c >= threshold and c > 0]
         replay = SimpleNamespace(random=iter(weights.tolist()).__next__)
-        injected = sampler.sample_distinct(draws.rng, weights.size, exclude=h.active_domain()) if weights.size else ()
+        injected = sampler.sample_distinct(rng, weights.size, exclude=h.active_domain()) if weights.size else ()
         bins += [NoisyBin(label, sample_shifted_exponential(replay, epsilon, threshold), Origin.INJECTED)
                  for label in injected]
         releases.append(NoisyHistogram(bins))
@@ -523,8 +538,8 @@ class TestBatch:
         h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
         trials = n - len(h.active_domain())
         cfg = config_for(epsilon, rho, domain, seed=20251018)
-        draws = _draw_batch(cfg, h, runs, load_domain(domain), trials, make_rng(cfg.seed))
-        injected = [weights.size for weights in draws.weights]
+        _, weights_per_rep, _ = _draw_batch(make_rng(cfg.seed), epsilon, rho, n, trials, runs, len(h))
+        injected = [weights.size for weights in weights_per_rep]
         zero_fraction = injected.count(0) / runs
         assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
         se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(runs)
