@@ -24,12 +24,19 @@ candidates: every answer rests on comparing the label's bytes with the
 word's, so duplicates and hash collisions leave every answer exact. The
 one-label contains answers from a dict of the words, decoded on its first
 call; no release path calls it.
+
+The same lines, hashes and byte comparisons count the lines of a column
+file (ingest.read_histogram): _DistinctLines keeps the distinct lines of the
+blocks added, with their counts and hash index, and a wordlist whose words
+repeat or share a hash is deduplicated through it.
 """
 
 from __future__ import annotations
 
 import codecs
-from collections.abc import Collection
+import re
+from collections import Counter
+from collections.abc import Collection, Iterator
 from functools import cached_property
 from itertools import compress, filterfalse
 from pathlib import Path
@@ -57,6 +64,10 @@ HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 # Bytes searched for "\n", or lines hashed or decoded, at once: temporaries
 # the size of a whole wordlist would leave holes of that size in the heap.
 BLOCK = 1 << 14
+# Bytes of a block whose lines' mean length picks how the block is grouped,
+# and bytes of lines counted at once in the dict (see _DistinctLines).
+_SAMPLE = 1 << 12
+_TALLY_BYTES = 1 << 16
 # _LOW_BYTES[n] keeps the first n bytes of a little-endian uint64.
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 
@@ -154,35 +165,58 @@ class _LabelSampler(DomainSampler):
 class _Lines:
     """"\n"-terminated byte strings in one buffer.
 
-    Line i with its "\n" is buffer[starts[i]:starts[i + 1]]. data holds the
-    buffer's bytes and then 7 zero bytes, so that eights, the 8 bytes from
-    each offset as a little-endian uint64, can be read up to its end.
+    Line i with its "\n" is buffer[starts[i]:starts[i + 1]]. The buffer is
+    followed by at least 7 more bytes, so that eights, the 8 bytes from each
+    offset as a little-endian uint64, can be read up to its end.
     """
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data + bytes(7)
-        self.buffer = np.frombuffer(self.data, np.uint8, len(data))
-        self.eights = np.ndarray(len(data), "<u8", self.data, 0, (1,))
-        self.size = data.count(b"\n")
-        self.starts = np.zeros(self.size + 1, np.int32 if len(data) < 2**31 else np.int64)
+    def __init__(self, padded: np.ndarray, starts: np.ndarray) -> None:
+        """The lines of the uint8 array padded[:starts[-1]]."""
+        self.starts = starts
+        self.size = starts.size - 1
+        self.buffer = padded[:starts[-1]]
+        self.eights = np.ndarray(self.buffer.size, "<u8", padded, 0, (1,))
+
+    @classmethod
+    def of(cls, data: bytes) -> _Lines:
+        """The lines of data, which is empty or ends with "\n"."""
+        return cls.within(data + bytes(7), len(data))
+
+    @classmethod
+    def within(cls, data: bytes | bytearray, end: int) -> _Lines:
+        """The lines of data[:end], which is empty or ends with "\n", in
+        data itself: data holds at least 7 more bytes."""
+        padded = np.frombuffer(data, np.uint8)
+        starts = np.zeros(data.count(b"\n", 0, end) + 1, np.int32 if end < 2**31 else np.int64)
         found = 0
-        for first in range(0, len(data), BLOCK):
-            ends = np.flatnonzero(self.buffer[first:first + BLOCK] == ord("\n"))
-            self.starts[found + 1:found + 1 + ends.size] = ends + (first + 1)
+        for first in range(0, end, BLOCK):
+            ends = np.flatnonzero(padded[first:min(first + BLOCK, end)] == ord("\n"))
+            starts[found + 1:found + 1 + ends.size] = ends + (first + 1)
             found += ends.size
+        return cls(padded, starts)
 
     def hash(self) -> np.ndarray:
         """Each line's hash (see HASH_MULTIPLIER), BLOCK lines at a time."""
         # uint64 array arithmetic wraps around silently; scalar arithmetic would warn.
         multiplier = np.uint64(HASH_MULTIPLIER)
-        hashes = np.zeros(self.size, np.uint64)
+        powers = np.ones(1, np.uint64)  # powers[k] is multiplier ** k
+        hashes = np.empty(self.size, np.uint64)
         for first in range(0, self.size, BLOCK):
             bounds = self.starts[first:first + BLOCK + 1]
-            left, at, length = np.arange(first, first + bounds.size - 1), bounds[:-1], np.diff(bounds)
-            while left.size:  # the next 8 bytes of the lines not yet read to their end
-                hashes[left] = (hashes[left] + (self.eights[at] & _LOW_BYTES.take(length, mode="clip"))) * multiplier
-                longer = np.flatnonzero(length > 8)
-                left, at, length = left[longer], at[longer] + 8, length[longer] - 8
+            at, length = bounds[:-1], np.diff(bounds)
+            block = hashes[first:first + at.size]
+            np.multiply(self.eights[at] & _LOW_BYTES.take(length, mode="clip"), multiplier, out=block)
+            longer = np.flatnonzero(length > 8)
+            for words, lines in _by_words(length[longer]):
+                # The definition's loop over the line's words, unrolled: word k
+                # of w adds its value times the multiplier to the power w - k.
+                lines = longer[lines]
+                if powers.size <= words:
+                    powers = np.multiply.accumulate(np.append(np.uint64(1), np.full(words, multiplier)))
+                values = self.eights[at[lines, None] + 8 * np.arange(words)]
+                values[:, -1] &= _LOW_BYTES.take(length[lines] - 8 * (words - 1))
+                values *= powers[words:0:-1]
+                block[lines] = values.sum(axis=1, dtype=np.uint64)
         return hashes
 
     def gather(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,29 +229,220 @@ class _Lines:
         return self.gather(lines)[0].tobytes().decode("utf-8").split("\n")[:-1]
 
     def same(self, lines: np.ndarray, other: _Lines, others: np.ndarray) -> np.ndarray:
-        """Whether line lines[i] has the bytes of other's line others[i].
-
-        Each line is compared, 8 bytes at a time, with as many bytes of the
-        other line as it has. That is exact: lines of two lengths differ at
-        the shorter one's "\n", as a line holds "\n" only at its end. So the
-        lines stay equal only up to the other line's end, and no 8-byte read
-        starts past it.
-        """
-        same = np.ones(lines.size, bool)
-        left, at, other_at = np.arange(lines.size), self.starts[lines], other.starts[others]
+        """Whether line lines[i] has the bytes of other's line others[i], of
+        lines of equal lengths, compared 8 bytes at a time."""
+        at, other_at = self.starts[lines], other.starts[others]
         length = self.starts[lines + 1] - at
-        while left.size:  # the next 8 bytes of the lines equal so far and not yet read to their end
-            same[left] = (self.eights[at] ^ other.eights[other_at]) & _LOW_BYTES.take(length, mode="clip") == 0
-            longer = np.flatnonzero(same[left] & (length > 8))
-            left, at, other_at, length = left[longer], at[longer] + 8, other_at[longer] + 8, length[longer] - 8
+        same = np.empty(lines.size, bool)
+        for words, pairs in _by_words(length):
+            into = 8 * np.arange(words)
+            differ = self.eights[at[pairs, None] + into] ^ other.eights[other_at[pairs, None] + into]
+            differ[:, -1] &= _LOW_BYTES.take(length[pairs] - 8 * (words - 1))
+            same[pairs] = ~differ.any(axis=1)
         return same
 
 
-class _Words(DomainSampler):
-    """A wordlist's distinct words in first-occurrence order, as lines.
+class _HashIndex:
+    """Where to look for lines by hash: hashes holds the hashes of some
+    distinct lines in ascending order, and hashes[k] is line order[k]'s."""
 
-    hashes holds the words' hashes in ascending order, and hashes[k] is word
-    order[k]'s. A word-pair domain indexes its words with one of these.
+    def __init__(self, hashes: np.ndarray, order: np.ndarray) -> None:
+        self.hashes = hashes
+        self.order = order
+        self.shared = bool((hashes[1:] == hashes[:-1]).any())  # whether two lines share a hash
+
+    def find(self, held: _Lines, lines: _Lines, queries: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The line of held with the bytes of each of lines' lines queries,
+        or -1, and the place of each query's hash in the sorted hashes.
+
+        hashes are the queries' own. A hash only finds candidates: each
+        answer rests on comparing bytes, so hash collisions leave it exact.
+        Queries in ascending hash walk the sorted hashes in order.
+        """
+        at = self.hashes.searchsorted(hashes)
+        if self.shared:  # a query may have several candidates
+            hits = self.hashes.searchsorted(hashes, "right") - at
+        else:  # at most one: the line at its place, if that has its hash
+            hits = self.hashes.take(at, mode="clip") == hashes if self.hashes.size else np.zeros(at.size, bool)
+        # Each query against every line of its hash.
+        query_of = np.repeat(np.arange(hits.size), hits)
+        candidates = _ranges(self.order, at, hits)[0]
+        match = _same_of_equal_hash(lines, queries[query_of], held, candidates)
+        found = np.full(queries.size, -1, np.intp)
+        found[query_of[match]] = candidates[match]
+        return found, at
+
+    def insert(self, at: np.ndarray, hashes: np.ndarray, lines: np.ndarray) -> None:
+        """Take in the lines with these hashes, at these places, ascending."""
+        self.hashes = np.insert(self.hashes, at, hashes)
+        self.order = np.insert(self.order, at, lines)
+        self.shared = self.shared or bool((self.hashes[1:] == self.hashes[:-1]).any())
+
+
+class _DistinctLines:
+    """The distinct lines of the blocks added, in first-appearance order.
+
+    After flush, lines holds them, counts how often each appeared, and index
+    finds them by hash. Only the index is copied on every block that brings
+    new lines; the lines' own arrays grow by doubling.
+
+    Lines of at most 8 bytes are grouped with no byte compared (see
+    _copies). Longer lines need their bytes compared, which a dict of the
+    lines' bytes does at a fraction of the cost of numpy reading them 8
+    bytes at a time. So a block whose first _SAMPLE bytes hold lines of more
+    than 8 bytes on average is counted in a dict, which flush takes in.
+    """
+
+    def __init__(self) -> None:
+        self._padded = np.zeros(7, np.uint8)  # the lines' bytes, then room to grow
+        self._starts = np.zeros(1, np.int64)
+        self.size = 0
+        self.counts = np.zeros(0, np.int64)
+        self.index = _HashIndex(np.zeros(0, np.uint64), np.zeros(0, np.intp))
+        self._tally: Counter[str] = Counter()  # the lines counted in a dict since the last flush
+
+    def __len__(self) -> int:
+        """At most the number of distinct lines added."""
+        return self.size + len(self._tally)
+
+    @property
+    def lines(self) -> _Lines:
+        return _Lines(self._padded, self._starts[:self.size + 1])
+
+    def add(self, data: bytes | bytearray, end: int) -> int:
+        """Count in the lines of data[:end], which is empty or ends with
+        "\n", and return how many there are; data holds at least 7 more
+        bytes. UnicodeDecodeError if lines counted in the dict are not UTF-8.
+        """
+        if _hashed(data, end):
+            self.flush()
+            block = _Lines.within(data, end)
+            hashes = block.hash()
+            self._take(block, *_copies(block, hashes), hashes)
+            return block.size
+        # A dict of str keys looks them up faster than one of bytes, and
+        # _TALLY_BYTES of lines at a time keep their strings in cache.
+        size = at = 0
+        while at < end:
+            stop = data.rfind(b"\n", at, min(at + _TALLY_BYTES, end)) + 1 or data.index(b"\n", at, end) + 1
+            lines = data[at:stop].decode("utf-8").split("\n")
+            lines.pop()  # after the last "\n"
+            self._tally.update(lines)
+            size += len(lines)
+            at = stop
+        return size
+
+    def flush(self) -> None:
+        """Take in the lines counted in the dict, in their order."""
+        if self._tally:
+            block = _Lines.of(("\n".join(self._tally) + "\n").encode("utf-8"))
+            hashes = block.hash()
+            by_hash = np.argsort(hashes)
+            counts = np.fromiter(self._tally.values(), np.int64, len(self._tally))
+            self._tally.clear()
+            self._take(block, by_hash, counts[by_hash], hashes)
+
+    def decoded(self) -> tuple[list[str], list[int]]:
+        """The distinct lines, decoded and without their "\n", and how often
+        each appeared. UnicodeDecodeError if they are not UTF-8."""
+        if not self.size:  # every line was counted in the dict
+            return list(self._tally), list(self._tally.values())
+        self.flush()
+        return self.lines.buffer.tobytes().decode("utf-8").split("\n")[:-1], self.counts.tolist()
+
+    def _take(self, block: _Lines, firsts: np.ndarray, counts: np.ndarray, hashes: np.ndarray) -> None:
+        """Count in block's lines firsts, distinct and in ascending hash,
+        with these counts; hashes are the block's. The new ones join in
+        block order."""
+        held, at = self.index.find(self.lines, block, firsts, hashes[firsts])
+        old = held >= 0
+        self.counts[held[old]] += counts[old]
+        new = ~old
+        if not new.any():
+            return
+        # The new lines come in ascending hash, as the index takes them; the
+        # lines and their counts join in block order.
+        firsts, counts, at = firsts[new], counts[new], at[new]
+        fresh = np.zeros(block.size, bool)
+        fresh[firsts] = True
+        rank = np.cumsum(fresh)[firsts] - 1  # each new line's place among them, in block order
+        self.index.insert(at, hashes[firsts], rank + self.size)
+        in_order = np.empty_like(counts)
+        in_order[rank] = counts
+        self.counts = np.concatenate([self.counts, in_order])
+        data, ends = block.gather(np.flatnonzero(fresh))
+        used = int(self._starts[self.size])
+        self._padded = _room(self._padded, used + data.size + 7)
+        self._padded[used:used + data.size] = data
+        self._starts = _room(self._starts, self.size + 1 + ends.size)
+        self._starts[self.size + 1:self.size + 1 + ends.size] = ends + used
+        self.size += ends.size
+
+
+def _hashed(data: bytes | bytearray, end: int) -> bool:
+    """Whether _DistinctLines groups the lines of data[:end] by hash: the
+    whole lines of its first _SAMPLE bytes are at most 8 bytes long on
+    average."""
+    sample = data.rfind(b"\n", 0, min(end, _SAMPLE)) + 1
+    return 0 < sample <= 8 * data.count(b"\n", 0, sample)
+
+
+def _copies(lines: _Lines, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first copy of each distinct line, in ascending hash, and its number of copies.
+
+    One ndarray.sort of uint64 keys groups the lines: a key is the line's
+    hash with its low bits replaced by the line's index, so the lines of
+    equal high hash bits come together in line order. Each line of a group
+    is compared with the group's first (see _same_of_equal_hash); the lines
+    that differ are grouped again, on their own, until none is left.
+    """
+    firsts, counts = [], []
+    left = np.arange(lines.size)
+    while left.size:
+        shift = np.uint64(left.size.bit_length())
+        keys = hashes[left] >> shift
+        keys <<= shift
+        keys |= np.arange(left.size, dtype=np.uint64)
+        keys.sort()
+        at = left[(keys & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)]
+        keys >>= shift
+        head = np.ones(at.size, bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        group = np.flatnonzero(head)
+        first = at[group]
+        leader = np.repeat(first, np.diff(group, append=at.size))
+        same = hashes[at] == hashes[leader]
+        same &= _same_of_equal_hash(lines, at, lines, leader)  # decides where the hashes are equal
+        firsts.append(first)
+        left = np.sort(at[~same])
+        counts.append(np.add.reduceat(same, group, dtype=np.int64) if left.size else np.diff(group, append=at.size))
+    if len(firsts) == 1:  # no two distinct lines share their high hash bits
+        return firsts[0], counts[0]
+    firsts_, counts_ = np.concatenate(firsts), np.concatenate(counts)
+    by_hash = np.argsort(hashes[firsts_], kind="stable")
+    return firsts_[by_hash], counts_[by_hash]
+
+
+def _same_of_equal_hash(lines: _Lines, at: np.ndarray, other: _Lines, other_at: np.ndarray) -> np.ndarray:
+    """Whether line at[i] has the bytes of other's line other_at[i], of lines
+    with equal hashes.
+
+    A line of at most 8 bytes is hashed from one value v, its bytes with the
+    rest zeroed, to v * HASH_MULTIPLIER mod 2**64, which is one to one for an
+    odd multiplier: two such lines of equal hash and length are equal. Longer
+    lines are compared byte for byte.
+    """
+    length = lines.starts[at + 1] - lines.starts[at]
+    equal = length == other.starts[other_at + 1] - other.starts[other_at]
+    compare = np.flatnonzero(equal & (length > (8 if HASH_MULTIPLIER % 2 else 0)))
+    equal[compare] = lines.same(at[compare], other, other_at[compare])
+    return equal
+
+
+class _Words(DomainSampler):
+    """A wordlist's distinct words in first-occurrence order, as lines, and
+    an index of them by hash. A word-pair domain indexes its words with one
+    of these.
     """
 
     def __init__(self, spec: WordList) -> None:
@@ -225,13 +450,17 @@ class _Words(DomainSampler):
         if not data:
             raise ValidityError(f"wordlist {spec.path} contains no words")
         self.spec = spec
-        self.lines = _Lines(data)
-        self.hashes, order = _sorted_hashes(self.lines)
-        if (self.hashes[1:] == self.hashes[:-1]).any():  # a word repeats, or two words share a hash
-            self.lines = _first_copies(self.lines)
-            self.hashes, order = _sorted_hashes(self.lines)
+        self.lines = _Lines.of(data)
+        hashes = self.lines.hash()
+        order = np.argsort(hashes)
+        hashes = hashes[order]
+        self.index = _HashIndex(hashes, order.astype(self.lines.starts.dtype))
+        if self.index.shared:  # a word repeats, or two words share a hash
+            distinct = _DistinctLines()
+            distinct.add(data + bytes(7), len(data))
+            distinct.flush()
+            self.lines, self.index = distinct.lines, distinct.index
         self.size = self.lines.size
-        self.order = order.astype(self.lines.starts.dtype)
 
     def decode(self, indices: np.ndarray) -> list[str]:
         return self.lines.decode(indices)
@@ -257,20 +486,13 @@ class _Words(DomainSampler):
             joined = "\n".join(labels)
         # A lone surrogate encodes to bytes that valid UTF-8 never holds, so
         # such a label matches no word.
-        queries = _Lines((joined + "\n").encode("utf-8", "surrogatepass"))
+        queries = _Lines.of((joined + "\n").encode("utf-8", "surrogatepass"))
         hashes = queries.hash()
         # Sorted, the queries walk the sorted hashes in order; the results
         # then go back to label order.
         by_hash = np.argsort(hashes)
-        found, hits = np.empty_like(by_hash), np.empty_like(by_hash)
-        found[by_hash] = self.hashes.searchsorted(hashes[by_hash])
-        hits[by_hash] = self.hashes.searchsorted(hashes[by_hash], "right")
-        hits -= found
-        # Each label against every word of its hash.
-        label_of = np.repeat(np.arange(hits.size), hits)
-        word_of = _ranges(self.order, found, hits)[0]
-        member = np.zeros(queries.size, bool)
-        member[label_of[queries.same(label_of, self.lines, word_of)]] = True
+        member = np.empty(queries.size, bool)
+        member[by_hash] = self.index.find(self.lines, queries, by_hash, hashes[by_hash])[0] >= 0
         if not member.all():
             outside.update(compress(labels, (~member).tolist()))
         return outside
@@ -284,9 +506,9 @@ class _WordPairSampler(DomainSampler):
     """
 
     def __init__(self, spec: WordPairs, words: _Words) -> None:
-        space = words.lines.data.find(b" ")
-        if space >= 0:
-            spaced = words.decode(words.lines.starts.searchsorted([space], "right") - 1)[0]
+        space = re.search(b" ", words.lines.buffer)  # in place: no array the size of the wordlist
+        if space:
+            spaced = words.decode(words.lines.starts.searchsorted([space.start()], "right") - 1)[0]
             raise ValidityError(
                 f"wordlist {spec.path} holds {spaced!r}, a word with a space: word pairs must split at their space"
             )
@@ -365,17 +587,27 @@ def _ranges(buffer: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.
     return buffer[gather], end
 
 
-def _sorted_hashes(lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
-    """The lines' hashes in ascending order, and the line of each."""
-    hashes = lines.hash()
-    order = np.argsort(hashes)
-    return hashes[order], order
+def _by_words(length: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The lines of these lengths grouped by their number of 8-byte words:
+    each number, with the indices of its lines."""
+    words = (length + 7) // 8
+    if words.size and words.min() == words.max():
+        yield int(words[0]), np.arange(words.size)
+        return
+    order = np.argsort(words, kind="stable")
+    for lines in np.split(order, np.flatnonzero(np.diff(words[order])) + 1):
+        if lines.size:
+            yield int(words[lines[0]]), lines
 
 
-def _first_copies(words: _Lines) -> _Lines:
-    """words without the later copies of any word, compared as bytes, so
-    distinct words that share a hash both stay."""
-    return _Lines(b"\n".join(dict.fromkeys(bytes(words.buffer).split(b"\n")[:-1])) + b"\n")
+def _room(array: np.ndarray, size: int) -> np.ndarray:
+    """array, or a copy of it with room for at least size items, twice as
+    long or more."""
+    if size <= array.size:
+        return array
+    grown = np.zeros(max(size, 2 * array.size), array.dtype)
+    grown[:array.size] = array
+    return grown
 
 
 def load_domain(spec: DomainSpec) -> DomainSampler:

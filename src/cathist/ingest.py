@@ -5,17 +5,20 @@ as CSV (header ``category,count,origin``) or JSON (``bins`` array plus a
 ``meta`` block). Numeric serialization uses full round-trip precision so that
 write -> read reproduces counts exactly.
 
-A regular file is counted by distinct line: its text is read in chunks,
-split at "\n" and counted whole. When the column is the first and no line
-holds the delimiter or a CR, each distinct line is one cell and no csv parse
-runs; a delimiter or a CR sends the distinct lines through csv.reader once
-each. A quote, NUL, an invalid byte, a lone CR inside a line, an oversized
-field, a short row, a header problem or mostly distinct lines send the file
-to the row reader, as does any source that is not a regular file.
+A regular file is counted by distinct line, as bytes: it is read in blocks
+of whole lines into one buffer, and a table of distinct lines
+(domain._DistinctLines) counts each block's lines whole, comparing them byte
+for byte. When the column is the first and no line holds the delimiter or a
+CR, each distinct line is one cell and no csv parse runs; a delimiter or a
+CR sends the distinct lines through csv.reader once each. A quote, NUL,
+invalid UTF-8, a lone CR inside a line, an oversized field, a short row, a
+header problem or mostly distinct lines send the file to the row reader, as
+does any source that is not a regular file.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -30,17 +33,22 @@ from itertools import chain, repeat, takewhile, tee
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Collection, Iterable, Iterator
+from typing import IO, Any, BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
 from .core import Histogram, IngestError, NoisyHistogram, Origin, ValidityError, _checked
+from .domain import _TALLY_BYTES, _DistinctLines, _hashed
 
 CSV_HEADER = ("category", "count", "origin")
 _ORIGINS = {origin.value for origin in Origin}
 
-# Characters read per block: by the line count, and by the row reader when
-# checking a CSV source for NUL and bad bytes.
+# Bytes read per block by the line count once it groups lines by hash: about
+# 2**16 lines of a wordlist column's 7 or 8 bytes, whose per-line arrays stay
+# a few MB. The count's memory grows with the distinct lines, not the rows.
+_BLOCK_BYTES = 1 << 19
+# Characters read per block by the row reader when checking a CSV source for
+# NUL and bad bytes.
 _BLOCK_CHARS = 1 << 16
 # The line count pays off only when whole lines repeat. It gives up, for the
 # row reader, as soon as more than this share of the lines read are distinct
@@ -107,7 +115,7 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     """
     with _open_source(selector.source) as fh:
         regular = selector.source != "-" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        merged = _count_lines(fh, selector, drop_values) if regular else None
+        merged = _count_lines(fh.buffer, selector, drop_values) if regular else None
         if merged is None:
             if regular:
                 fh.seek(0)
@@ -159,63 +167,107 @@ def _count_rows(fh: IO[str], selector: ColumnSelector) -> Counter[str]:
 
 
 def _count_lines(
-    fh: IO[str], selector: ColumnSelector, drop_values: frozenset[str]
+    fh: BinaryIO, selector: ColumnSelector, drop_values: frozenset[str]
 ) -> tuple[dict[str, int], int] | None:
     """_merge over each distinct line, counted whole and parsed at most once.
 
-    The text is read in chunks of _BLOCK_CHARS and split on "\n"; the
-    unfinished last line of a chunk is carried into the next. That is valid
-    while every line is one whole record: with no quote, no NUL and no
-    invalid byte, csv.reader ends a record at every line end. When the
-    column is the first and no line holds the delimiter or a CR, each line is
-    one field, so the distinct lines go to _merge with no csv parse.
+    The bytes are read in blocks of whole lines (see _line_blocks), and one
+    table keeps the distinct lines read so far with their counts, compared
+    byte for byte (domain._DistinctLines). That is valid while every line is
+    one whole record: with no quote, no NUL and no invalid UTF-8, csv.reader
+    ends a record at every line end. When the column is the first and no
+    line holds the delimiter or a CR, each line is one field, so the
+    distinct lines go to _merge with no csv parse.
     Returns None, for the caller to read row by row and word any error with
     its line number, on any such character, a header problem, a short row
     or a csv.Error (a lone CR inside a line is one); and also once too many
     of the lines read are distinct (see _MAX_DISTINCT_SHARE).
     """
-    header = fh.readline() if selector.has_header else ""
-    if _unsafe(header):
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    header = fh.readline() if selector.has_header else b""
+    cr = header.find(b"\r")
+    if cr >= 0 and header[cr + 1:cr + 2] != b"\n":  # a lone CR ends the header, as for the row reader
+        fh.seek(cr + 1 - len(header), os.SEEK_CUR)
+        header = header[:cr + 1]
+    if _unsafe(header, len(header)):
         return None
     try:
-        index = _resolve_column(csv.reader([header], delimiter=selector.delimiter), selector)
-    except (IngestError, csv.Error):
+        index = _resolve_column(csv.reader([header.decode("utf-8")], delimiter=selector.delimiter), selector)
+    except (UnicodeDecodeError, IngestError, csv.Error):
         return None
-    lines: Counter[str] = Counter()
-    read = 0
-    one_field = index == 0
-    unfinished: list[str] = []  # pieces of the line that runs past the chunks read so far
-    while chunk := fh.read(_BLOCK_CHARS):
-        if _unsafe(chunk):
-            return None
-        one_field = one_field and selector.delimiter not in chunk and "\r" not in chunk
-        block = chunk.split("\n")
-        rest = block.pop()
-        if block:
-            unfinished.append(block[0])
-            block[0] = "".join(unfinished)
-            unfinished.clear()
-            lines.update(block)
-            read += len(block)
-            if len(lines) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
-                return None
-        unfinished.append(rest)
-    lines["".join(unfinished)] += 1
+    distinct = _distinct_lines(fh)
+    if distinct is None:
+        return None
+    lines, counts = distinct
+    joined = "".join(lines)  # one search each for the delimiter and a CR
+    one_field = index == 0 and selector.delimiter not in joined and "\r" not in joined
     for blank in ("", "\r"):  # the only lines that parse to no fields
-        lines.pop(blank, None)
+        if blank in lines:
+            at = lines.index(blank)
+            del lines[at], counts[at]
     # csv.reader refuses a field past its limit; so does the row reader.
     if one_field and max(map(len, lines), default=0) <= csv.field_size_limit():
-        return _merge(lines.keys(), lines.values(), drop_values)
+        return _merge(lines, counts, drop_values)
     try:
         cells = list(map(itemgetter(index), csv.reader(lines, delimiter=selector.delimiter)))
     except (IndexError, csv.Error):
         return None
-    return _merge(cells, lines.values(), drop_values)
+    return _merge(cells, counts, drop_values)
 
 
-def _unsafe(text: str) -> bool:
-    """Whether text holds a character that can make a line other than one record."""
-    return '"' in text or _line_fault(text) is not None
+def _distinct_lines(fh: BinaryIO) -> tuple[list[str], list[int]] | None:
+    """The rest of fh's distinct lines, without their "\n", in first-appearance
+    order, and the count of each; None on a quote, a NUL, invalid UTF-8 or
+    too many distinct lines."""
+    distinct = _DistinctLines()
+    read = 0
+    try:
+        for block, end in _line_blocks(fh):
+            if _unsafe(block, end):
+                return None
+            read += distinct.add(block, end)
+            if len(distinct) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
+                return None
+        return distinct.decoded()
+    except UnicodeDecodeError:
+        return None
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[tuple[bytearray, int]]:
+    """The rest of fh in blocks of whole lines, each line ended by "\n": a
+    block is buffer[:end], and buffer holds at least 7 bytes more.
+
+    Each block is read into the same buffer, so it holds until the next is
+    read, after the unfinished last line of the read before. The buffer
+    starts at _TALLY_BYTES, the bytes a dict counts at once (or at
+    _BLOCK_BYTES if that is less), and grows to _BLOCK_BYTES after a block
+    grouped by hash, whose cost is mostly per block. A line longer than the
+    buffer doubles it. The file's last line gets its "\n".
+    """
+    buffer = bytearray(min(_TALLY_BYTES, _BLOCK_BYTES) + 8)
+    held = 0  # bytes of the unfinished line at the buffer's start
+    while read := fh.readinto(memoryview(buffer)[held:len(buffer) - 8]):
+        held += read
+        end = buffer.rfind(b"\n", 0, held) + 1
+        if end:
+            yield buffer, end
+            grow = len(buffer) - 8 < _BLOCK_BYTES and _hashed(buffer, end)
+            buffer[:held - end] = buffer[end:held]
+            held -= end
+            if grow:
+                buffer = buffer[:held] + bytes(_BLOCK_BYTES + 8 - held)
+        elif held == len(buffer) - 8:
+            buffer = buffer[:held] + bytes(len(buffer))
+    if held:
+        buffer[held] = ord("\n")
+        yield buffer, held + 1
+
+
+def _unsafe(data: bytes | bytearray, end: int) -> bool:
+    """Whether data[:end] holds a byte that can make a line other than one
+    record: a quote, or a NUL."""
+    return data.find(b'"', 0, end) >= 0 or data.find(b"\0", 0, end) >= 0
 
 
 class _BadLine(Exception):
@@ -350,11 +402,12 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
 
     Returns a NoisyHistogram when origins are present, a plain Histogram
     otherwise. An empty release has no bin to carry an origin, so it
-    reloads as an empty Histogram.
+    reloads as an empty Histogram. A leading UTF-8 byte-order mark, which an
+    editor may add on saving, is skipped.
     """
     fmt = _infer_format(path, fmt)
     if fmt == "json":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 payload = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -374,7 +427,7 @@ def load_histogram(path: str | Path, fmt: str | None = None) -> Histogram | Nois
             raise
         return _assemble(path, labels, counts, [origin or "" for origin in origins])
 
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh, _csv_reader(fh, path) as reader:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh, _csv_reader(fh, path) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -660,6 +660,23 @@ class TestFidelity:
         assert code == 3
         assert err.splitlines() == [f"error: {s}: bad bin at index 0: origin must be a string or null, got ['active']"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_release_with_a_byte_order_mark_scores_as_without(self, capsys, tmp_path, fmt):
+        # An editor may save a release with a UTF-8 byte-order mark in front.
+        column = write(tmp_path, "col.csv", "v\n" + "cat-1\n" * 40 + "cat-2\n" * 30 + "cat-3\n" * 2)
+        release = tmp_path / f"release.{fmt}"
+        code, _, _ = run(capsys, "synth", "--input", column, "--column", "v", "--domain-size", "1000",
+                         "--epsilon", "1", "--rho", "0.5", "--seed", "3", "--output", str(release))
+        assert code == 0
+        marked = tmp_path / f"marked.{fmt}"
+        marked.write_bytes(b"\xef\xbb\xbf" + release.read_bytes())
+        plain, with_mark = (
+            run(capsys, "fidelity", "--true-input", column, "--true-column", "v", "--synth-file", str(path))
+            for path in (release, marked)
+        )
+        assert plain[0] == with_mark[0] == 0
+        assert with_mark[1] == plain[1] and "fidelity = " in plain[1]
+
     @pytest.mark.parametrize("flag", ["--synth-file", "--true-file"])
     def test_json_file_not_an_object_exits_three(self, capsys, tmp_path, flag):
         good = write(tmp_path, "good.csv", "category,count,origin\na,1.0,\n")

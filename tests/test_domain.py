@@ -350,7 +350,7 @@ class TestWordListSampler:
         path.write_text("\n".join(words + ["ab", "zz", " a ", "abcdefghik"]) + "\n", encoding="utf-8")
         near = {"", "c", "abcdefghi", "abcdefghijk", "ab ", "aa", "abcdefghia", "\ud83d", "e"}
         sampler = load_domain(WordList(path))
-        assert np.unique(sampler.hashes).size < sampler.size
+        assert np.unique(sampler.index.hashes).size < sampler.size
         assert sampler.size == len(words)
         assert sampler.decode(np.arange(sampler.size)) == words
         assert sampler.decode(np.array([3, 0, 3])) == ["abcdefghik", "ab", "abcdefghik"]

@@ -5,11 +5,14 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cathist.domain as domain_mod
 from cathist import ingest
 from cathist.core import Histogram, IngestError, NoisyBin, NoisyHistogram, Origin
 from cathist.ingest import (
@@ -264,7 +267,7 @@ class TestReadHistogram:
             ("v\nNA\nx\n" + "y\n" * 40_000 + " NA \nx\n", "v", {}, ("NA",), False),
             ("v,w\n" + "1,a\n" * 20_000 + '2,"b,\nc"\n3, a\n4,"b,\nc"\n', "w", {}, (), True),
             ('"v",w\n1,a\n2, a\n', "v", {}, (), True),
-            # The chunks of _count_lines start after the header line.
+            # The blocks of _count_lines start after the header line.
             ("v\r\n" + "a" * (BLOCK - 1) + "\r\nb\r\n\r\n" + "a" * (BLOCK - 1) + "\r\n b\r\n", "v", {}, (), False),
             ("v\n" + "a" * (BLOCK + BLOCK // 2) + "\nb\n " + "a" * (BLOCK + BLOCK // 2) + "\nb\n", "v", {}, (), False),
             ("v\n" + "a\n" * BLOCK + "b\rc\n a\n", "v", {}, (), True),
@@ -279,7 +282,9 @@ class TestReadHistogram:
              "crlf-split-by-a-block", "cell-longer-than-a-block", "late-lone-cr",
              "late-delimiter-one-column", "headerless-index-0-one-column", "no-final-newline-across-blocks"],
     )
-    def test_matches_per_row_loop(self, tmp_path, rows_read, text, column, options, drop, by_row):
+    def test_matches_per_row_loop(self, tmp_path, monkeypatch, rows_read, text, column, options, drop, by_row):
+        # The line count reads blocks of BLOCK bytes here, which the texts cross.
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", BLOCK)
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
         bins, skipped = read_histogram_per_row(path, column, drop_values=frozenset(drop), **options)
@@ -338,6 +343,111 @@ class TestReadHistogram:
         work = read_histogram(ColumnSelector(census_csv, "workclass"))
         assert dict(work.items()) == {k: float(v) for k, v in WORKCLASS_COUNTS.items()}
         assert work.total == 32561.0
+
+
+# Seeded, few and small examples, so tier-1 stays deterministic and quick.
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+# Labels of 1 to 24 bytes, so that lines stop short of, fill and cross the
+# 8-byte words the line count reads, and empty cells.
+LABELS = st.text("ab-0\u00e9\u20ac", min_size=1, max_size=8) | st.just("")
+PADS = st.sampled_from(["", " ", "\t ", "  "])
+
+
+@st.composite
+def column_files(draw):
+    """A column file's text: a few labels repeated, padded or not, blank
+    lines, maybe a second column holding the delimiter, CRLF or LF line
+    ends, maybe no final newline; and the bytes the line count reads at once."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=5))
+    rows = draw(st.lists(st.none() | st.tuples(PADS, st.sampled_from(labels), PADS), max_size=40))
+    other = draw(st.sampled_from(["", ",x", ",y z"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["" if row is None else "".join(row) + other for row in rows]
+    text = ("v,w" if other else "v") + end + end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, draw(st.sampled_from([3, 16, 64, ingest._BLOCK_BYTES]))
+
+
+class TestLineCount:
+    """The byte line count against the per-row loop: same bins, same order,
+    same skipped cells."""
+
+    @PROPERTY
+    @given(column_files(), st.booleans())
+    def test_matches_per_row_loop(self, tmp_path_factory, drawn, bom):
+        text, block = drawn
+        base = tmp_path_factory.getbasetemp()
+        plain, read = base / "line-count-plain.csv", base / "line-count-read.csv"
+        plain.write_text(text, encoding="utf-8", newline="")
+        read.write_bytes(TestByteOrderMark.BOM * bom + text.encode("utf-8"))
+        bins, skipped = read_histogram_per_row(plain, "v")
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            patch.setattr(ingest, "_BLOCK_BYTES", block)
+            warnings.simplefilter("always")
+            h = read_histogram(ColumnSelector(str(read), "v"))
+        assert h.bins == bins
+        assert [str(w.message) for w in caught] == ([f"{read}: skipped {skipped} empty cells"] if skipped else [])
+
+    @pytest.mark.parametrize("block", [8, 16, 30])
+    @pytest.mark.parametrize("label", ["0123456789", "\u00e9\u00e9\u00e9\u00e9\u00e9", "abc"])
+    def test_blocks_end_at_their_last_line(self, tmp_path, monkeypatch, block, label):
+        # Blocks are read into one buffer, which still holds lines of earlier
+        # blocks past the current one's end; the last block is the shortest.
+        text = "v\n" + "".join(f"{label}{i % 3}\n" for i in range(40)) + "z" * 12
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert read_histogram(ColumnSelector(str(path), "v")).bins == bins
+
+    def test_short_and_long_blocks_keep_first_appearance_order(self, tmp_path, monkeypatch, rows_read):
+        # Blocks of lines of at most 8 bytes and blocks of longer lines are
+        # grouped apart; the labels of each first appear in the others.
+        runs = [["a", "b", "c"], ["a longer label", "another long one", "b"], ["d", "a", "e"],
+                ["another long one", "yet another label", "d"]]
+        rows = [[run[i % 3]] for run in runs for i in range(30)]
+        path = write_csv(tmp_path / "t.csv", [["v"], *rows, ["f"], ["yet another label"]])
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        assert rows_read == []
+
+    @pytest.mark.parametrize("multiplier", [0, 1 << 56])
+    @pytest.mark.parametrize("block", [5, BLOCK])
+    def test_forced_hash_collisions_keep_counts_exact(self, tmp_path, monkeypatch, rows_read, multiplier, block):
+        # Multiplier 0 gives every line one hash, and 1 << 56 keeps only the
+        # first of the last 8 bytes read: whole groups of lines collide, in a
+        # block and with the lines of earlier blocks.
+        short = ["ab", "ba", "a", "abcdefg", "abcdefh", "\u00e9", " ab"]
+        long = ["abcdefghij", "abcdefghik", "bcdefghija", "abcdefghijklmnopq", "abcdefghijklmnopr"]
+        rng = np.random.default_rng(26)
+        rows = [*([short[i]] for i in rng.integers(len(short), size=200)),  # grouped by hash
+                *([long[i]] for i in rng.integers(len(long), size=200)),  # counted in a dict
+                *([(short + long)[i]] for i in rng.integers(len(short + long), size=200))]
+        path = write_csv(tmp_path / "t.csv", [["v"], *rows])
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        monkeypatch.setattr(domain_mod, "HASH_MULTIPLIER", multiplier)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        assert rows_read == []
+
+    def test_memory_grows_with_distinct_lines_not_rows(self, tmp_path):
+        # The same 1 000 labels at 1e5 and at 4e5 rows: only the block's
+        # arrays and the distinct lines are held at once. The labels are
+        # short, so each block is grouped by its hashes.
+        labels = [f"w{i}" for i in range(1000)]
+        peaks = []
+        for rows in (100_000, 400_000):
+            path = tmp_path / f"t{rows}.csv"
+            path.write_text("v\n" + "\n".join(labels[i % 1000] for i in range(rows)) + "\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                h = read_histogram(ColumnSelector(str(path), "v"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(h) == 1000 and h.total == rows
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def random_histogram(rng, noisy=False):
