@@ -26,9 +26,13 @@ one-label contains answers from a dict of the words, decoded on its first
 call; no release path calls it.
 
 The same lines, hashes and byte comparisons count the lines of a column
-file (ingest.read_histogram): _DistinctLines keeps the distinct lines of the
-blocks added, with their counts and hash index, and a wordlist whose words
-repeat or share a hash is deduplicated through it.
+file (ingest.read_histogram): _DistinctLines reduces each block to a run of
+its distinct lines, each with its hash, the place of its first copy and its
+count, and merges the runs into one table now and then by one sort of their
+hashes. A line of at most 8 bytes is kept as its hash alone: under the odd
+HASH_MULTIPLIER that hash is one to one, and its bytes come back from it.
+A wordlist whose words repeat or share a hash is deduplicated through the
+same table.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from collections.abc import Collection, Iterator
 from functools import cached_property
 from itertools import compress, filterfalse
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +64,10 @@ DENSE_RATIO = 100
 # bytes past the word's "\n" zeroed. Its hash is h = (h + value) *
 # HASH_MULTIPLIER mod 2**64 over those values, from h = 0. Any multiplier
 # gives exact answers; an odd one maps a word of up to 7 bytes to a hash no
-# other such word has, and its mixed bits keep longer words apart too.
+# other such word has, and its mixed bits keep longer words apart too. So a
+# line of at most 8 * (HASH_MULTIPLIER % 2) bytes with its "\n" is told
+# apart by its hash and keeps no bytes of its own (see _Run); under an even
+# multiplier every line keeps its bytes.
 HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 # Bytes searched for "\n", or lines hashed or decoded, at once: temporaries
 # the size of a whole wordlist would leave holes of that size in the heap.
@@ -71,8 +79,8 @@ _TALLY_BYTES = 1 << 16
 # _LOW_BYTES[n] keeps the first n bytes of a little-endian uint64.
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 
-# Bytes other than "\n" that str.strip removes from an ASCII line.
-_ASCII_BLANKS = tuple(bytes([c]) for c in b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f ")
+# Characters other than "\n" that str.strip removes from an ASCII line.
+_ASCII_BLANKS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 class DomainSampler:
@@ -223,10 +231,8 @@ class _Lines:
         """The bytes of the lines at an index array, one after another, and
         the offset just past each line's "\n" there."""
         at = self.starts[lines]
-        return _ranges(self.buffer, at, self.starts[lines + 1] - at)
-
-    def decode(self, lines: np.ndarray) -> list[str]:
-        return self.gather(lines)[0].tobytes().decode("utf-8").split("\n")[:-1]
+        spans, end = _spans(at, self.starts[lines + 1] - at)
+        return self.buffer[spans], end
 
     def same(self, lines: np.ndarray, other: _Lines, others: np.ndarray) -> np.ndarray:
         """Whether line lines[i] has the bytes of other's line others[i], of
@@ -251,132 +257,199 @@ class _HashIndex:
         self.order = order
         self.shared = bool((hashes[1:] == hashes[:-1]).any())  # whether two lines share a hash
 
-    def find(self, held: _Lines, lines: _Lines, queries: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The line of held with the bytes of each of lines' lines queries,
-        or -1, and the place of each query's hash in the sorted hashes.
+    def holds(self, held: _Lines, lines: _Lines, queries: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """Whether held has a line with the bytes of each of lines' lines
+        queries.
 
         hashes are the queries' own. A hash only finds candidates: each
         answer rests on comparing bytes, so hash collisions leave it exact.
         Queries in ascending hash walk the sorted hashes in order.
         """
         at = self.hashes.searchsorted(hashes)
-        if self.shared:  # a query may have several candidates
-            hits = self.hashes.searchsorted(hashes, "right") - at
-        else:  # at most one: the line at its place, if that has its hash
-            hits = self.hashes.take(at, mode="clip") == hashes if self.hashes.size else np.zeros(at.size, bool)
+        hits = (self.hashes.searchsorted(hashes, "right") - at if self.shared  # a query may have several candidates
+                else self.hashes.take(at, mode="clip") == hashes)  # or one: the line at its place, if that has its hash
         # Each query against every line of its hash.
         query_of = np.repeat(np.arange(hits.size), hits)
-        candidates = _ranges(self.order, at, hits)[0]
-        match = _same_of_equal_hash(lines, queries[query_of], held, candidates)
-        found = np.full(queries.size, -1, np.intp)
-        found[query_of[match]] = candidates[match]
-        return found, at
+        match = _same_of_equal_hash(lines, queries[query_of], held, self.order[_spans(at, hits)[0]])
+        return np.bincount(query_of[match], minlength=queries.size) > 0
 
-    def insert(self, at: np.ndarray, hashes: np.ndarray, lines: np.ndarray) -> None:
-        """Take in the lines with these hashes, at these places, ascending."""
-        self.hashes = np.insert(self.hashes, at, hashes)
-        self.order = np.insert(self.order, at, lines)
-        self.shared = self.shared or bool((self.hashes[1:] == self.hashes[:-1]).any())
+
+class _Run(NamedTuple):
+    """Distinct lines in ascending hash: the hash of each, the place of its
+    first copy among the lines added, its count, and whether it keeps its
+    bytes; lines holds the bytes of those that do, in the same order. A line
+    of at most 8 bytes keeps none under an odd multiplier (see
+    HASH_MULTIPLIER): its hash gives them back."""
+
+    hashes: np.ndarray
+    firsts: np.ndarray
+    counts: np.ndarray
+    kept: np.ndarray
+    lines: bytes
+
+    def in_order(self, order: np.ndarray) -> bytes:
+        """The bytes of the lines at an index array, one after another, each
+        with its "\n". A line that keeps no bytes is its hash times the
+        multiplier's inverse mod 2**64, read as 8 little-endian bytes and cut
+        after its "\n", the last nonzero one."""
+        kept = self.kept[order]
+        values = self.hashes[order[~kept]] * np.uint64(pow(HASH_MULTIPLIER, -1, 1 << 64) if HASH_MULTIPLIER % 2 else 0)
+        length = np.empty(order.size, np.int64)
+        length[~kept] = _LOW_BYTES.searchsorted(values)
+        within = (_LOW_BYTES[length[~kept]] & np.uint64(0x0101010101010101)).astype("<u8").view(bool)
+        held, ends = _Lines.of(self.lines).gather(np.flatnonzero(self.kept).searchsorted(order[kept]))
+        length[kept] = np.diff(ends, prepend=0)
+        # Each kept line goes in after the bytes of the short lines before it
+        # in order: its end there, less the bytes of the kept lines up to it.
+        before = np.repeat(np.cumsum(length)[kept] - ends, length[kept])
+        return np.insert(values.astype("<u8").view(np.uint8)[within], before, held).tobytes()
 
 
 class _DistinctLines:
-    """The distinct lines of the blocks added, in first-appearance order.
+    """The distinct lines of the blocks added, with their counts.
 
-    After flush, lines holds them, counts how often each appeared, and index
-    finds them by hash. Only the index is copied on every block that brings
-    new lines; the lines' own arrays grow by doubling.
+    Each block is reduced to a run of its distinct lines (see _run). The
+    runs wait until there are more of their lines than in the table, which
+    then takes them in (see merge); the table's memory grows with the
+    distinct lines, not the rows. finish merges the last runs and puts the
+    lines in first-appearance order.
 
-    Lines of at most 8 bytes are grouped with no byte compared (see
-    _copies). Longer lines need their bytes compared, which a dict of the
-    lines' bytes does at a fraction of the cost of numpy reading them 8
-    bytes at a time. So a block whose first _SAMPLE bytes hold lines of more
-    than 8 bytes on average is counted in a dict, which flush takes in.
+    Lines of at most 8 bytes are grouped with no byte compared. Longer lines
+    need their bytes compared, which a dict of the lines' bytes does at a
+    fraction of the cost of numpy reading them 8 bytes at a time. So a block
+    whose first _SAMPLE bytes hold lines of more than 8 bytes on average is
+    counted in a dict, which joins as a run before the next block grouped by
+    hash and at the end.
     """
 
     def __init__(self) -> None:
-        self._padded = np.zeros(7, np.uint8)  # the lines' bytes, then room to grow
-        self._starts = np.zeros(1, np.int64)
-        self.size = 0
-        self.counts = np.zeros(0, np.int64)
-        self.index = _HashIndex(np.zeros(0, np.uint64), np.zeros(0, np.intp))
-        self._tally: Counter[str] = Counter()  # the lines counted in a dict since the last flush
+        self._runs: list[_Run] = []  # the table, then the runs not merged into it yet
+        self._tally: Counter[str] = Counter()  # the lines counted in a dict since the last run
+        self.read = 0  # the lines added
 
     def __len__(self) -> int:
-        """At most the number of distinct lines added."""
-        return self.size + len(self._tally)
+        """At least the number of distinct lines added, and after merge the
+        number in the table and the dict: a line in both counts twice."""
+        return sum(run.hashes.size for run in self._runs) + len(self._tally)
 
-    @property
-    def lines(self) -> _Lines:
-        return _Lines(self._padded, self._starts[:self.size + 1])
-
-    def add(self, data: bytes | bytearray, end: int) -> int:
+    def add(self, data: bytes | bytearray, end: int) -> None:
         """Count in the lines of data[:end], which is empty or ends with
-        "\n", and return how many there are; data holds at least 7 more
-        bytes. UnicodeDecodeError if lines counted in the dict are not UTF-8.
+        "\n"; data holds at least 7 more bytes. UnicodeDecodeError if lines
+        counted in the dict are not UTF-8.
         """
         if _hashed(data, end):
             self.flush()
             block = _Lines.within(data, end)
-            hashes = block.hash()
-            self._take(block, *_copies(block, hashes), hashes)
-            return block.size
+            self.read += block.size
+            return self._join(block)
         # A dict of str keys looks them up faster than one of bytes, and
         # _TALLY_BYTES of lines at a time keep their strings in cache.
-        size = at = 0
+        at = 0
         while at < end:
             stop = data.rfind(b"\n", at, min(at + _TALLY_BYTES, end)) + 1 or data.index(b"\n", at, end) + 1
-            lines = data[at:stop].decode("utf-8").split("\n")
-            lines.pop()  # after the last "\n"
+            lines = data[at:stop - 1].decode("utf-8").split("\n")  # up to the last "\n"
             self._tally.update(lines)
-            size += len(lines)
+            self.read += len(lines)
             at = stop
-        return size
 
     def flush(self) -> None:
-        """Take in the lines counted in the dict, in their order."""
+        """Take in the lines counted in the dict, in their order: they are
+        the first copies among the last lines added."""
         if self._tally:
             block = _Lines.of(("\n".join(self._tally) + "\n").encode("utf-8"))
-            hashes = block.hash()
-            by_hash = np.argsort(hashes)
-            counts = np.fromiter(self._tally.values(), np.int64, len(self._tally))
+            self._join(block, np.fromiter(self._tally.values(), np.int64, len(self._tally)))
             self._tally.clear()
-            self._take(block, by_hash, counts[by_hash], hashes)
 
-    def decoded(self) -> tuple[list[str], list[int]]:
+    def merge(self) -> int:
+        """Take the runs into the table, as one run of the table's and the
+        runs' lines, whose first copies come in that order; return len(self),
+        now exact but for the dict."""
+        if len(self._runs) > 1:
+            hashes, firsts, counts, kept = (np.concatenate(column) for column in zip(*(run[:4] for run in self._runs)))
+            pool = _Lines.of(b"".join(run.lines for run in self._runs))
+            self._runs.clear()  # the runs are held only in the columns and pool while they merge
+            self._runs.append(_run(hashes, firsts, counts, pool, kept))
+        return len(self)
+
+    def finish(self) -> tuple[bytes, np.ndarray, _HashIndex]:
+        """The distinct lines in first-appearance order, how often each
+        appeared, and their index by hash."""
+        self.flush()
+        self.merge()
+        table, = self._runs
+        order = np.argsort(table.firsts)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return table.in_order(order), table.counts[order], _HashIndex(table.hashes, rank)
+
+    def decoded(self) -> tuple[list[str], np.ndarray]:
         """The distinct lines, decoded and without their "\n", and how often
         each appeared. UnicodeDecodeError if they are not UTF-8."""
-        if not self.size:  # every line was counted in the dict
-            return list(self._tally), list(self._tally.values())
-        self.flush()
-        return self.lines.buffer.tobytes().decode("utf-8").split("\n")[:-1], self.counts.tolist()
+        if not self._runs:  # every line was counted in the dict
+            return list(self._tally), np.fromiter(self._tally.values(), np.int64, len(self._tally))
+        lines, counts, _ = self.finish()
+        return lines.decode("utf-8").split("\n")[:-1], counts
 
-    def _take(self, block: _Lines, firsts: np.ndarray, counts: np.ndarray, hashes: np.ndarray) -> None:
-        """Count in block's lines firsts, distinct and in ascending hash,
-        with these counts; hashes are the block's. The new ones join in
-        block order."""
-        held, at = self.index.find(self.lines, block, firsts, hashes[firsts])
-        old = held >= 0
-        self.counts[held[old]] += counts[old]
-        new = ~old
-        if not new.any():
-            return
-        # The new lines come in ascending hash, as the index takes them; the
-        # lines and their counts join in block order.
-        firsts, counts, at = firsts[new], counts[new], at[new]
-        fresh = np.zeros(block.size, bool)
-        fresh[firsts] = True
-        rank = np.cumsum(fresh)[firsts] - 1  # each new line's place among them, in block order
-        self.index.insert(at, hashes[firsts], rank + self.size)
-        in_order = np.empty_like(counts)
-        in_order[rank] = counts
-        self.counts = np.concatenate([self.counts, in_order])
-        data, ends = block.gather(np.flatnonzero(fresh))
-        used = int(self._starts[self.size])
-        self._padded = _room(self._padded, used + data.size + 7)
-        self._padded[used:used + data.size] = data
-        self._starts = _room(self._starts, self.size + 1 + ends.size)
-        self._starts[self.size + 1:self.size + 1 + ends.size] = ends + used
-        self.size += ends.size
+    def _join(self, block: _Lines, counts: np.ndarray | None = None) -> None:
+        """Add the run of block, the last lines added, each once or with these counts."""
+        self._runs.append(_run(block.hash(), np.arange(self.read - block.size, self.read), counts, block))
+        if sum(run.hashes.size for run in self._runs[1:]) > self._runs[0].hashes.size:
+            self.merge()
+
+
+def _run(hashes: np.ndarray, firsts: np.ndarray, counts: np.ndarray | None, lines: _Lines,
+         kept: np.ndarray | None = None) -> _Run:
+    """The run of the distinct ones of some lines, each with its hash, the
+    place of its first copy and its count (or one). kept marks the lines
+    that keep their bytes, which lines holds in order; without kept, lines
+    holds every line.
+
+    Lines of unequal hashes differ. Of equal hashes, two lines that keep no
+    bytes (see HASH_MULTIPLIER) are equal, one that keeps them differs from
+    one that does not, and two that keep them are compared byte for byte.
+    One ndarray.sort of uint64 keys groups the lines: a key is the line's
+    hash with its low bits replaced by the line's index, so the lines of
+    equal high hash bits come together in index order and the first of
+    equal lines is the earliest. Each line of a group is compared with the
+    group's first; the lines that differ are grouped again, on their own,
+    until none is left.
+    """
+    line = np.flatnonzero(kept).searchsorted if kept is not None else lambda at: at  # where lines holds each one
+    kept = np.diff(lines.starts) > 8 * (HASH_MULTIPLIER % 2) if kept is None else kept
+    heads, totals, left = [], [], None  # left: the lines still to group, or None for all
+    while left is None or left.size:
+        keys = hashes if left is None else hashes[left]  # the first round gathers nothing
+        low = (np.uint64(1) << np.uint64(keys.size.bit_length())) - np.uint64(1)
+        keys = keys & ~low
+        keys |= np.arange(keys.size, dtype=np.uint64)
+        keys.sort()
+        at = (keys & low).view(np.intp) if left is None else left[(keys & low).view(np.intp)]
+        keys >>= np.uint64(keys.size.bit_length())
+        head = np.append(True, keys[1:] != keys[:-1])
+        del keys  # so that ours takes its memory, with no new pages to fault in
+        group = np.flatnonzero(head)
+        size = np.diff(group, append=at.size)
+        # A line can differ from its group's first only in a group with two
+        # hashes or with a line that keeps its bytes.
+        ours = hashes[at]
+        odd = kept[at] | np.append(False, (ours[1:] != ours[:-1]) > head[1:])
+        odd = np.unique(group.searchsorted(np.flatnonzero(odd), "right") - 1)
+        check = _spans(group[odd], size[odd])[0]  # the places in at of their lines
+        leader = at[np.repeat(group[odd], size[odd])]
+        equal = (ours[check] == hashes[leader]) & (kept[at[check]] == kept[leader])
+        del ours
+        pairs = np.flatnonzero(equal & kept[at[check]])
+        equal[pairs] = _same_of_equal_hash(lines, line(at[check[pairs]]), lines, line(leader[pairs]))
+        differ = check[~equal]
+        heads.append(at[group])
+        left = np.sort(at[differ])
+        totals.append(size if counts is None else np.add.reduceat(counts[at], group))
+        np.subtract.at(totals[-1], group.searchsorted(differ, "right") - 1, 1 if counts is None else counts[at[differ]])
+    at, counts = np.concatenate(heads), np.concatenate(totals)
+    if len(heads) > 1:  # two distinct lines share their high hash bits
+        by_hash = np.argsort(hashes[at], kind="stable")
+        at, counts = at[by_hash], counts[by_hash]
+    return _Run(hashes[at], firsts[at], counts, kept[at], lines.gather(line(at[kept[at]]))[0].tobytes())
 
 
 def _hashed(data: bytes | bytearray, end: int) -> bool:
@@ -387,54 +460,14 @@ def _hashed(data: bytes | bytearray, end: int) -> bool:
     return 0 < sample <= 8 * data.count(b"\n", 0, sample)
 
 
-def _copies(lines: _Lines, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first copy of each distinct line, in ascending hash, and its number of copies.
-
-    One ndarray.sort of uint64 keys groups the lines: a key is the line's
-    hash with its low bits replaced by the line's index, so the lines of
-    equal high hash bits come together in line order. Each line of a group
-    is compared with the group's first (see _same_of_equal_hash); the lines
-    that differ are grouped again, on their own, until none is left.
-    """
-    firsts, counts = [], []
-    left = np.arange(lines.size)
-    while left.size:
-        shift = np.uint64(left.size.bit_length())
-        keys = hashes[left] >> shift
-        keys <<= shift
-        keys |= np.arange(left.size, dtype=np.uint64)
-        keys.sort()
-        at = left[(keys & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)]
-        keys >>= shift
-        head = np.ones(at.size, bool)
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        group = np.flatnonzero(head)
-        first = at[group]
-        leader = np.repeat(first, np.diff(group, append=at.size))
-        same = hashes[at] == hashes[leader]
-        same &= _same_of_equal_hash(lines, at, lines, leader)  # decides where the hashes are equal
-        firsts.append(first)
-        left = np.sort(at[~same])
-        counts.append(np.add.reduceat(same, group, dtype=np.int64) if left.size else np.diff(group, append=at.size))
-    if len(firsts) == 1:  # no two distinct lines share their high hash bits
-        return firsts[0], counts[0]
-    firsts_, counts_ = np.concatenate(firsts), np.concatenate(counts)
-    by_hash = np.argsort(hashes[firsts_], kind="stable")
-    return firsts_[by_hash], counts_[by_hash]
-
-
 def _same_of_equal_hash(lines: _Lines, at: np.ndarray, other: _Lines, other_at: np.ndarray) -> np.ndarray:
     """Whether line at[i] has the bytes of other's line other_at[i], of lines
-    with equal hashes.
-
-    A line of at most 8 bytes is hashed from one value v, its bytes with the
-    rest zeroed, to v * HASH_MULTIPLIER mod 2**64, which is one to one for an
-    odd multiplier: two such lines of equal hash and length are equal. Longer
-    lines are compared byte for byte.
-    """
+    with equal hashes: two lines of equal hash and length that keep no bytes
+    (see HASH_MULTIPLIER) are equal, and longer lines are compared byte for
+    byte."""
     length = lines.starts[at + 1] - lines.starts[at]
     equal = length == other.starts[other_at + 1] - other.starts[other_at]
-    compare = np.flatnonzero(equal & (length > (8 if HASH_MULTIPLIER % 2 else 0)))
+    compare = np.flatnonzero(equal & (length > 8 * (HASH_MULTIPLIER % 2)))
     equal[compare] = lines.same(at[compare], other, other_at[compare])
     return equal
 
@@ -458,12 +491,12 @@ class _Words(DomainSampler):
         if self.index.shared:  # a word repeats, or two words share a hash
             distinct = _DistinctLines()
             distinct.add(data + bytes(7), len(data))
-            distinct.flush()
-            self.lines, self.index = distinct.lines, distinct.index
+            data, _, self.index = distinct.finish()
+            self.lines = _Lines.of(data)
         self.size = self.lines.size
 
     def decode(self, indices: np.ndarray) -> list[str]:
-        return self.lines.decode(indices)
+        return self.lines.gather(indices)[0].tobytes().decode("utf-8").split("\n")[:-1]
 
     @cached_property
     def _members(self) -> dict[str, None]:
@@ -492,7 +525,7 @@ class _Words(DomainSampler):
         # then go back to label order.
         by_hash = np.argsort(hashes)
         member = np.empty(queries.size, bool)
-        member[by_hash] = self.index.find(self.lines, queries, by_hash, hashes[by_hash])[0] >= 0
+        member[by_hash] = self.index.holds(self.lines, queries, by_hash, hashes[by_hash])
         if not member.all():
             outside.update(compress(labels, (~member).tolist()))
         return outside
@@ -569,7 +602,7 @@ def _read_lines(path: Path) -> bytes:
     # An ASCII file that has nothing to trim and no blank line is its own
     # result; each check is one scan of the bytes.
     if data.isascii() and data[:1] not in (b"", b"\n") and b"\n\n" not in data \
-            and not any(map(data.__contains__, _ASCII_BLANKS)):
+            and not any(map(data.__contains__, _ASCII_BLANKS.encode())):
         return data if data.endswith(b"\n") else data + b"\n"
     # Newlines are universal, as when the file is read as text, so "\r\n"
     # and "\r" end lines; split on "\n" only (str.splitlines would also split
@@ -578,13 +611,13 @@ def _read_lines(path: Path) -> bytes:
     return "".join(f"{word}\n" for word in map(str.strip, text.split("\n")) if word).encode("utf-8")
 
 
-def _ranges(buffer: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """buffer's runs [at[i], at[i] + length[i]) one after another, and where
-    each run ends in the result."""
+def _spans(at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers [at[i], at[i] + length[i]) one after another, and where
+    each run of them ends there."""
     end = np.cumsum(length)
-    gather = np.repeat(at + length - end, length)
-    gather += np.arange(gather.size)
-    return buffer[gather], end
+    spans = np.repeat(at + length - end, length)
+    spans += np.arange(spans.size)
+    return spans, end
 
 
 def _by_words(length: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -598,16 +631,6 @@ def _by_words(length: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     for lines in np.split(order, np.flatnonzero(np.diff(words[order])) + 1):
         if lines.size:
             yield int(words[lines[0]]), lines
-
-
-def _room(array: np.ndarray, size: int) -> np.ndarray:
-    """array, or a copy of it with room for at least size items, twice as
-    long or more."""
-    if size <= array.size:
-        return array
-    grown = np.zeros(max(size, 2 * array.size), array.dtype)
-    grown[:array.size] = array
-    return grown
 
 
 def load_domain(spec: DomainSpec) -> DomainSampler:

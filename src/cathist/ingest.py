@@ -7,13 +7,16 @@ write -> read reproduces counts exactly.
 
 A regular file is counted by distinct line, as bytes: it is read in blocks
 of whole lines into one buffer, and a table of distinct lines
-(domain._DistinctLines) counts each block's lines whole, comparing them byte
-for byte. When the column is the first and no line holds the delimiter or a
-CR, each distinct line is one cell and no csv parse runs; a delimiter or a
-CR sends the distinct lines through csv.reader once each. A quote, NUL,
-invalid UTF-8, a lone CR inside a line, an oversized field, a short row, a
-header problem or mostly distinct lines send the file to the row reader, as
-does any source that is not a regular file.
+(domain._DistinctLines) counts each block's lines whole, as a run of its
+distinct lines that joins the table later, comparing them byte for byte or
+by a hash that is one to one on lines of at most 8 bytes. When the column
+is the first and no line holds the delimiter or a CR, each distinct line is
+one cell and no csv parse runs; when the lines are ASCII with nothing to
+trim and no dropped value, the histogram is built from them with no dict.
+A delimiter or a CR sends the distinct lines through csv.reader once each.
+A quote, NUL, invalid UTF-8, a lone CR inside a line, an oversized field, a
+short row, a header problem or mostly distinct lines send the file to the
+row reader, as does any source that is not a regular file.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import IO, Any, BinaryIO, Collection, Iterable, Iterator
 import numpy as np
 
 from .core import Histogram, IngestError, NoisyHistogram, Origin, ValidityError, _checked
-from .domain import _TALLY_BYTES, _DistinctLines, _hashed
+from .domain import _ASCII_BLANKS, _TALLY_BYTES, _DistinctLines, _hashed
 
 CSV_HEADER = ("category", "count", "origin")
 _ORIGINS = {origin.value for origin in Origin}
@@ -115,17 +118,17 @@ def read_histogram(selector: ColumnSelector, drop_values: frozenset[str] = froze
     """
     with _open_source(selector.source) as fh:
         regular = selector.source != "-" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        merged = _count_lines(fh.buffer, selector, drop_values) if regular else None
-        if merged is None:
+        counted = _count_lines(fh.buffer, selector, drop_values) if regular else None
+        if counted is None:
             if regular:
                 fh.seek(0)
             raw = _count_rows(fh, selector)
-            merged = _merge(raw.keys(), raw.values(), drop_values)
-    counts, skipped_empty = merged
+            counted = _counted(*_merge(raw.keys(), raw.values(), drop_values))
+    labels, counts, skipped_empty = counted
     if skipped_empty:
         warnings.warn(f"{selector.source}: skipped {skipped_empty} empty cells", stacklevel=2)
     # Labels are distinct non-empty cells and counts whole numbers >= 1.
-    return Histogram._of(tuple(counts), np.fromiter(counts.values(), float, len(counts)))
+    return Histogram._of(tuple(labels), counts)
 
 
 def _merge(
@@ -168,8 +171,9 @@ def _count_rows(fh: IO[str], selector: ColumnSelector) -> Counter[str]:
 
 def _count_lines(
     fh: BinaryIO, selector: ColumnSelector, drop_values: frozenset[str]
-) -> tuple[dict[str, int], int] | None:
-    """_merge over each distinct line, counted whole and parsed at most once.
+) -> tuple[Collection[str], np.ndarray, int] | None:
+    """The cells of _merge over each distinct line, counted whole and parsed
+    at most once, their counts and the empty cells skipped.
 
     The bytes are read in blocks of whole lines (see _line_blocks), and one
     table keeps the distinct lines read so far with their counts, compared
@@ -177,7 +181,8 @@ def _count_lines(
     one whole record: with no quote, no NUL and no invalid UTF-8, csv.reader
     ends a record at every line end. When the column is the first and no
     line holds the delimiter or a CR, each line is one field, so the
-    distinct lines go to _merge with no csv parse.
+    distinct lines go to _merge with no csv parse; and when none of them has
+    anything to trim, skip or drop, they are the cells, with no dict built.
     Returns None, for the caller to read row by row and word any error with
     its line number, on any such character, a header problem, a short row
     or a csv.Error (a lone CR inside a line is one); and also once too many
@@ -204,30 +209,37 @@ def _count_lines(
     one_field = index == 0 and selector.delimiter not in joined and "\r" not in joined
     for blank in ("", "\r"):  # the only lines that parse to no fields
         if blank in lines:
-            at = lines.index(blank)
-            del lines[at], counts[at]
+            counts = np.delete(counts, lines.index(blank))
+            lines.remove(blank)
     # csv.reader refuses a field past its limit; so does the row reader.
-    if one_field and max(map(len, lines), default=0) <= csv.field_size_limit():
-        return _merge(lines, counts, drop_values)
-    try:
-        cells = list(map(itemgetter(index), csv.reader(lines, delimiter=selector.delimiter)))
-    except (IndexError, csv.Error):
-        return None
-    return _merge(cells, counts, drop_values)
+    if not (one_field and max(map(len, lines), default=0) <= csv.field_size_limit()):
+        try:  # from here on, each line's cell
+            lines = list(map(itemgetter(index), csv.reader(lines, delimiter=selector.delimiter)))
+        except (IndexError, csv.Error):
+            return None
+    elif joined.isascii() and not any(map(joined.__contains__, _ASCII_BLANKS)) and (
+            not drop_values or drop_values.isdisjoint(lines)):
+        return lines, counts.astype(float), 0  # nothing to trim, skip or drop: the lines are the cells, each once
+    return _counted(*_merge(lines, counts.tolist(), drop_values))
 
 
-def _distinct_lines(fh: BinaryIO) -> tuple[list[str], list[int]] | None:
+def _counted(cells: dict[str, int], skipped_empty: int) -> tuple[Collection[str], np.ndarray, int]:
+    """_merge's cells, their counts as floats, and the empty cells skipped."""
+    return cells.keys(), np.fromiter(cells.values(), float, len(cells)), skipped_empty
+
+
+def _distinct_lines(fh: BinaryIO) -> tuple[list[str], np.ndarray] | None:
     """The rest of fh's distinct lines, without their "\n", in first-appearance
     order, and the count of each; None on a quote, a NUL, invalid UTF-8 or
     too many distinct lines."""
     distinct = _DistinctLines()
-    read = 0
     try:
         for block, end in _line_blocks(fh):
             if _unsafe(block, end):
                 return None
-            read += distinct.add(block, end)
-            if len(distinct) > max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * read):
+            distinct.add(block, end)
+            most = max(_MIN_DISTINCT_LINES, _MAX_DISTINCT_SHARE * distinct.read)
+            if len(distinct) > most and distinct.merge() > most:
                 return None
         return distinct.decoded()
     except UnicodeDecodeError:

@@ -5,8 +5,9 @@ formulas at 60 significant digits, sharing no code with the package under
 test. The loop references below them are the plain per-row, per-bin and
 per-call forms of code the package runs in bulk or from a cache; the tests
 require the two to give identical results. Then comes the brute-force
-reference the mechanism must equal in distribution, and last the exact law
-of a release's discrete part on tiny domains, for the privacy audit.
+reference the mechanism must equal in distribution, then the exact law
+of a release's discrete part on tiny domains, for the privacy audit, and
+last the check of which counts a released double can come from.
 """
 
 from __future__ import annotations
@@ -410,3 +411,36 @@ def neighbouring_counts(n, top):
         for i in range(n):
             if counts[i] < top:
                 yield counts, counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+
+
+# rng.random() returns k / 2**53 for an integer k, and a release redraws 0.0,
+# so its uniforms are the k / 2**53 with 0 < k < 2**53.
+UNIFORM_GRID = 2**53
+
+
+def laplace_count(count, u, scale):
+    """A count's released value from uniform u, as _survivors' scalar branch
+    computes it: count plus sample_laplace's noise, with math.log1p."""
+    v = u - 0.5
+    magnitude = -math.log1p(-2.0 * abs(v))
+    return count + scale * magnitude if v > 0 else count - scale * magnitude
+
+
+def injected_weight(threshold, u, epsilon):
+    """An injected bin's released weight from uniform u, as cat_hist
+    computes it: threshold - log1p(-u) / epsilon."""
+    return threshold - math.log1p(-u) / epsilon
+
+
+def reachable(x, noisy):
+    """Whether some uniform of the grid gives the double x through noisy, a
+    non-decreasing map of the uniform: a binary search over k for the least
+    k / 2**53 whose output is at least x."""
+    lo, hi = 1, UNIFORM_GRID - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if noisy(mid / UNIFORM_GRID) < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return noisy(lo / UNIFORM_GRID) == x

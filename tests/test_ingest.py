@@ -431,6 +431,62 @@ class TestLineCount:
         assert read_histogram(ColumnSelector(path, "v")).bins == bins
         assert rows_read == []
 
+    def test_lines_of_eight_bytes_next_to_lines_of_nine(self, tmp_path, monkeypatch, rows_read):
+        # A line of 8 bytes with its "\n" is kept as its hash alone; one of 9
+        # keeps its bytes. Their hashes are read from the same first 8 bytes.
+        labels = ["abcdefg", "abcdefgh", "abcdefgi", "bcdefgh", "a", "abcdefg ", "zyxwvut", "zyxwvuts"]
+        rng = np.random.default_rng(27)
+        path = write_csv(tmp_path / "t.csv", [["v"], *([labels[i]] for i in rng.integers(len(labels), size=3_000))])
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        assert rows_read == []
+
+    def test_multibyte_labels_within_eight_bytes(self, tmp_path, rows_read):
+        # 2-, 3- and 4-byte UTF-8 characters, alone and together, up to 8
+        # bytes with the "\n" and, for the last one, past it.
+        labels = ["\u00e9", "\u20ac", "\U0001d11e", "\u00e9\u20ac", "\U0001d11e\u00e9", "\u20ac\u20ac",
+                  "\U0001d11e\u20ac", "a\U0001d11e\u00e9", "\U0001d11e\U0001d11e"]
+        rng = np.random.default_rng(28)
+        path = write_csv(tmp_path / "t.csv", [["v"], *([labels[i]] for i in rng.integers(len(labels), size=2_000))])
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        assert rows_read == []
+
+    def test_many_merges_of_short_labels(self, tmp_path, monkeypatch, rows_read):
+        # 100 000 distinct labels in 4 KiB blocks: hundreds of runs, merged
+        # into the table each time they outgrow it. Label k appears at line
+        # 3k, and again at 3j + 1 for j = 2k, 2k + 1 and at 3j + 2 for
+        # j = 4k .. 4k + 3, in later blocks, so at most a third of the lines
+        # read are ever distinct.
+        labels = [f"w{i}" for i in range(100_000)]
+        rows = "".join(f"{labels[j]}\n{labels[j // 2]}\n{labels[j // 4]}\n" for j in range(len(labels)))
+        path = tmp_path / "t.csv"
+        path.write_text("v\n" + rows, encoding="utf-8")
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        bins, skipped = read_histogram_per_row(path, "v")
+        assert len(bins) == len(labels)
+        assert read_histogram(ColumnSelector(str(path), "v")).bins == bins
+        assert rows_read == []
+
+    def test_multiplier_one_regroups_lines_with_the_same_last_bytes(self, tmp_path, monkeypatch, rows_read):
+        # Multiplier 1 is odd, so a short line is still its hash, and the hash
+        # is the line's own 8 bytes: lines that end alike share their high
+        # hash bits, tie on the grouping key and are told apart in the
+        # regrouping rounds. Long lines whose words add up alike collide.
+        short = [f"{c}-same" for c in "abcdefgh"] + ["same", "x-same", "\u00e9same"]
+        long = ["abcdefgh-long", "-longabcdefgh", "abcdefgh-lonh", "hgfedcba-long"]
+        rng = np.random.default_rng(29)
+        rows = [*([short[i]] for i in rng.integers(len(short), size=600)),
+                *([(short + long)[i]] for i in rng.integers(len(short + long), size=600))]
+        path = write_csv(tmp_path / "t.csv", [["v"], *rows])
+        bins, skipped = read_histogram_per_row(path, "v")
+        monkeypatch.setattr(domain_mod, "HASH_MULTIPLIER", 1)
+        for block in (64, 4096):
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+            assert read_histogram(ColumnSelector(path, "v")).bins == bins
+        assert rows_read == []
+
     def test_memory_grows_with_distinct_lines_not_rows(self, tmp_path):
         # The same 1 000 labels at 1e5 and at 4e5 rows: only the block's
         # arrays and the distinct lines are held at once. The labels are
