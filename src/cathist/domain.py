@@ -15,15 +15,19 @@ labels instead.
 
 A wordlist is loaded as arrays, with no Python object per word: one UTF-8
 buffer of its distinct words, each followed by "\n", their start offsets in
-it, and a sorted array of the words' 64-bit hashes with the word each hash
-belongs to. A word-pair domain indexes the same arrays. decode copies each
-label's bytes with one array gather and splits the labels out of one decoded
-string. non_members, the check a release runs on its active labels, hashes
-the labels in bulk and looks them up in the sorted hashes. A hash only finds
-candidates: every answer rests on comparing the label's bytes with the
-word's, so duplicates and hash collisions leave every answer exact. The
-one-label contains answers from a dict of the words, decoded on its first
-call; no release path calls it.
+it, and the words' 64-bit hashes in word order. One sort of a copy of the
+hashes shows whether a word repeats; only then are the words deduplicated,
+from the same lines and hashes. A word-pair domain indexes the same arrays.
+decode copies each label's bytes with one array gather and splits the
+labels out of one decoded string. non_members, the check a release runs on
+its active labels, hashes the labels in bulk. It compares fewer labels than
+log2(size) with the words' hashes, one pass each; for more, it builds an
+index of the words by their hashes' high bits, with one sort, on its first
+such call, and looks the labels up there. A hash only finds candidates:
+every answer rests on comparing the label's bytes with the word's, so
+duplicates and hash collisions leave every answer exact. The one-label
+contains answers from a dict of the words, decoded on its first call; no
+release path calls it.
 
 The same lines, hashes and byte comparisons count the lines of a column
 file (ingest.read_histogram): _DistinctLines reduces each block to a run of
@@ -31,13 +35,13 @@ its distinct lines, each with its hash, the place of its first copy and its
 count, and merges the runs into one table now and then by one sort of their
 hashes. A line of at most 8 bytes is kept as its hash alone: under the odd
 HASH_MULTIPLIER that hash is one to one, and its bytes come back from it.
-A wordlist whose words repeat or share a hash is deduplicated through the
-same table.
+A wordlist whose words repeat is deduplicated by the same grouping (_run).
 """
 
 from __future__ import annotations
 
 import codecs
+import math
 import re
 from collections import Counter
 from collections.abc import Collection, Iterator
@@ -69,9 +73,11 @@ DENSE_RATIO = 100
 # apart by its hash and keeps no bytes of its own (see _Run); under an even
 # multiplier every line keeps its bytes.
 HASH_MULTIPLIER = 0x9E3779B97F4A7C15
-# Bytes searched for "\n", or lines hashed or decoded, at once: temporaries
-# the size of a whole wordlist would leave holes of that size in the heap.
+# Lines hashed or decoded at once: temporaries the size of a whole wordlist
+# would leave holes of that size in the heap.
 BLOCK = 1 << 14
+# Bytes searched for "\n" at once.
+_NEWLINE_BLOCK = 1 << 19
 # Bytes of a block whose lines' mean length picks how the block is grouped,
 # and bytes of lines counted at once in the dict (see _DistinctLines).
 _SAMPLE = 1 << 12
@@ -195,13 +201,13 @@ class _Lines:
         """The lines of data[:end], which is empty or ends with "\n", in
         data itself: data holds at least 7 more bytes."""
         padded = np.frombuffer(data, np.uint8)
-        starts = np.zeros(data.count(b"\n", 0, end) + 1, np.int32 if end < 2**31 else np.int64)
-        found = 0
-        for first in range(0, end, BLOCK):
-            ends = np.flatnonzero(padded[first:min(first + BLOCK, end)] == ord("\n"))
-            starts[found + 1:found + 1 + ends.size] = ends + (first + 1)
-            found += ends.size
-        return cls(padded, starts)
+        dtype = np.int32 if end < 2**31 else np.int64
+        starts = [np.zeros(1, dtype)]
+        for first in range(0, end, _NEWLINE_BLOCK):
+            ends = np.flatnonzero(padded[first:min(first + _NEWLINE_BLOCK, end)] == ord("\n"))
+            ends += first + 1
+            starts.append(ends.astype(dtype, copy=False))
+        return cls(padded, np.concatenate(starts))
 
     def hash(self) -> np.ndarray:
         """Each line's hash (see HASH_MULTIPLIER), BLOCK lines at a time."""
@@ -248,32 +254,6 @@ class _Lines:
         return same
 
 
-class _HashIndex:
-    """Where to look for lines by hash: hashes holds the hashes of some
-    distinct lines in ascending order, and hashes[k] is line order[k]'s."""
-
-    def __init__(self, hashes: np.ndarray, order: np.ndarray) -> None:
-        self.hashes = hashes
-        self.order = order
-        self.shared = bool((hashes[1:] == hashes[:-1]).any())  # whether two lines share a hash
-
-    def holds(self, held: _Lines, lines: _Lines, queries: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-        """Whether held has a line with the bytes of each of lines' lines
-        queries.
-
-        hashes are the queries' own. A hash only finds candidates: each
-        answer rests on comparing bytes, so hash collisions leave it exact.
-        Queries in ascending hash walk the sorted hashes in order.
-        """
-        at = self.hashes.searchsorted(hashes)
-        hits = (self.hashes.searchsorted(hashes, "right") - at if self.shared  # a query may have several candidates
-                else self.hashes.take(at, mode="clip") == hashes)  # or one: the line at its place, if that has its hash
-        # Each query against every line of its hash.
-        query_of = np.repeat(np.arange(hits.size), hits)
-        match = _same_of_equal_hash(lines, queries[query_of], held, self.order[_spans(at, hits)[0]])
-        return np.bincount(query_of[match], minlength=queries.size) > 0
-
-
 class _Run(NamedTuple):
     """Distinct lines in ascending hash: the hash of each, the place of its
     first copy among the lines added, its count, and whether it keeps its
@@ -304,6 +284,15 @@ class _Run(NamedTuple):
         before = np.repeat(np.cumsum(length)[kept] - ends, length[kept])
         return np.insert(values.astype("<u8").view(np.uint8)[within], before, held).tobytes()
 
+    def by_first(self) -> np.ndarray:
+        """The order of the lines by the place of their first copy: one sort
+        of the places with each line's index in the low bits."""
+        places = self.firsts.astype(np.uint64)
+        if int(places.max(initial=0)) >> (64 - places.size.bit_length()):  # the two do not fit in 64 bits
+            return np.argsort(self.firsts)
+        places <<= np.uint64(places.size.bit_length())
+        return _sorted_with_places(places)[1]
+
 
 class _DistinctLines:
     """The distinct lines of the blocks added, with their counts.
@@ -311,7 +300,7 @@ class _DistinctLines:
     Each block is reduced to a run of its distinct lines (see _run). The
     runs wait until there are more of their lines than in the table, which
     then takes them in (see merge); the table's memory grows with the
-    distinct lines, not the rows. finish merges the last runs and puts the
+    distinct lines, not the rows. decoded merges the last runs and puts the
     lines in first-appearance order.
 
     Lines of at most 8 bytes are grouped with no byte compared. Longer lines
@@ -371,24 +360,17 @@ class _DistinctLines:
             self._runs.append(_run(hashes, firsts, counts, pool, kept))
         return len(self)
 
-    def finish(self) -> tuple[bytes, np.ndarray, _HashIndex]:
-        """The distinct lines in first-appearance order, how often each
-        appeared, and their index by hash."""
+    def decoded(self) -> tuple[list[str], np.ndarray]:
+        """The distinct lines in first-appearance order, decoded and without
+        their "\n", and how often each appeared. UnicodeDecodeError if they
+        are not UTF-8."""
+        if not self._runs:  # every line was counted in the dict
+            return list(self._tally), np.fromiter(self._tally.values(), np.int64, len(self._tally))
         self.flush()
         self.merge()
         table, = self._runs
-        order = np.argsort(table.firsts)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return table.in_order(order), table.counts[order], _HashIndex(table.hashes, rank)
-
-    def decoded(self) -> tuple[list[str], np.ndarray]:
-        """The distinct lines, decoded and without their "\n", and how often
-        each appeared. UnicodeDecodeError if they are not UTF-8."""
-        if not self._runs:  # every line was counted in the dict
-            return list(self._tally), np.fromiter(self._tally.values(), np.int64, len(self._tally))
-        lines, counts, _ = self.finish()
-        return lines.decode("utf-8").split("\n")[:-1], counts
+        order = table.by_first()
+        return table.in_order(order).decode("utf-8").split("\n")[:-1], table.counts[order]
 
     def _join(self, block: _Lines, counts: np.ndarray | None = None) -> None:
         """Add the run of block, the last lines added, each once or with these counts."""
@@ -418,13 +400,8 @@ def _run(hashes: np.ndarray, firsts: np.ndarray, counts: np.ndarray | None, line
     kept = np.diff(lines.starts) > 8 * (HASH_MULTIPLIER % 2) if kept is None else kept
     heads, totals, left = [], [], None  # left: the lines still to group, or None for all
     while left is None or left.size:
-        keys = hashes if left is None else hashes[left]  # the first round gathers nothing
-        low = (np.uint64(1) << np.uint64(keys.size.bit_length())) - np.uint64(1)
-        keys = keys & ~low
-        keys |= np.arange(keys.size, dtype=np.uint64)
-        keys.sort()
-        at = (keys & low).view(np.intp) if left is None else left[(keys & low).view(np.intp)]
-        keys >>= np.uint64(keys.size.bit_length())
+        keys, at = _sorted_with_places(hashes if left is None else hashes[left])  # the first round gathers nothing
+        at = at if left is None else left[at]
         head = np.append(True, keys[1:] != keys[:-1])
         del keys  # so that ours takes its memory, with no new pages to fault in
         group = np.flatnonzero(head)
@@ -452,6 +429,21 @@ def _run(hashes: np.ndarray, firsts: np.ndarray, counts: np.ndarray | None, line
     return _Run(hashes[at], firsts[at], counts, kept[at], lines.gather(line(at[kept[at]]))[0].tobytes())
 
 
+def _sorted_with_places(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high bits of uint64 keys in ascending order, and the place in
+    keys of each, from one ndarray.sort: each key's low bits, as many as
+    keys.size takes, are replaced by its place, so keys of equal high bits
+    come in place order."""
+    bits = np.uint64(keys.size.bit_length())
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    packed = keys & ~low
+    packed |= np.arange(keys.size, dtype=np.uint64)
+    packed.sort()
+    at = (packed & low).view(np.intp)
+    packed >>= bits
+    return packed, at
+
+
 def _hashed(data: bytes | bytearray, end: int) -> bool:
     """Whether _DistinctLines groups the lines of data[:end] by hash: the
     whole lines of its first _SAMPLE bytes are at most 8 bytes long on
@@ -474,29 +466,33 @@ def _same_of_equal_hash(lines: _Lines, at: np.ndarray, other: _Lines, other_at: 
 
 class _Words(DomainSampler):
     """A wordlist's distinct words in first-occurrence order, as lines, and
-    an index of them by hash. A word-pair domain indexes its words with one
-    of these.
+    their hashes in the same order. A word-pair domain indexes its words
+    with one of these.
     """
 
     def __init__(self, spec: WordList) -> None:
-        data = _read_lines(spec.path)
-        if not data:
-            raise ValidityError(f"wordlist {spec.path} contains no words")
         self.spec = spec
-        self.lines = _Lines.of(data)
-        hashes = self.lines.hash()
-        order = np.argsort(hashes)
-        hashes = hashes[order]
-        self.index = _HashIndex(hashes, order.astype(self.lines.starts.dtype))
-        if self.index.shared:  # a word repeats, or two words share a hash
-            distinct = _DistinctLines()
-            distinct.add(data + bytes(7), len(data))
-            data, _, self.index = distinct.finish()
-            self.lines = _Lines.of(data)
+        self.lines = _read_lines(spec.path)
+        if not self.lines.size:
+            raise ValidityError(f"wordlist {spec.path} contains no words")
+        self.hashes = self.lines.hash()
+        if _repeats(self.hashes):  # a word repeats, or two words share a hash
+            # The first copy of each distinct word, in word order.
+            firsts = np.sort(_run(self.hashes, np.arange(self.lines.size), None, self.lines).firsts)
+            self.lines = _Lines.of(self.lines.gather(firsts)[0].tobytes())
+            self.hashes = self.hashes[firsts]
         self.size = self.lines.size
 
     def decode(self, indices: np.ndarray) -> list[str]:
         return self.lines.gather(indices)[0].tobytes().decode("utf-8").split("\n")[:-1]
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The high bits of the words' hashes in ascending order, the word
+        each belongs to, and whether two words share them: built by the
+        first non_members call that looks for enough labels to pay for it."""
+        high, order = _sorted_with_places(self.hashes)
+        return high, order.astype(self.lines.starts.dtype), bool((high[1:] == high[:-1]).any())
 
     @cached_property
     def _members(self) -> dict[str, None]:
@@ -521,11 +517,28 @@ class _Words(DomainSampler):
         # such a label matches no word.
         queries = _Lines.of((joined + "\n").encode("utf-8", "surrogatepass"))
         hashes = queries.hash()
-        # Sorted, the queries walk the sorted hashes in order; the results
-        # then go back to label order.
-        by_hash = np.argsort(hashes)
-        member = np.empty(queries.size, bool)
-        member[by_hash] = self.index.holds(self.lines, queries, by_hash, hashes[by_hash])
+        # The words each label is compared with: those of its hash, found by
+        # one pass over the hashes per label when there are fewer labels
+        # than log2(size), else by the words' high hash bits in the index.
+        # Sorted by their own high bits, the labels walk the index in order.
+        if queries.size < math.log2(self.size):
+            found = [np.flatnonzero(self.hashes == h) for h in hashes]
+            query_of = np.repeat(np.arange(queries.size), [f.size for f in found])
+            words = np.concatenate(found)
+        else:
+            high, order, shared = self._index
+            by_hash = _sorted_with_places(hashes)[1]
+            high_hashes = hashes[by_hash] >> np.uint64(self.size.bit_length())
+            at = high.searchsorted(high_hashes)
+            hits = (high.searchsorted(high_hashes, "right") - at if shared  # a label may have several candidates
+                    else high.take(at, mode="clip") == high_hashes)  # or one: the word at its place, if that has its bits
+            query_of = np.repeat(by_hash, hits)
+            words = order[_spans(at, hits)[0]]
+        # A hash only finds candidates: each answer rests on comparing bytes,
+        # so duplicates and hash collisions leave it exact.
+        pairs = np.flatnonzero(self.hashes[words] == hashes[query_of])
+        match = pairs[_same_of_equal_hash(queries, query_of[pairs], self.lines, words[pairs])]
+        member = np.bincount(query_of[match], minlength=queries.size) > 0
         if not member.all():
             outside.update(compress(labels, (~member).tolist()))
         return outside
@@ -594,21 +607,22 @@ class _SizeOnlySampler(DomainSampler):
         )
 
 
-def _read_lines(path: Path) -> bytes:
+def _read_lines(path: Path) -> _Lines:
     """A UTF-8 wordlist's lines, trimmed, blanks dropped, as UTF-8 with each
     line followed by "\n". Duplicates are kept. A leading byte-order mark is
     dropped."""
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    # An ASCII file that has nothing to trim and no blank line is its own
-    # result; each check is one scan of the bytes.
-    if data.isascii() and data[:1] not in (b"", b"\n") and b"\n\n" not in data \
-            and not any(map(data.__contains__, _ASCII_BLANKS.encode())):
-        return data if data.endswith(b"\n") else data + b"\n"
+    # An ASCII file that has nothing to trim is its own result, unless a
+    # line is blank: its "\n" alone.
+    if data.isascii() and not any(map(data.__contains__, _ASCII_BLANKS.encode())):
+        lines = _Lines.of(data if data.endswith(b"\n") else data + b"\n")
+        if np.diff(lines.starts).min() > 1:
+            return lines
     # Newlines are universal, as when the file is read as text, so "\r\n"
     # and "\r" end lines; split on "\n" only (str.splitlines would also split
     # on "\x0c", "\x85" and "\u2028").
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return "".join(f"{word}\n" for word in map(str.strip, text.split("\n")) if word).encode("utf-8")
+    return _Lines.of("".join(f"{word}\n" for word in map(str.strip, text.split("\n")) if word).encode("utf-8"))
 
 
 def _spans(at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,6 +632,12 @@ def _spans(at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spans = np.repeat(at + length - end, length)
     spans += np.arange(spans.size)
     return spans, end
+
+
+def _repeats(hashes: np.ndarray) -> bool:
+    """Whether two of hashes are equal: one ndarray.sort of a copy."""
+    ascending = np.sort(hashes)
+    return bool((ascending[1:] == ascending[:-1]).any())
 
 
 def _by_words(length: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

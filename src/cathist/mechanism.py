@@ -45,6 +45,7 @@ record, so one bin's count changes by one and the Laplace scale is
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from collections.abc import Iterable, Iterator
@@ -69,6 +70,7 @@ from .numerics import (
     noisy_threshold,
     pcg64_state,
     sample_binomial,
+    _binomial_cdf,
 )
 # Bound here although unused: bench/layers.py traces these at the names the
 # mechanism imports. Their arithmetic is inlined below.
@@ -215,6 +217,11 @@ def _draw_batch(
     sample_laplace and sample_shifted_exponential make. A caller that never
     picks labels makes the same draws as one that does, because the labels
     come last on the stream.
+
+    The first repetition draws its count with sample_binomial and its m
+    weights with one random(m) call, as a release does. The others take
+    theirs from one random call (see _later_weights), which gives the same
+    doubles as those successive calls.
     """
     threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
@@ -222,18 +229,53 @@ def _draw_batch(
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    weights = []
-    for _ in range(reps):
-        m = sample_binomial(rng, trials, p) if trials > 0 else 0
-        if m:
-            weights.append(_nonzero(rng, rng.random(m)))
-        else:
-            weights.append(_NO_DRAWS)
+    weights = [_weights(rng, trials, p)]
+    if reps > 1:
+        weights += _later_weights(rng, trials, p, reps - 1)
     return threshold, weights, _uniform_blocks(rng, reps, k)
 
 
 # The weights of a repetition that injects nothing; never written to.
 _NO_DRAWS = np.empty(0)
+
+
+def _weights(rng: Rng, trials: int, p: float) -> np.ndarray:
+    """One repetition's weight uniforms, after its count."""
+    m = sample_binomial(rng, trials, p) if trials > 0 else 0
+    return _nonzero(rng, rng.random(m)) if m else _NO_DRAWS
+
+
+def _later_weights(rng: Rng, trials: int, p: float, reps: int) -> list[np.ndarray]:
+    """What reps calls of _weights draw, from one rng.random call.
+
+    The call is sized from the mean count, and drawn again if it runs short.
+    Each count is sample_binomial's bisection of its cached table, and its
+    weights are the next m uniforms. Then the stream is put back to its
+    state before the call and advanced past the uniforms used, so the draws
+    after it are those after reps _weights calls. If a used uniform is 0.0,
+    which _nonzero would redraw, the stream is put back and _weights drawn
+    reps times instead. The first repetition's _weights has already refused
+    a mean out of envelope.
+    """
+    if trials == 0 or p == 0.0:  # every count is 0, with no draw
+        return [_NO_DRAWS] * reps
+    cdf = _binomial_cdf(trials, p)
+    last = len(cdf) - 1  # the largest count, so a repetition draws at most last + 1 uniforms
+    mean = trials * p
+    before = rng.bit_generator.state
+    u, at, weights = _NO_DRAWS, 0, []
+    for done in range(reps):
+        if u.size - at <= last:  # the uniforms left might not hold this repetition's
+            left = reps - done
+            u = np.concatenate((u, rng.random(int(left * (1 + mean) + 4 * math.sqrt(left * mean)) + last + 1)))
+        m = bisect.bisect_right(cdf, u.item(at), 0, last)
+        at += 1 + m
+        weights.append(u[at - m:at] if m else _NO_DRAWS)
+    rng.bit_generator.state = before
+    if np.count_nonzero(u[:at]) < at:
+        return [_weights(rng, trials, p) for _ in range(reps)]
+    rng.bit_generator.advance(at)
+    return weights
 
 
 def _uniform_blocks(rng: Rng, reps: int, k: int) -> Iterable[np.ndarray]:

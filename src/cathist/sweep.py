@@ -10,9 +10,10 @@ generator, epsilon, rho, the domain size and the two counts, and reads the
 column's active counts itself; it builds no release config, and a bad grid
 value is refused where the threshold is worked out. So every cell is
 reproducible in isolation and the CSV is byte-identical however many threads
-ran the cells, in whatever order. The cells only read what they share: the
-column, the loaded domain and the count of absent domain slots that the
-sweep's one membership check gives.
+ran the cells, in whatever order. One job runs the cells one after another
+in the calling thread; more run them on a pool of threads. The cells only
+read what they share: the column, the loaded domain and the count of absent
+domain slots that the sweep's one membership check gives.
 
 A cell builds no releases. Injected labels are drawn outside the active set,
 so a release meets the column in its surviving active bins S only, and its
@@ -160,8 +161,9 @@ def run_sweep(
     checked against it once per sweep, before any cell runs, and only if
     some cell is valid; a pre-loaded sampler for config.domain may be passed
     to skip the load. The cells run on min(jobs, cells) threads: their
-    array work releases the GIL. The rows are identical for any jobs and
-    any hash seed, so the CSV is too.
+    array work releases the GIL. One thread is the calling thread, with no
+    pool. The rows are identical for any jobs and any hash seed, so the CSV
+    is too.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -174,8 +176,12 @@ def run_sweep(
             raise ValidityError("empty distribution: nothing to normalize")
         trials = _absent_slots(config.domain, hist, sampler)
     cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
-    with ThreadPoolExecutor(min(jobs, len(cells))) as pool:
-        rows = list(pool.map(partial(_run_cell, config, hist, sampler, trials), *zip(*cells)))
+    run, threads = partial(_run_cell, config, hist, sampler, trials), min(jobs, len(cells))
+    if threads == 1:
+        rows = list(map(run, *zip(*cells)))
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            rows = list(pool.map(run, *zip(*cells)))
     return sorted(rows, key=lambda row: (row.epsilon, row.rho))
 
 

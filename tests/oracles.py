@@ -108,6 +108,31 @@ def sample_binomial_by_walk(rng, n, p):
         k += 1
 
 
+def draw_batch_per_rep(rng, epsilon, rho, n, trials, reps, k):
+    """_draw_batch as one loop over the repetitions: each draws its injected
+    count with sample_binomial and then its m weight uniforms with one
+    random(m) call; then one random((reps, k)) call draws every active-bin
+    uniform (one block while reps * k is at most BLOCK_DRAWS). Each 0.0 of a
+    call is replaced, in row-major order, by the stream's next nonzero draw.
+    Returns (threshold, weights, uniforms)."""
+
+    def nonzero(u):
+        for i in np.flatnonzero(u == 0.0).tolist():
+            v = rng.random()
+            while v == 0.0:
+                v = rng.random()
+            u.flat[i] = v
+        return u
+
+    threshold = noisy_threshold(epsilon, rho, n)
+    p = inclusion_probability(epsilon, threshold)
+    weights = []
+    for _ in range(reps):
+        m = sample_binomial(rng, trials, p) if trials > 0 else 0
+        weights.append(nonzero(rng.random(m)) if m else np.empty(0))
+    return threshold, weights, nonzero(rng.random((reps, k)))
+
+
 # PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy's PCG64).
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 

@@ -277,6 +277,15 @@ class TestWordListSampler:
         cat_hist(config, Histogram([("Male", 3.0)]), sampler=sampler)  # not refused as out of domain
         assert load_domain(WordPairs(path)).contains("Male Female")
 
+    @pytest.mark.parametrize("text", ["alpha\n\nbeta\n", "\nalpha\nbeta", "alpha\nbeta\n\n", "alpha\n\n\n\nbeta"])
+    def test_ascii_file_with_a_blank_line_drops_it(self, tmp_path, text):
+        # An ASCII file with nothing to trim is read as it is, unless a line
+        # is blank; then it is read as text, which drops the line.
+        path = tmp_path / "w.txt"
+        path.write_text(text, encoding="ascii")
+        assert words_of(path) == load_words_per_line(path) == ("alpha", "beta")
+        assert load_domain(WordList(path)).non_members({"alpha", "", "beta", "\n"}) == {"", "\n"}
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("\n  \n", encoding="utf-8")
@@ -350,7 +359,7 @@ class TestWordListSampler:
         path.write_text("\n".join(words + ["ab", "zz", " a ", "abcdefghik"]) + "\n", encoding="utf-8")
         near = {"", "c", "abcdefghi", "abcdefghijk", "ab ", "aa", "abcdefghia", "\ud83d", "e"}
         sampler = load_domain(WordList(path))
-        assert np.unique(sampler.index.hashes).size < sampler.size
+        assert np.unique(sampler.hashes).size < sampler.size
         assert sampler.size == len(words)
         assert sampler.decode(np.arange(sampler.size)) == words
         assert sampler.decode(np.array([3, 0, 3])) == ["abcdefghik", "ab", "abcdefghik"]
@@ -363,6 +372,47 @@ class TestWordListSampler:
         near_pairs = {f"{a} {b}" for a in near for b in words[:3]} | {f"{a} {b}" for a in words[:3] for b in near}
         assert pairs.non_members(near_pairs | set(labels)) == near_pairs
         assert all(map(pairs.contains, labels)) and not any(map(pairs.contains, near_pairs))
+
+
+class TestMembershipScanAndIndex:
+    """non_members compares fewer labels than log2(size) with the word hashes
+    one label at a time, and looks more up in an index of the hashes that
+    the first such call builds. Both give the set difference, before and
+    after the index is built, also when many words share a hash."""
+
+    # Words of 1 to 20 bytes, non-ASCII ones among them, with repeats.
+    WORDS = [f"w{i}" for i in range(150)] + [f"word-{i:04d}" for i in range(100)] + ["é", "\U0001d11e", "abcdefg", "abcdefgh"]
+    NEAR = ["", "w", "w1000", "word-", "word-00000", "abcdefghi", "abcdef", "e", "w1 ", " w1", "\ud800", "w\n1", "x1", "v149"]
+
+    # Multiplier 0 gives every word one hash, and 1 << 56 keeps only the
+    # first of the last 8 bytes read. Under multiplier 1 a short word's hash
+    # is its bytes, so "x1" and "w1" differ only in the low bits that the
+    # index drops.
+    @pytest.mark.parametrize("multiplier", [domain_mod.HASH_MULTIPLIER, 0, 1 << 56, 1])
+    def test_scan_and_index_give_the_set_difference(self, tmp_path, monkeypatch, multiplier):
+        monkeypatch.setattr(domain_mod, "HASH_MULTIPLIER", multiplier)
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(self.WORDS + self.WORDS[::7]) + "\n", encoding="utf-8")
+        sampler = load_domain(WordList(path))
+        assert sampler.decode(np.arange(sampler.size)) == self.WORDS
+        few = int(np.log2(sampler.size))  # 7 labels are fewer than log2(254), 8 are not
+        rng = np.random.default_rng(multiplier % 1000)
+        pool = self.WORDS + self.NEAR
+
+        def check(count):
+            labels = set(rng.choice(pool, size=count, replace=False).tolist())
+            assert sampler.non_members(labels) == labels - set(self.WORDS), count
+            assert sampler.non_members(tuple(labels)) == labels - set(self.WORDS), count
+
+        for count in (1, 2, few):
+            check(count)
+        assert "_index" not in vars(sampler)
+        check(few + 1)
+        assert "_index" in vars(sampler)
+        for count in (1, few, few + 1, 40, len(pool)):
+            check(count)
+        assert sampler.non_members(set(self.NEAR)) == set(self.NEAR)
+        assert sampler.non_members(set(self.NEAR[:3])) == set(self.NEAR[:3])
 
 
 class TestWordPairSampler:

@@ -487,6 +487,13 @@ class TestLineCount:
             assert read_histogram(ColumnSelector(path, "v")).bins == bins
         assert rows_read == []
 
+    @pytest.mark.parametrize("firsts", [[7, 0, 3, 12], [2**62, 5, 2**61, 0]], ids=["packed", "too-wide-to-pack"])
+    def test_first_appearance_order_is_the_order_of_first_copies(self, firsts):
+        # The places of first copies are sorted with each line's index in
+        # their low bits, unless a place leaves no room for the index.
+        run = domain_mod._Run(np.zeros(4, np.uint64), np.array(firsts), np.ones(4, np.int64), np.zeros(4, bool), b"")
+        assert run.by_first().tolist() == np.argsort(firsts).tolist()
+
     def test_memory_grows_with_distinct_lines_not_rows(self, tmp_path):
         # The same 1 000 labels at 1e5 and at 4e5 rows: only the block's
         # arrays and the distinct lines are held at once. The labels are

@@ -33,13 +33,22 @@ from cathist.mechanism import (
     record_chunks,
     synthesize_records,
 )
-from cathist.numerics import make_rng, noisy_threshold, sample_laplace, sample_shifted_exponential
+from cathist.numerics import (
+    BINOMIAL_MEAN_ENVELOPE,
+    inclusion_probability,
+    make_rng,
+    noisy_threshold,
+    sample_laplace,
+    sample_shifted_exponential,
+)
 
 from conftest import WORKCLASS_COUNTS
+import oracles
 from oracles import (
     ORACLE_MAX_DOMAIN,
     cat_hist_per_bin,
     cat_hist_per_rep,
+    draw_batch_per_rep,
     expected_injected_oracle,
     injected_sd_oracle,
     naive_full_domain_oracle,
@@ -544,6 +553,120 @@ class TestBatch:
         assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
         se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(runs)
         assert abs(sum(injected) / runs - expected_injected_oracle(epsilon, rho, n, trials)) <= 3 * se
+
+
+class ListStream:
+    """A generator stand-in that hands out the doubles of an array in turn.
+    Its state is its place in the array, and advance moves the place on."""
+
+    def __init__(self, doubles):
+        self.doubles, self.at = doubles, 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.at
+
+    @state.setter
+    def state(self, at):
+        self.at = at
+
+    def advance(self, delta):
+        self.at += delta
+        return self
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        if self.at + count > self.doubles.size:
+            raise IndexError("the stream ran out")
+        u = self.doubles[self.at:self.at + count].copy()
+        self.at += count
+        return u.item() if size is None else u.reshape(size)
+
+
+class TestDrawsMatchPerRepLoop:
+    """_draw_batch draws the counts and weights of every repetition after
+    the first from one array call, and gives back the uniforms it does not
+    use. Its weights, its active-bin uniforms and the draws after it must be
+    those of the per-repetition loop."""
+
+    @staticmethod
+    def assert_same(stream, epsilon, rho, n, trials, reps, k=3):
+        rng, reference = stream(), stream()
+        threshold, weights, blocks = _draw_batch(rng, epsilon, rho, n, trials, reps, k)
+        u = np.concatenate(list(blocks))
+        want_threshold, want_weights, want_u = draw_batch_per_rep(reference, epsilon, rho, n, trials, reps, k)
+        assert threshold == want_threshold
+        assert [w.tolist() for w in weights] == [w.tolist() for w in want_weights]
+        assert u.tolist() == want_u.tolist()
+        assert rng.random(5).tolist() == reference.random(5).tolist()
+        return weights
+
+    @pytest.mark.parametrize("reps", [1, 2, 37, 100])
+    @pytest.mark.parametrize("epsilon, rho, n", [
+        (1.0, 0.5, 1_000), (0.1, 0.1, 171_000), (0.01, 0.9, 10**12), (1.0, 1e-300, 10**8), (5.0, 1e-5, 2**53),
+    ])
+    def test_matches_per_rep_loop(self, reps, epsilon, rho, n):
+        for seed in range(3):
+            self.assert_same(lambda: make_rng(seed), epsilon, rho, n, n - 9, reps)
+
+    @pytest.mark.parametrize("mean", [990.0, 999.9])
+    def test_mean_near_the_envelope(self, mean):
+        # trials may exceed n here, which a release never asks for, to bring
+        # the mean count up to the envelope.
+        epsilon, rho, n = 1.0, 1e-300, 10**6
+        trials = int(mean / inclusion_probability(epsilon, noisy_threshold(epsilon, rho, n)))
+        weights = self.assert_same(lambda: make_rng(2), epsilon, rho, n, trials, 37)
+        assert sum(w.size for w in weights) > 30 * mean
+
+    def test_mean_past_the_envelope_is_refused(self):
+        epsilon, rho, n = 1.0, 1e-300, 10**6
+        trials = int(1.001 * BINOMIAL_MEAN_ENVELOPE / inclusion_probability(epsilon, noisy_threshold(epsilon, rho, n)))
+        for draw in (_draw_batch, draw_batch_per_rep):
+            with pytest.raises(ValidityError, match="envelope"):
+                draw(make_rng(0), epsilon, rho, n, trials, 37, 3)
+
+    @pytest.mark.parametrize("reps", [1, 37])
+    def test_no_absent_slot_draws_no_count(self, reps):
+        weights = self.assert_same(lambda: make_rng(1), 1.0, 0.5, 1_000, 0, reps)
+        assert not any(w.size for w in weights)
+
+    def test_underflowing_inclusion_probability_draws_no_count(self, monkeypatch):
+        # p = (1/2)exp(-epsilon * threshold) is 0.0 past exp's range: every
+        # count is 0, with no uniform drawn for it.
+        def underflowing(epsilon, threshold):
+            return 0.5 * math.exp(-800.0)
+
+        monkeypatch.setattr(mechanism, "inclusion_probability", underflowing)
+        monkeypatch.setattr(oracles, "inclusion_probability", underflowing)
+        weights = self.assert_same(lambda: make_rng(1), 1.0, 0.5, 1_000, 991, 37)
+        assert not any(w.size for w in weights)
+
+    @pytest.mark.parametrize("rho, value, where", [
+        (0.01, 0.0, "first weights"), (0.01, 0.0, "later weights"), (0.01, 0.0, "later count"),
+        (1e-5, 1 - 2**-53, "later count"),
+    ])
+    def test_planted_uniform_drawn_as_per_rep_loop(self, rho, value, where):
+        # A 0.0 among the weights is redrawn; one read as a count is kept,
+        # as sample_binomial keeps it. At rho = 1e-5 the binomial table's
+        # last sum is below the largest uniform, which draws the table's
+        # last count.
+        epsilon, n, reps = 1.0, 1_000, 37
+        doubles = make_rng(4).random(5_000)
+        _, weights, _ = draw_batch_per_rep(ListStream(doubles), epsilon, rho, n, n - 9, reps, 3)
+        counts_at = np.cumsum([0] + [w.size + 1 for w in weights])  # where each repetition's count is drawn
+        later = next(rep for rep in range(1, reps) if weights[rep].size)
+        assert weights[0].size
+        at = {"first weights": 1, "later weights": counts_at[later] + 1, "later count": counts_at[later]}[where]
+        doubles[at] = value
+        self.assert_same(lambda: ListStream(doubles), epsilon, rho, n, n - 9, reps)
+
+    def test_stream_running_short_is_drawn_again(self):
+        # Uniforms near 1 give counts far above the mean, so the first
+        # array call runs short, and so does the next.
+        doubles = make_rng(5).random(50_000) ** 0.001
+        weights = self.assert_same(lambda: ListStream(doubles), 1.0, 0.01, 1_000, 991, 100)
+        assert sum(w.size for w in weights) > 100 * 4.6 + 4 * math.sqrt(100 * 4.6)
 
 
 class TestNaiveOracle:

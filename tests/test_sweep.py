@@ -92,7 +92,7 @@ class TestRunSweep:
         monkeypatch.setattr("cathist.sweep.ThreadPoolExecutor", RecordingPool)
         cfg = config(column_file, rhos=(0.5,))
         assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
-        assert sizes == [2, 1]
+        assert sizes == [2]  # one thread runs the cells in the calling thread, with no pool
 
     def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch):
         cfg = config(column_file)
