@@ -33,10 +33,14 @@ true column: the fidelity of a release depends only on which active bins
 survived, their noisy counts and the injected weights. As the labels come
 last, a sweep cell reads every other draw without picking them.
 
-_draw_batch owns that layout for one release and for a sweep cell's
-repetitions alike, on plain values: its caller passes the generator and
-reads the histogram's active columns, and picks any labels from the
-generator after the draws.
+One cached plan per (epsilon, rho, n, trials) holds what those draws need:
+the threshold and sample_binomial's inversion table. cat_hist draws a
+release, and _draw_batch a sweep cell's repetitions, from that plan and
+through the same helpers (_weights for a count and its weights, then one
+random call for the active-bin uniforms), so the layout has one definition
+and a cell's first repetition is a release. Both take plain values: the
+caller passes the generator and reads the histogram's active columns, and
+picks any labels from the generator after the draws.
 
 Unit sensitivity: neighboring datasets differ by adding or removing one
 record, so one bin's count changes by one and the Laplace scale is
@@ -46,10 +50,12 @@ record, so one bin's count changes by one and the Laplace scale is
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from .core import (
     NoisyHistogram,
     PrivacyParams,
     ValidityError,
+    _checked,
     shares,
 )
 from .domain import DomainSampler, load_domain
@@ -69,13 +76,13 @@ from .numerics import (
     make_rng,
     noisy_threshold,
     pcg64_state,
-    sample_binomial,
     _binomial_cdf,
 )
 # Bound here although unused: bench/layers.py traces these at the names the
-# mechanism imports. Their arithmetic is inlined below.
+# mechanism imports. Their arithmetic is inlined below, and sample_binomial's
+# bisection is _weights'.
 from .core import normalize  # noqa: F401
-from .numerics import sample_laplace, sample_shifted_exponential  # noqa: F401
+from .numerics import sample_binomial, sample_laplace, sample_shifted_exponential  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -116,18 +123,32 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     Deterministic given (config, h): the same seed reproduces the same
     release. A pre-loaded sampler for config.domain may be passed to avoid
     re-reading wordlist files in tight loops. The release is _draw_batch's
-    one repetition: its injected count and weights, then its k active-bin
-    uniforms, then its injected labels. A sweep cell reads the same draws
-    for all of its repetitions without building releases (see sweep.py).
-    It builds the active set only when it injects, to exclude it from the
-    injected labels.
+    one repetition, drawn through the same helpers from the same cached
+    plan: its injected count and weights (_weights), then its k active-bin
+    uniforms as one random(k) call, then its injected labels. A sweep cell
+    reads the same draws for all of its repetitions without building
+    releases (see sweep.py).
+
+    Below ARRAY_NOISE_BINS active bins the survivors are kept as lists and
+    checked there: a kept count is >= threshold and > 0, so only one that
+    overflowed to inf is refused. A release that injects nothing is built
+    from those lists; one that injects appends its weights as an array, and
+    _release checks every count. The active set is built only to exclude it
+    from the injected labels.
     """
     sampler = load_domain(config.domain) if sampler is None else sampler
     trials = _absent_slots(config.domain, h, sampler)
+    epsilon = config.privacy.epsilon
+    plan = _plan(epsilon, config.privacy.rho, sampler.size, trials)
+    threshold = plan.threshold
     rng = _thread_rng(config.seed)
-    epsilon, rho = config.privacy.epsilon, config.privacy.rho
-    threshold, (weights,), (block,) = _draw_batch(rng, epsilon, rho, sampler.size, trials, 1, len(h._positive[0]))
-    kept, noisy = _survivors(block[0], h._positive, 1.0 / epsilon, threshold)
+    weights = _weights(rng, plan)
+    if len(h._positive[0]) < ARRAY_NOISE_BINS:
+        kept, noisy = _few_survivors(rng, h._positive, 1.0 / epsilon, threshold)
+        if not weights.size:
+            return NoisyHistogram._of(tuple(kept), np.array(noisy), (False,) * len(kept))
+    else:
+        kept, noisy = _survivors(rng, h._positive, 1.0 / epsilon, threshold)
     injected = ()
     if weights.size:
         injected = sampler.sample_distinct(rng, weights.size, exclude=h.active_domain())
@@ -156,31 +177,72 @@ def _thread_rng(seed: int) -> Rng:
     return rng
 
 
+class _Plan(NamedTuple):
+    """What the draws of a release of (epsilon, rho, n, trials) need: the
+    threshold, the mean injected count trials * p, with p the inclusion
+    probability, and sample_binomial's inversion table for Binomial(trials,
+    p), None when there is no count to draw."""
+
+    threshold: float
+    mean: float
+    cdf: tuple[float, ...] | None
+
+
+# A loop of releases, or a sweep's cells, asks for the same few plans.
+@functools.lru_cache(maxsize=256)
+def _plan(epsilon: float, rho: float, n: int, trials: int) -> _Plan:
+    """The plan of a release. The threshold is noisy_threshold(epsilon, rho,
+    n), which refuses a bad epsilon or rho and an undefined tau; the table
+    refuses a mean count past BINOMIAL_MEAN_ENVELOPE. A refusal is not kept.
+    With no trials or p = 0, which the threshold reaches only when
+    exp(-epsilon * threshold) underflows, every count is 0 with no draw."""
+    threshold = noisy_threshold(epsilon, rho, n)
+    p = inclusion_probability(epsilon, threshold)
+    return _Plan(threshold, trials * p, _binomial_cdf(trials, p) if trials > 0 and p > 0.0 else None)
+
+
 # Releases of fewer active bins than this are noised bin by bin, wider ones
 # as one array: numpy's calls cost more than a few bins, less than many.
 ARRAY_NOISE_BINS = 32
 
 
-def _survivors(
-    u: np.ndarray, positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
-) -> tuple[list[str], np.ndarray]:
-    """The surviving labels and noisy counts of one row of uniforms: count
-    plus sample_laplace's noise, with math.log1p per element (np.log1p can
-    differ in the last bit), kept at >= threshold and > 0."""
+def _few_survivors(
+    rng: Rng, positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
+) -> tuple[list[str], list[float]]:
+    """The surviving labels and noisy counts of fewer than ARRAY_NOISE_BINS
+    active bins, from one random(k) call whose 0.0s are redrawn as _nonzero
+    redraws them: count plus sample_laplace's noise, kept at >= threshold
+    and > 0. Refuses a kept count that overflowed to inf at a tiny epsilon,
+    as NoisyHistogram's check does."""
     labels, counts = positive
-    if len(labels) < ARRAY_NOISE_BINS:
-        kept, kept_noisy = [], []
-        for label, count, v in zip(labels, counts.tolist(), u.tolist()):
-            v -= 0.5
-            magnitude = -math.log1p(-2.0 * abs(v))
-            noisy = count + scale * magnitude if v > 0 else count - scale * magnitude
-            if noisy >= threshold and noisy > 0:
-                kept.append(label)
-                kept_noisy.append(noisy)
-        return kept, np.array(kept_noisy)
-    # count + sign(u) * scale * -log1p(-2|u|) with u - 1/2 for u. It may
-    # overflow at a tiny epsilon; the release refuses that count.
-    u = u - 0.5
+    u = rng.random(len(labels)).tolist()
+    if 0.0 in u:  # the same doubles as _nonzero's, in a list
+        u = _nonzero(rng, np.array(u)).tolist()
+    kept, kept_noisy = [], []
+    log1p = math.log1p
+    for label, count, v in zip(labels, counts.tolist(), u):
+        v -= 0.5
+        magnitude = -log1p(-2.0 * abs(v))
+        noisy = count + scale * magnitude if v > 0 else count - scale * magnitude
+        if noisy >= threshold and noisy > 0:
+            kept.append(label)
+            kept_noisy.append(noisy)
+    if math.inf in kept_noisy:
+        _checked(tuple(kept), kept_noisy, positive=True)  # raises
+    return kept, kept_noisy
+
+
+def _survivors(
+    rng: Rng, positive: tuple[tuple[str, ...], np.ndarray], scale: float, threshold: float
+) -> tuple[list[str], np.ndarray]:
+    """The surviving labels and noisy counts of ARRAY_NOISE_BINS or more
+    active bins, as _few_survivors computes them, on arrays: from one
+    random(k) call through _nonzero, count + sign(u) * scale * -log1p(-2|u|)
+    with u - 1/2 for u, with math.log1p per element (np.log1p can differ in
+    the last bit). A count may overflow at a tiny epsilon; the release
+    refuses it."""
+    labels, counts = positive
+    u = _nonzero(rng, rng.random(len(labels))) - 0.5
     magnitude = np.fromiter(map(math.log1p, (np.abs(u) * -2.0).tolist()), float, u.size)
     with np.errstate(over="ignore"):
         magnitude *= -scale
@@ -199,16 +261,18 @@ BLOCK_DRAWS = 1 << 20
 def _draw_batch(
     rng: Rng, epsilon: float, rho: float, n: int, trials: int, reps: int, k: int
 ) -> tuple[float, list[np.ndarray], Iterable[np.ndarray]]:
-    """What reps releases of k active bins draw: cat_hist's one, or a sweep
-    cell's. Returns (threshold, weights, blocks).
+    """What reps releases of k active bins draw: a sweep cell's, of which
+    the first is cat_hist's release. Returns (threshold, weights, blocks).
 
     The draws come from rng, which must be at make_rng(seed)'s state. The
-    threshold is noisy_threshold(epsilon, rho, n), which refuses a bad
-    epsilon or rho. weights holds, per repetition, the uniforms of its
-    injected weights, one per injected bin. blocks gives the reps x k
-    active-bin uniforms as blocks of rows; when there are several blocks,
-    each is drawn as it is read. Once every block is read, rng is positioned
-    at the labels of the first repetition.
+    threshold, p and binomial table are the cached _plan(epsilon, rho, n,
+    trials), which cat_hist reads too, and which refuses a bad epsilon or
+    rho, an undefined tau and a mean count past the envelope. weights
+    holds, per repetition, the uniforms of its injected weights, one per
+    injected bin. blocks gives the reps x k active-bin uniforms as blocks of
+    rows; when there are several blocks, each is drawn as it is read. Once
+    every block is read, rng is positioned at the labels of the first
+    repetition.
 
     trials is _absent_slots' count, which the caller works out once per
     release or per sweep: only the absent in-domain slots can be injected,
@@ -218,50 +282,51 @@ def _draw_batch(
     picks labels makes the same draws as one that does, because the labels
     come last on the stream.
 
-    The first repetition draws its count with sample_binomial and its m
-    weights with one random(m) call, as a release does. The others take
-    theirs from one random call (see _later_weights), which gives the same
-    doubles as those successive calls.
+    The first repetition draws its count and weights with _weights, as a
+    release does. The others take theirs from one random call (see
+    _later_weights), which gives the same doubles as successive _weights
+    calls.
     """
-    threshold = noisy_threshold(epsilon, rho, n)
-    p = inclusion_probability(epsilon, threshold)
-
+    plan = _plan(epsilon, rho, n, trials)
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    weights = [_weights(rng, trials, p)]
+    weights = [_weights(rng, plan)]
     if reps > 1:
-        weights += _later_weights(rng, trials, p, reps - 1)
-    return threshold, weights, _uniform_blocks(rng, reps, k)
+        weights += _later_weights(rng, plan, reps - 1)
+    return plan.threshold, weights, _uniform_blocks(rng, reps, k)
 
 
 # The weights of a repetition that injects nothing; never written to.
 _NO_DRAWS = np.empty(0)
 
 
-def _weights(rng: Rng, trials: int, p: float) -> np.ndarray:
-    """One repetition's weight uniforms, after its count."""
-    m = sample_binomial(rng, trials, p) if trials > 0 else 0
+def _weights(rng: Rng, plan: _Plan) -> np.ndarray:
+    """One repetition's weight uniforms: its count m, sample_binomial's
+    bisection of one uniform in the plan's table, then one random(m) call."""
+    cdf = plan.cdf
+    if cdf is None:
+        return _NO_DRAWS
+    m = bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
     return _nonzero(rng, rng.random(m)) if m else _NO_DRAWS
 
 
-def _later_weights(rng: Rng, trials: int, p: float, reps: int) -> list[np.ndarray]:
+def _later_weights(rng: Rng, plan: _Plan, reps: int) -> list[np.ndarray]:
     """What reps calls of _weights draw, from one rng.random call.
 
     The call is sized from the mean count, and drawn again if it runs short.
-    Each count is sample_binomial's bisection of its cached table, and its
-    weights are the next m uniforms. Then the stream is put back to its
-    state before the call and advanced past the uniforms used, so the draws
-    after it are those after reps _weights calls. If a used uniform is 0.0,
-    which _nonzero would redraw, the stream is put back and _weights drawn
-    reps times instead. The first repetition's _weights has already refused
-    a mean out of envelope.
+    Each count is the bisection of the plan's table, and its weights are the
+    next m uniforms. Then the stream is put back to its state before the
+    call and advanced past the uniforms used, so the draws after it are
+    those after reps _weights calls. If a used uniform is 0.0, which
+    _nonzero would redraw, the stream is put back and _weights drawn reps
+    times instead.
     """
-    if trials == 0 or p == 0.0:  # every count is 0, with no draw
+    cdf = plan.cdf
+    if cdf is None:  # every count is 0, with no draw
         return [_NO_DRAWS] * reps
-    cdf = _binomial_cdf(trials, p)
     last = len(cdf) - 1  # the largest count, so a repetition draws at most last + 1 uniforms
-    mean = trials * p
+    mean = plan.mean
     before = rng.bit_generator.state
     u, at, weights = _NO_DRAWS, 0, []
     for done in range(reps):
@@ -273,7 +338,7 @@ def _later_weights(rng: Rng, trials: int, p: float, reps: int) -> list[np.ndarra
         weights.append(u[at - m:at] if m else _NO_DRAWS)
     rng.bit_generator.state = before
     if np.count_nonzero(u[:at]) < at:
-        return [_weights(rng, trials, p) for _ in range(reps)]
+        return [_weights(rng, plan) for _ in range(reps)]
     rng.bit_generator.advance(at)
     return weights
 

@@ -169,11 +169,6 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0
-    mean = n * p
-    if mean > BINOMIAL_MEAN_ENVELOPE:
-        raise ValidityError(
-            f"expected bin count out of envelope: n*p = {mean:.6g} > {BINOMIAL_MEAN_ENVELOPE:.0e}"
-        )
     cdf = _binomial_cdf(n, p)
     # The walk returns the first k with u < cdf[k], or its stopping k, the
     # table's last index, when no earlier entry exceeds u.
@@ -185,8 +180,13 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
 @functools.lru_cache(maxsize=256)
 def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
     """The running CDF sums of sample_binomial's walk, k = 0 up to the k
-    where the walk stops whatever the uniform."""
+    where the walk stops whatever the uniform. Refuses, and keeps no table
+    for, a mean n*p above BINOMIAL_MEAN_ENVELOPE."""
     mean = n * p
+    if mean > BINOMIAL_MEAN_ENVELOPE:
+        raise ValidityError(
+            f"expected bin count out of envelope: n*p = {mean:.6g} > {BINOMIAL_MEAN_ENVELOPE:.0e}"
+        )
     log_p = math.log(p)
     log_q = math.log1p(-p)
     log_pmf = n * log_q

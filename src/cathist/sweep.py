@@ -4,14 +4,16 @@ Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
 counts. A cell's repetitions draw what mechanism._draw_batch draws for
 them: one seed, derived from (base_seed, epsilon index, rho index), and one
-random stream shared by all of them, laid out as a release's (cat_hist is
-_draw_batch's one repetition). The cell hands _draw_batch plain values, its
-generator, epsilon, rho, the domain size and the two counts, and reads the
-column's active counts itself; it builds no release config, and a bad grid
-value is refused where the threshold is worked out. So every cell is
-reproducible in isolation and the CSV is byte-identical however many threads
-ran the cells, in whatever order. One job runs the cells one after another
-in the calling thread; more run them on a pool of threads. The cells only
+random stream shared by all of them, laid out as a release's (cat_hist
+draws its one repetition through the same helpers, from the same cached
+plan). The cell hands _draw_batch plain values, its generator, epsilon,
+rho, the domain size and the two counts, and reads the column's active
+counts itself; it builds no release config, and a bad grid value is refused
+where the plan works out the threshold. So every cell is reproducible in
+isolation and the CSV is byte-identical however many threads ran the cells,
+in whatever order. One job runs the cells one after another in the calling
+thread; more give each of their threads one task, a strided share of the
+cells. The cells only
 read what they share: the column, the loaded domain and the count of absent
 domain slots that the sweep's one membership check gives.
 
@@ -42,6 +44,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +163,12 @@ def run_sweep(
     The column is read, the domain loaded and the column's active labels
     checked against it once per sweep, before any cell runs, and only if
     some cell is valid; a pre-loaded sampler for config.domain may be passed
-    to skip the load. The cells run on min(jobs, cells) threads: their
-    array work releases the GIL. One thread is the calling thread, with no
-    pool. The rows are identical for any jobs and any hash seed, so the CSV
-    is too.
+    to skip the load. The cells run on min(jobs, cells) threads, each
+    thread one task that runs every threads-th cell: their array work
+    releases the GIL. One thread is the calling thread, with no pool. The
+    rows are identical for any jobs and any hash seed, so the CSV is too, and
+    a failing sweep raises the error of its first failing cell in grid
+    order, as on one thread.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -180,9 +185,29 @@ def run_sweep(
     if threads == 1:
         rows = list(map(run, *zip(*cells)))
     else:
+        # One task per thread: a strided share of the cells, run in grid order.
+        indexed = list(enumerate(cells))
         with ThreadPoolExecutor(threads) as pool:
-            rows = list(pool.map(run, *zip(*cells)))
+            shares = list(pool.map(partial(_run_share, run), (indexed[i::threads] for i in range(threads))))
+        failures = [failure for _, failure in shares if failure is not None]
+        if failures:  # the first cell in grid order that raises, as on one thread
+            raise min(failures, key=itemgetter(0))[1]
+        rows = [row for share, _ in shares for row in share]
     return sorted(rows, key=lambda row: (row.epsilon, row.rho))
+
+
+def _run_share(run, share: list[tuple[int, tuple[int, int]]]) -> tuple[list[SweepRow], tuple[int, Exception] | None]:
+    """Run a share's (grid index, cell) pairs in turn, up to the first cell
+    that raises. Returns the rows and that cell's (grid index, exception),
+    or None: every cell of a share before it ran, so the least grid index
+    over the shares is that of the first failing cell."""
+    rows = []
+    for index, cell in share:
+        try:
+            rows.append(run(*cell))
+        except Exception as exc:
+            return rows, (index, exc)
+    return rows, None
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:

@@ -444,8 +444,8 @@ UNIFORM_GRID = 2**53
 
 
 def laplace_count(count, u, scale):
-    """A count's released value from uniform u, as _survivors' scalar branch
-    computes it: count plus sample_laplace's noise, with math.log1p."""
+    """A count's released value from uniform u, as _few_survivors computes
+    it: count plus sample_laplace's noise, with math.log1p."""
     v = u - 0.5
     magnitude = -math.log1p(-2.0 * abs(v))
     return count + scale * magnitude if v > 0 else count - scale * magnitude

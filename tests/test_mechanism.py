@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cathist.core import (
+    ARRAY_CHECK_COUNTS,
     CatHistError,
     ExplicitList,
     Histogram,
@@ -208,14 +210,16 @@ class TestTrials:
 
     def test_counts_in_domain_absent_slots(self, monkeypatch):
         # "a" is active and "b" has no count: of the 3 slots "b" and "c" are
-        # absent, so the binomial runs over 2 trials.
+        # absent, so the binomial runs over 2 trials: the release's plan,
+        # which holds the binomial table, is asked for 2.
         trials = []
+        plan = mechanism._plan
 
-        def recording_binomial(rng, n, p):
-            trials.append(n)
-            return 0
+        def recording_plan(epsilon, rho, n, absent):
+            trials.append(absent)
+            return plan(epsilon, rho, n, absent)
 
-        monkeypatch.setattr("cathist.mechanism.sample_binomial", recording_binomial)
+        monkeypatch.setattr(mechanism, "_plan", recording_plan)
         cat_hist(config_for(1.0, 0.6, ExplicitList(("a", "b", "c")), seed=0), Histogram([("a", 5.0), ("b", 0.0)]))
         assert trials == [2]
 
@@ -405,19 +409,22 @@ class TestThreadGenerator:
         assert held.random(3).tolist() == reference.random(3).tolist()
 
 
-def releases_from_draws(config, h, reps, sampler):
-    """The reps releases that _draw_batch's draws make, built with the
-    per-call samplers: sample_laplace reads each repetition's active-bin
-    uniforms, and sample_shifted_exponential its weight uniforms, from a
-    stand-in generator that hands them out in turn. Each repetition's labels
-    then come in turn from the stream that follows every uniform."""
-    rng, epsilon = make_rng(config.seed), config.privacy.epsilon
+def releases_from_draws(config, h, reps, sampler, rng=None, draw=_draw_batch):
+    """The reps releases that _draw_batch's draws make (or those of draw,
+    such as draw_batch_per_rep), built with the per-call samplers:
+    sample_laplace reads each repetition's active-bin uniforms, and
+    sample_shifted_exponential its weight uniforms, from a stand-in
+    generator that hands them out in turn. Each repetition's labels then
+    come in turn from the stream that follows every uniform. The draws come
+    from rng, make_rng(config.seed) by default."""
+    rng = make_rng(config.seed) if rng is None else rng
+    epsilon = config.privacy.epsilon
     trials = _absent_slots(config.domain, h, sampler)
     labels, counts = h._positive
-    threshold, weights_per_rep, blocks = _draw_batch(
+    threshold, weights_per_rep, blocks = draw(
         rng, epsilon, config.privacy.rho, sampler.size, trials, reps, len(labels)
     )
-    rows = [row for block in blocks for row in block.tolist()]
+    rows = np.vstack(list(blocks)).tolist()
     releases = []
     for row, weights in zip(rows, weights_per_rep):
         replay = SimpleNamespace(random=iter(row).__next__)
@@ -639,12 +646,15 @@ class TestDrawsMatchPerRepLoop:
 
         monkeypatch.setattr(mechanism, "inclusion_probability", underflowing)
         monkeypatch.setattr(oracles, "inclusion_probability", underflowing)
+        # A plan of its own, so that no cached plan holds the true p, and
+        # none with the patched p outlives the test.
+        monkeypatch.setattr(mechanism, "_plan", functools.lru_cache(mechanism._plan.__wrapped__))
         weights = self.assert_same(lambda: make_rng(1), 1.0, 0.5, 1_000, 991, 37)
         assert not any(w.size for w in weights)
 
     @pytest.mark.parametrize("rho, value, where", [
         (0.01, 0.0, "first weights"), (0.01, 0.0, "later weights"), (0.01, 0.0, "later count"),
-        (1e-5, 1 - 2**-53, "later count"),
+        (1e-5, 1 - 2**-53, "first count"), (1e-5, 1 - 2**-53, "later count"),
     ])
     def test_planted_uniform_drawn_as_per_rep_loop(self, rho, value, where):
         # A 0.0 among the weights is redrawn; one read as a count is kept,
@@ -657,7 +667,7 @@ class TestDrawsMatchPerRepLoop:
         counts_at = np.cumsum([0] + [w.size + 1 for w in weights])  # where each repetition's count is drawn
         later = next(rep for rep in range(1, reps) if weights[rep].size)
         assert weights[0].size
-        at = {"first weights": 1, "later weights": counts_at[later] + 1, "later count": counts_at[later]}[where]
+        at = {"first count": 0, "first weights": 1, "later weights": counts_at[later] + 1, "later count": counts_at[later]}[where]
         doubles[at] = value
         self.assert_same(lambda: ListStream(doubles), epsilon, rho, n, n - 9, reps)
 
@@ -667,6 +677,172 @@ class TestDrawsMatchPerRepLoop:
         doubles = make_rng(5).random(50_000) ** 0.001
         weights = self.assert_same(lambda: ListStream(doubles), 1.0, 0.01, 1_000, 991, 100)
         assert sum(w.size for w in weights) > 100 * 4.6 + 4 * math.sqrt(100 * 4.6)
+
+
+class PlantedStream(ListStream):
+    """A ListStream that also draws integers, from a side generator of its
+    own. One integers call of size k there gives the integers of k scalar
+    calls, so the package's labels and the rejection reference's agree."""
+
+    def __init__(self, doubles):
+        super().__init__(doubles)
+        self.side = np.random.default_rng(0)
+
+    def integers(self, high, size=None):
+        return self.side.integers(high, size=size)
+
+
+class TestRelease:
+    """cat_hist draws its release from one cached plan per (epsilon, rho, n,
+    trials): its count, then its weights, then its k active uniforms as one
+    random(k) call, kept as lists below ARRAY_NOISE_BINS and as arrays from
+    there. Each release must be the per-bin reference's, and leave the
+    thread's generator where the reference leaves its own."""
+
+    DOMAIN = SizeOnly(size=10**6)
+
+    @staticmethod
+    def column(k):
+        return Histogram((f"cat-{i}", float(5 + 7 * i % 40)) for i in range(k))
+
+    @staticmethod
+    def release_and_next(config, h, sampler):
+        release = cat_hist(config, h, sampler=sampler)
+        return release, mechanism._THREAD.rng.random(4).tolist()
+
+    @staticmethod
+    def reference_and_next(config, h, sampler, monkeypatch):
+        made = []
+
+        def recording_make_rng(seed, *key):
+            made.append(make_rng(seed, *key))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "make_rng", recording_make_rng)
+            release = cat_hist_per_bin(config, h, sampler)
+        return release, made[0].random(4).tolist()
+
+    # Injected bins: none at rho = 0.999 (at seeds 0 to 2, as the test
+    # checks), a few at e^-5, and more than ARRAY_CHECK_COUNTS at e^-150, so
+    # the release's counts are checked both in Python and as one array.
+    @pytest.mark.parametrize("k", [0, 1, ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS, 200])
+    @pytest.mark.parametrize("rho, injected", [
+        (0.999, (0, 0)), (math.exp(-5.0), (1, ARRAY_CHECK_COUNTS - 1)), (math.exp(-150.0), (ARRAY_CHECK_COUNTS, 10**3)),
+    ])
+    def test_equals_per_bin_release_and_its_next_draws(self, k, rho, injected, monkeypatch):
+        sampler = load_domain(self.DOMAIN)
+        h = self.column(k)
+        for seed in range(3):
+            cfg = config_for(0.5, rho, self.DOMAIN, seed=seed)
+            got, got_next = self.release_and_next(cfg, h, sampler)
+            want, want_next = self.reference_and_next(cfg, h, sampler, monkeypatch)
+            assert got == want, seed
+            assert got_next == want_next, seed
+            assert injected[0] <= len(got.injected_bins()) <= injected[1], seed
+
+    @pytest.mark.parametrize("k", [1, ARRAY_NOISE_BINS - 1])
+    def test_no_absent_slot_draws_no_count(self, k, monkeypatch):
+        # Every domain slot is active: the plan holds no table, and the
+        # release draws its k active uniforms only.
+        domain = ExplicitList([f"cat-{i}" for i in range(k)])
+        sampler = load_domain(domain)
+        h = self.column(k)
+        cfg = config_for(0.5, 0.6, domain, seed=3)
+        want, want_next = self.reference_and_next(cfg, h, sampler, monkeypatch)
+        assert self.release_and_next(cfg, h, sampler) == (want, want_next)
+        stream = PlantedStream(make_rng(3).random(100))
+        monkeypatch.setattr(mechanism, "_thread_rng", lambda seed: stream)
+        assert cat_hist(cfg, h, sampler=sampler) == want
+        assert stream.at == k
+
+    def test_underflowing_inclusion_probability_draws_no_count(self, monkeypatch):
+        # With p = 0 every count is 0, with no uniform drawn for it: the
+        # release reads its k active uniforms only, and injects nothing at
+        # a rho that would inject about 50 bins.
+        monkeypatch.setattr(mechanism, "inclusion_probability", lambda epsilon, threshold: 0.5 * math.exp(-800.0))
+        monkeypatch.setattr(mechanism, "_plan", functools.lru_cache(mechanism._plan.__wrapped__))
+        stream = PlantedStream(make_rng(3).random(100))
+        monkeypatch.setattr(mechanism, "_thread_rng", lambda seed: stream)
+        h = self.column(5)
+        release = cat_hist(config_for(0.5, math.exp(-50.0), self.DOMAIN, seed=3), h)
+        assert stream.at == 5 and not release.injected_bins()
+
+    @pytest.mark.parametrize("config, match", [
+        (config_for(1.0, 0.4, ExplicitList(("cat-0",)), seed=0), r"tau undefined: rho\^\(1/n\) < 1/2"),
+        # A release's mean count is at most -ln(rho) < 745; a lowered
+        # envelope refuses this one's mean of about 5.
+        (config_for(1.0, math.exp(-5.0), SizeOnly(10**6), seed=0),
+         r"expected bin count out of envelope: n\*p = 4\.99\d* > 1e\+00"),
+    ])
+    def test_refusal_makes_no_draw_and_is_not_kept(self, config, match, monkeypatch):
+        # Fresh caches, so that no cached table hides the lowered envelope
+        # and none outlives the test.
+        monkeypatch.setattr("cathist.numerics.BINOMIAL_MEAN_ENVELOPE", 1.0)
+        monkeypatch.setattr(mechanism, "_binomial_cdf", functools.lru_cache(mechanism._binomial_cdf.__wrapped__))
+        monkeypatch.setattr(mechanism, "_plan", functools.lru_cache(mechanism._plan.__wrapped__))
+        stream = PlantedStream(make_rng(3).random(100))
+        monkeypatch.setattr(mechanism, "_thread_rng", lambda seed: stream)
+        for _ in range(2):
+            with pytest.raises(ValidityError, match=match):
+                cat_hist(config, self.column(1))
+        assert stream.at == 0 and mechanism._plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("k, where", [
+        (ARRAY_NOISE_BINS - 1, "active"), (ARRAY_NOISE_BINS, "active"), (200, "active"),
+        (ARRAY_NOISE_BINS - 1, "weights"), (ARRAY_NOISE_BINS, "weights"),
+    ])
+    def test_planted_zero_redrawn_as_the_per_rep_loop_redraws_it(self, k, where, monkeypatch):
+        # A 0.0 is replaced by the stream's next draw, in order, on the list
+        # path and the array path alike: the release is the one that
+        # draw_batch_per_rep's draws make, and the stream is left where that
+        # leaves it. Of the stream, the count comes first, then the m
+        # weights, then the k active uniforms.
+        sampler = load_domain(self.DOMAIN)
+        h = self.column(k)
+        cfg = config_for(0.5, math.exp(-150.0), self.DOMAIN, seed=6)
+        doubles = make_rng(6).random(5_000)
+        _, weights, _ = draw_batch_per_rep(ListStream(doubles), 0.5, cfg.privacy.rho, sampler.size, sampler.size - k, 1, k)
+        m = weights[0].size
+        assert m > 0
+        for at in {"active": (1 + m, 1 + m + k // 2, m + k), "weights": (1, m // 2, m)}[where]:
+            planted = doubles.copy()
+            planted[at] = 0.0
+            reference = PlantedStream(planted)
+            want = releases_from_draws(cfg, h, 1, sampler, rng=reference, draw=draw_batch_per_rep)[0]
+            stream = PlantedStream(planted)
+            monkeypatch.setattr(mechanism, "_thread_rng", lambda seed: stream)
+            assert cat_hist(cfg, h, sampler=sampler) == want, at
+            assert stream.at == reference.at and stream.random(3).tolist() == reference.random(3).tolist()
+
+    @pytest.mark.parametrize("k", [3, ARRAY_NOISE_BINS])
+    def test_overflowing_count_named_first(self, k):
+        # At epsilon = 1e-308 a Laplace draw above 1/2 by more than about
+        # 0.32 overflows a count to inf. The refusal names the first such
+        # bin, on either noise path, whether the release injects or not.
+        for domain, rho in ((ExplicitList([f"cat-{i}" for i in range(k)]), 0.6**k), (SizeOnly(1000), 1e-300)):
+            h = self.column(k)
+            sampler = load_domain(domain)
+            refused = 0
+            for seed in range(12):
+                cfg = config_for(1e-308, rho, domain, seed=seed)
+                _, weights, u = draw_batch_per_rep(make_rng(seed), 1e-308, rho, sampler.size, sampler.size - k, 1, k)
+                noisy = [oracles.laplace_count(c, v, 1e308) for c, v in zip(h.counts.tolist(), u[0].tolist())]
+                first = next((i for i, c in enumerate(noisy) if c == math.inf), None)
+                if first is None:
+                    continue
+                refused += 1
+                with pytest.raises(ValidityError, match=rf"^noisy count for 'cat-{first}' must be finite and > 0, got inf$"):
+                    cat_hist(cfg, h, sampler=sampler)
+            assert refused > 0
+
+    def test_overflowing_weight_refused(self):
+        # threshold - log1p(-u) / epsilon overflows for a weight above
+        # about 0.3 at epsilon = 1e-308; no active count does here, as the
+        # one bin's count is far below the threshold.
+        h = Histogram([("cat-0", 5.0)])
+        with pytest.raises(ValidityError, match=r"^noisy count for 'cat-\d+' must be finite and > 0, got inf$"):
+            cat_hist(config_for(1e-308, 1e-300, SizeOnly(1000), seed=0), h)
 
 
 class TestNaiveOracle:

@@ -2,6 +2,7 @@ import csv
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -93,6 +94,22 @@ class TestRunSweep:
         cfg = config(column_file, rhos=(0.5,))
         assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
         assert sizes == [2]  # one thread runs the cells in the calling thread, with no pool
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_threads_raise_the_first_failing_cell_in_grid_order(self, column_file, jobs):
+        # Both tiny-epsilon cells overflow. Two threads run the cells 0 and 2
+        # in one share and cell 1 in the other, and must raise cell 1's
+        # error, as one thread does.
+        domain = ExplicitList(labels=tuple(f"cat-{i}" for i in range(9)))
+        cfg = config(column_file, domain=domain, epsilons=(1.0, 1e-308, 2e-308), rhos=(0.3,), repetitions=50)
+        for epsilons in ((1e-308,), (2e-308,)):
+            with pytest.raises(ValidityError):
+                run_sweep(replace(cfg, epsilons=epsilons))
+        with pytest.raises(ValidityError, match=r"epsilon=1e-308 overflow") as serial:
+            run_sweep(cfg, jobs=1)
+        with pytest.raises(ValidityError) as threaded:
+            run_sweep(cfg, jobs=jobs)
+        assert str(threaded.value) == str(serial.value)
 
     def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch):
         cfg = config(column_file)
