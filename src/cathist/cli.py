@@ -40,7 +40,7 @@ from .ingest import ColumnSelector, load_histogram, read_histogram, write_histog
 from .mechanism import CatHistConfig, cat_hist, record_chunks, synthesize_records  # noqa: F401
 from .metrics import fidelity, fidelity_pointwise
 from .numerics import inclusion_probability, make_rng, noisy_threshold
-from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, SweepConfig, run_sweep, write_sweep_csv
+from .sweep import DEFAULT_EPSILONS, DEFAULT_RHOS, THREAD_DRAWS, SweepConfig, run_sweep, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="R1,R2,...", help="rho grid")
     p_sweep.add_argument("--repetitions", type=int, default=100, help="runs per cell (default 100)")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help=f"most worker threads (default 1); cells of fewer than {THREAD_DRAWS} "
+                              "draws (repetitions x active bins) run in one")
     p_sweep.add_argument("--output", metavar="FILE", help="sweep CSV destination")
     p_sweep.set_defaults(func=cmd_sweep)
 

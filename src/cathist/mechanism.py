@@ -260,19 +260,21 @@ BLOCK_DRAWS = 1 << 20
 
 def _draw_batch(
     rng: Rng, epsilon: float, rho: float, n: int, trials: int, reps: int, k: int
-) -> tuple[float, list[np.ndarray], Iterable[np.ndarray]]:
+) -> tuple[float, list[int], np.ndarray, Iterable[np.ndarray]]:
     """What reps releases of k active bins draw: a sweep cell's, of which
-    the first is cat_hist's release. Returns (threshold, weights, blocks).
+    the first is cat_hist's release. Returns (threshold, counts, weights,
+    blocks).
 
     The draws come from rng, which must be at make_rng(seed)'s state. The
     threshold, p and binomial table are the cached _plan(epsilon, rho, n,
     trials), which cat_hist reads too, and which refuses a bad epsilon or
-    rho, an undefined tau and a mean count past the envelope. weights
-    holds, per repetition, the uniforms of its injected weights, one per
-    injected bin. blocks gives the reps x k active-bin uniforms as blocks of
-    rows; when there are several blocks, each is drawn as it is read. Once
-    every block is read, rng is positioned at the labels of the first
-    repetition.
+    rho, an undefined tau and a mean count past the envelope. counts holds
+    each repetition's injected count m, and weights the uniforms of their
+    injected weights as one array: the first repetition's m, then the
+    second's, and so on. blocks gives the reps x k active-bin uniforms as
+    blocks of rows; when there are several blocks, each is drawn as it is
+    read. Once every block is read, rng is positioned at the labels of the
+    first repetition.
 
     trials is _absent_slots' count, which the caller works out once per
     release or per sweep: only the absent in-domain slots can be injected,
@@ -291,10 +293,13 @@ def _draw_batch(
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    weights = [_weights(rng, plan)]
+    weights = _weights(rng, plan)
+    counts = [weights.size]
     if reps > 1:
-        weights += _later_weights(rng, plan, reps - 1)
-    return plan.threshold, weights, _uniform_blocks(rng, reps, k)
+        later_counts, later = _later_weights(rng, plan, reps - 1)
+        counts += later_counts
+        weights = np.concatenate((weights, later))
+    return plan.threshold, counts, weights, _uniform_blocks(rng, reps, k)
 
 
 # The weights of a repetition that injects nothing; never written to.
@@ -311,36 +316,47 @@ def _weights(rng: Rng, plan: _Plan) -> np.ndarray:
     return _nonzero(rng, rng.random(m)) if m else _NO_DRAWS
 
 
-def _later_weights(rng: Rng, plan: _Plan, reps: int) -> list[np.ndarray]:
-    """What reps calls of _weights draw, from one rng.random call.
+def _later_weights(rng: Rng, plan: _Plan, reps: int) -> tuple[list[int], np.ndarray]:
+    """What reps calls of _weights draw, from one rng.random call: their
+    counts, and their weight uniforms as one array in repetition order.
 
     The call is sized from the mean count, and drawn again if it runs short.
-    Each count is the bisection of the plan's table, and its weights are the
-    next m uniforms. Then the stream is put back to its state before the
-    call and advanced past the uniforms used, so the draws after it are
-    those after reps _weights calls. If a used uniform is 0.0, which
+    One searchsorted of the uniforms in the plan's table, clipped at its
+    last entry, gives the count each uniform is bisected to if read as one;
+    a walk over those counts takes each repetition's count m and skips its
+    weights, the next m uniforms. Then the stream is put back to its state
+    before the call and advanced past the uniforms used, so the draws after
+    it are those after reps _weights calls. If a used uniform is 0.0, which
     _nonzero would redraw, the stream is put back and _weights drawn reps
     times instead.
     """
     cdf = plan.cdf
     if cdf is None:  # every count is 0, with no draw
-        return [_NO_DRAWS] * reps
+        return [0] * reps, _NO_DRAWS
     last = len(cdf) - 1  # the largest count, so a repetition draws at most last + 1 uniforms
-    mean = plan.mean
+    table, mean = np.array(cdf), plan.mean
     before = rng.bit_generator.state
-    u, at, weights = _NO_DRAWS, 0, []
-    for done in range(reps):
-        if u.size - at <= last:  # the uniforms left might not hold this repetition's
-            left = reps - done
-            u = np.concatenate((u, rng.random(int(left * (1 + mean) + 4 * math.sqrt(left * mean)) + last + 1)))
-        m = bisect.bisect_right(cdf, u.item(at), 0, last)
-        at += 1 + m
-        weights.append(u[at - m:at] if m else _NO_DRAWS)
+    u, read_as, at, counts, places = _NO_DRAWS, [], 0, [], []
+    while len(counts) < reps:
+        left = reps - len(counts)
+        more = rng.random(int(left * (1 + mean) + 4 * math.sqrt(left * mean)) + last + 1)
+        u = np.concatenate((u, more))
+        # bisect_right(cdf, v, 0, last) for each uniform v.
+        read_as += np.minimum(np.searchsorted(table, more, "right"), last).tolist()
+        # A count read before end has its weights drawn.
+        end = u.size - last
+        while at < end and len(counts) < reps:
+            m = read_as[at]
+            counts.append(m)
+            places.append(at)
+            at += 1 + m
     rng.bit_generator.state = before
-    if np.count_nonzero(u[:at]) < at:
-        return [_weights(rng, plan) for _ in range(reps)]
+    used = u[:at]
+    if np.count_nonzero(used) < at:
+        weights = [_weights(rng, plan) for _ in range(reps)]
+        return [w.size for w in weights], np.concatenate(weights)
     rng.bit_generator.advance(at)
-    return weights
+    return counts, np.delete(used, places)
 
 
 def _uniform_blocks(rng: Rng, reps: int, k: int) -> Iterable[np.ndarray]:

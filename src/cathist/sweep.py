@@ -11,11 +11,13 @@ rho, the domain size and the two counts, and reads the column's active
 counts itself; it builds no release config, and a bad grid value is refused
 where the plan works out the threshold. So every cell is reproducible in
 isolation and the CSV is byte-identical however many threads ran the cells,
-in whatever order. One job runs the cells one after another in the calling
-thread; more give each of their threads one task, a strided share of the
-cells. The cells only
-read what they share: the column, the loaded domain and the count of absent
-domain slots that the sweep's one membership check gives.
+in whatever order. Cells of fewer than THREAD_DRAWS active-bin draws
+(repetitions x active bins) run one after another in the calling thread,
+whatever the jobs: their numpy calls are too short to share the interpreter
+lock. Larger ones run on min(jobs, cells) threads, each thread one task, a
+strided share of the cells. The cells only read what they share: the
+column, the loaded domain and the count of absent domain slots that the
+sweep's one membership check gives.
 
 A cell builds no releases. Injected labels are drawn outside the active set,
 so a release meets the column in its surviving active bins S only, and its
@@ -24,12 +26,13 @@ fidelity is
     F = true_mass(S) * noisy_mass(S) / (noisy_mass(S) + m*tau + sum of m Exp)
 
 with m injected bins weighted tau + Exponential(epsilon). The cell takes
-_draw_batch's draws (each repetition's m and weight uniforms, then the
-active-bin uniforms) and computes F for all repetitions as whole-array work,
-in blocks of rows; it never picks labels, which come last on the stream. Its
-rows are what metrics.fidelity gives on the releases of those draws, each
-repetition's labels picked in turn after them, up to the rounding of the
-sums.
+_draw_batch's draws (each repetition's m, all their weight uniforms as one
+array, then the active-bin uniforms) and computes F for all repetitions as
+whole-array work, in blocks of rows; it never picks labels, which come last
+on the stream. Its rows are what metrics.fidelity gives on the releases of
+those draws, each repetition's labels picked in turn after them, up to the
+rounding of the sums. Its stddev_f is the correctly rounded square root of
+the exact population variance of the F values (_pstdev), on every Python.
 
 One case parts from that. A cell whose noisy or injected mass overflows (a
 tiny epsilon) fails with ValidityError, as a release with a non-finite count
@@ -40,11 +43,12 @@ their sum is not, which a release does not refuse.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +101,15 @@ class SweepRow:
     status: str  # "ok" or "invalid"
 
 
+# Fewest active-bin draws per cell (repetitions x active bins) for which
+# run_sweep runs the cells on threads. A smaller cell's numpy calls are too
+# short: two threads hand the interpreter lock back and forth between them
+# and take longer than one. On two CPUs, two threads broke even with one at
+# 3e4 to 4e4 draws per cell and won from there, at 20, 100 and 300
+# repetitions alike.
+THREAD_DRAWS = 40_000
+
+
 # Overflow at a tiny epsilon is checked below, or drops out with its bin.
 @np.errstate(over="ignore")
 def _run_cell(
@@ -107,7 +120,9 @@ def _run_cell(
         return SweepRow(epsilon, rho, None, None, None, None, config.repetitions, "invalid")
     rng = _thread_rng(derive_seed(config.base_seed, eps_index, rho_index))
     counts = hist._positive[1]
-    threshold, weights, blocks = _draw_batch(rng, epsilon, rho, sampler.size, trials, config.repetitions, counts.size)
+    threshold, injected, weights, blocks = _draw_batch(
+        rng, epsilon, rho, sampler.size, trials, config.repetitions, counts.size
+    )
     shares = counts / hist.total
     scale = 1.0 / epsilon
     true_mass, noisy_mass, surviving = [], [], []
@@ -127,9 +142,9 @@ def _run_cell(
         true_mass.append(np.where(kept, shares, 0.0).sum(axis=1))
         noisy_mass.append(noisy.sum(axis=1))
         surviving.append(np.count_nonzero(kept, axis=1))
-    injected = np.array([w.size for w in weights])
+    injected = np.array(injected)
     # Each injected weight is threshold + Exponential(epsilon).
-    exponentials = -np.log1p(-np.concatenate(weights)) / epsilon
+    exponentials = -np.log1p(-weights) / epsilon
     injected_mass = injected * threshold + np.bincount(
         np.repeat(np.arange(config.repetitions), injected), exponentials, config.repetitions
     )
@@ -147,12 +162,51 @@ def _run_cell(
         epsilon=epsilon,
         rho=rho,
         mean_f=statistics.fmean(fs),
-        stddev_f=statistics.pstdev(fs),
+        stddev_f=_pstdev(fs),
         mean_injected=statistics.fmean(injected.tolist()),
         mean_surviving=statistics.fmean(np.concatenate(surviving).tolist()),
         repetitions=config.repetitions,
         status="ok",
     )
+
+
+def _pstdev(values: list[float]) -> float:
+    """The population standard deviation of finite values: the correctly
+    rounded square root of their exact variance, which is statistics.pstdev's
+    result on Python 3.11 and later (3.10's pstdev rounds the variance to a
+    double first).
+
+    Each value is its frexp mantissa times 2**53, an integer, times
+    2**(exponent - 53); shifted to the least exponent, the values are
+    integers over one power-of-two denominator, whose sum and sum of squares
+    are exact as Python ints."""
+    parts = list(map(math.frexp, values))
+    low = min(min(exponent for _, exponent in parts), 53)  # a zero's exponent is 0
+    ints = [int(mantissa * 2.0**53) << (exponent - low) for mantissa, exponent in parts]
+    count, total = len(ints), sum(ints)
+    # variance = (count * sum of squares - total**2) / (count * 2**(53 - low))**2
+    return _sqrt_of_ratio(count * sum(map(mul, ints, ints)) - total * total, count * count << 2 * (53 - low))
+
+
+# Bits of the integer square root that _sqrt_of_ratio rounds to odd: twice a
+# double's 53 and 3 more, so one more rounding to a double is correct.
+_SQRT_BITS = 2 * 53 + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """The square root of n / m, for n >= 0 and m > 0, correctly rounded to
+    a double: the integer square root of n / m scaled by a power of four to
+    at least _SQRT_BITS bits, rounded to odd, then divided by the scale's
+    root in one correctly rounded division (Python 3.11's statistics, after
+    bpo msg407078)."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+        root = math.isqrt(n // m)
+        return float((root | (root * root * m != n)) << q)
+    n <<= -2 * q
+    root = math.isqrt(n // m)
+    return (root | (root * root * m != n)) / (1 << -q)
 
 
 def run_sweep(
@@ -163,9 +217,11 @@ def run_sweep(
     The column is read, the domain loaded and the column's active labels
     checked against it once per sweep, before any cell runs, and only if
     some cell is valid; a pre-loaded sampler for config.domain may be passed
-    to skip the load. The cells run on min(jobs, cells) threads, each
-    thread one task that runs every threads-th cell: their array work
-    releases the GIL. One thread is the calling thread, with no pool. The
+    to skip the load. jobs is an upper bound on the threads: cells of
+    THREAD_DRAWS or more active-bin draws (repetitions x active bins) run on
+    min(jobs, cells) threads, each thread one task that runs every
+    threads-th cell, as their array work releases the GIL. Smaller cells,
+    and any cells at one job, run in the calling thread, with no pool. The
     rows are identical for any jobs and any hash seed, so the CSV is too, and
     a failing sweep raises the error of its first failing cell in grid
     order, as on one thread.
@@ -181,7 +237,8 @@ def run_sweep(
             raise ValidityError("empty distribution: nothing to normalize")
         trials = _absent_slots(config.domain, hist, sampler)
     cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
-    run, threads = partial(_run_cell, config, hist, sampler, trials), min(jobs, len(cells))
+    threads = min(jobs, len(cells)) if config.repetitions * len(hist._positive[0]) >= THREAD_DRAWS else 1
+    run = partial(_run_cell, config, hist, sampler, trials)
     if threads == 1:
         rows = list(map(run, *zip(*cells)))
     else:

@@ -409,7 +409,15 @@ class TestThreadGenerator:
         assert held.random(3).tolist() == reference.random(3).tolist()
 
 
-def releases_from_draws(config, h, reps, sampler, rng=None, draw=_draw_batch):
+def draws_per_rep(rng, epsilon, rho, n, trials, reps, k):
+    """_draw_batch's draws with its weight uniforms split per repetition by
+    its counts, as draw_batch_per_rep returns them."""
+    threshold, counts, weights, blocks = _draw_batch(rng, epsilon, rho, n, trials, reps, k)
+    assert len(counts) == reps and sum(counts) == weights.size
+    return threshold, np.split(weights, np.cumsum(counts)[:-1]), blocks
+
+
+def releases_from_draws(config, h, reps, sampler, rng=None, draw=draws_per_rep):
     """The reps releases that _draw_batch's draws make (or those of draw,
     such as draw_batch_per_rep), built with the per-call samplers:
     sample_laplace reads each repetition's active-bin uniforms, and
@@ -554,8 +562,7 @@ class TestBatch:
         h = Histogram([("cat-0", 50.0), ("cat-1", 500.0), ("cat-2", 5000.0)])
         trials = n - len(h.active_domain())
         cfg = config_for(epsilon, rho, domain, seed=20251018)
-        _, weights_per_rep, _ = _draw_batch(make_rng(cfg.seed), epsilon, rho, n, trials, runs, len(h))
-        injected = [weights.size for weights in weights_per_rep]
+        _, injected, _, _ = _draw_batch(make_rng(cfg.seed), epsilon, rho, n, trials, runs, len(h))
         zero_fraction = injected.count(0) / runs
         assert zero_fraction == pytest.approx(zero_injection_oracle(rho, n, trials), abs=0.015)
         se = injected_sd_oracle(epsilon, rho, n, trials) / math.sqrt(runs)
@@ -600,7 +607,7 @@ class TestDrawsMatchPerRepLoop:
     @staticmethod
     def assert_same(stream, epsilon, rho, n, trials, reps, k=3):
         rng, reference = stream(), stream()
-        threshold, weights, blocks = _draw_batch(rng, epsilon, rho, n, trials, reps, k)
+        threshold, weights, blocks = draws_per_rep(rng, epsilon, rho, n, trials, reps, k)
         u = np.concatenate(list(blocks))
         want_threshold, want_weights, want_u = draw_batch_per_rep(reference, epsilon, rho, n, trials, reps, k)
         assert threshold == want_threshold
@@ -677,6 +684,79 @@ class TestDrawsMatchPerRepLoop:
         doubles = make_rng(5).random(50_000) ** 0.001
         weights = self.assert_same(lambda: ListStream(doubles), 1.0, 0.01, 1_000, 991, 100)
         assert sum(w.size for w in weights) > 100 * 4.6 + 4 * math.sqrt(100 * 4.6)
+
+
+class TestLaterWeightsWalk:
+    """_later_weights reads the count each of its uniforms would give from
+    one searchsorted in the plan's table, clipped at the last entry, and
+    walks over those counts. It must draw what _draw_batch's per-repetition
+    reference draws at the table's entries, at reps = 2, when a used
+    uniform is 0.0 and when its array call runs short."""
+
+    EPSILON, RHO, N = 1.0, 0.01, 1_000
+
+    @pytest.fixture()
+    def weights_calls(self, monkeypatch):
+        calls = []
+
+        def counted(rng, plan):
+            calls.append(plan)
+            return weights(rng, plan)
+
+        weights = mechanism._weights
+        monkeypatch.setattr(mechanism, "_weights", counted)
+        return calls
+
+    def later_count_at(self, doubles, reps):
+        """Where the per-repetition reference reads the second repetition's
+        count, the first the walk reads."""
+        _, weights, _ = draw_batch_per_rep(ListStream(doubles), self.EPSILON, self.RHO, self.N, self.N - 9, reps, 3)
+        counts_at = np.cumsum([0] + [w.size + 1 for w in weights])
+        return int(counts_at[1])
+
+    @pytest.mark.parametrize("reps", [2, 37])
+    @pytest.mark.parametrize("entry", [0, 1, -2, -1])
+    def test_a_uniform_equal_to_a_table_entry(self, reps, entry, weights_calls):
+        # bisect_right reads a uniform equal to cdf[i] as the count i + 1,
+        # and the last entry's as the last count.
+        cdf = mechanism._plan(self.EPSILON, self.RHO, self.N, self.N - 9).cdf
+        doubles = make_rng(6).random(5_000)
+        doubles[self.later_count_at(doubles, reps)] = cdf[entry]
+        weights = TestDrawsMatchPerRepLoop.assert_same(
+            lambda: ListStream(doubles), self.EPSILON, self.RHO, self.N, self.N - 9, reps
+        )
+        assert weights[1].size == min(entry % len(cdf) + 1, len(cdf) - 1)
+        assert len(weights_calls) == 1  # the first repetition's; the walk drew the rest
+
+    @pytest.mark.parametrize("reps", [2, 37])
+    def test_a_used_zero_falls_back_and_an_unused_one_does_not(self, reps, weights_calls):
+        doubles = make_rng(7).random(5_000)
+        _, weights, _ = draw_batch_per_rep(ListStream(doubles), self.EPSILON, self.RHO, self.N, self.N - 9, reps, 0)
+        used = sum(w.size + 1 for w in weights)  # the uniforms every count and weight takes
+        planted = doubles.copy()
+        planted[used + 1] = 0.0  # past the uniforms the walk uses: an active-bin uniform
+        TestDrawsMatchPerRepLoop.assert_same(lambda: ListStream(planted), self.EPSILON, self.RHO, self.N, self.N - 9, reps)
+        assert len(weights_calls) == 1
+        planted[used - 1] = 0.0  # the last used uniform: a count, or a weight
+        TestDrawsMatchPerRepLoop.assert_same(lambda: ListStream(planted), self.EPSILON, self.RHO, self.N, self.N - 9, reps)
+        # This draw's first repetition, then its reps - 1 later ones one by one.
+        assert len(weights_calls) == 1 + 1 + (reps - 1)
+
+    def test_a_short_draw_is_extended(self):
+        # Counts near the table's end run the first array call short; the
+        # walk goes on over the uniforms of the next.
+        sizes = []
+
+        class Recording(ListStream):
+            def random(self, size=None):
+                sizes.append(size)
+                return super().random(size)
+
+        doubles = make_rng(8).random(50_000) ** 0.001
+        TestDrawsMatchPerRepLoop.assert_same(lambda: ListStream(doubles), self.EPSILON, self.RHO, self.N, self.N - 9, 100)
+        stream = Recording(doubles)
+        counts, _ = mechanism._later_weights(stream, mechanism._plan(self.EPSILON, self.RHO, self.N, self.N - 9), 100)
+        assert len(sizes) >= 2 and sum(counts) + 100 > sizes[0]
 
 
 class PlantedStream(ListStream):

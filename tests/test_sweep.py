@@ -1,4 +1,5 @@
 import csv
+import random
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,12 +19,13 @@ from cathist.sweep import (
     DEFAULT_RHOS,
     SWEEP_CSV_HEADER,
     SweepConfig,
+    _pstdev,
     run_sweep,
     write_sweep_csv,
 )
 
 from conftest import WORKCLASS_COUNTS, write_census
-from oracles import cat_hist_per_rep
+from oracles import cat_hist_per_rep, pstdev_oracle
 
 
 @pytest.fixture()
@@ -32,6 +34,28 @@ def column_file(tmp_path):
     rows = ["v"] + ["cat-0"] * 800 + ["cat-1"] * 150 + ["cat-2"] * 50
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The max_workers of every pool a sweep starts, in order."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr("cathist.sweep.ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture()
+def threaded(monkeypatch, pools):
+    """Every sweep's cells above the thread bound, so that --jobs above 1
+    runs them on worker threads; the recorded pool sizes."""
+    monkeypatch.setattr("cathist.sweep.THREAD_DRAWS", 1)
+    return pools
 
 
 def config(column_file, **kw):
@@ -68,11 +92,12 @@ class TestRunSweep:
     def test_deterministic_across_runs(self, column_file):
         assert run_sweep(config(column_file)) == run_sweep(config(column_file))
 
-    def test_parallel_equals_serial(self, column_file):
+    def test_parallel_equals_serial(self, column_file, threaded):
         cfg = config(column_file)
         assert run_sweep(cfg, jobs=1) == run_sweep(cfg, jobs=2)
+        assert threaded == [2]
 
-    def test_parallel_equals_serial_with_invalid_cells(self, column_file):
+    def test_parallel_equals_serial_with_invalid_cells(self, column_file, threaded):
         cfg = config(
             column_file,
             domain=ExplicitList(labels=tuple(f"cat-{i}" for i in range(12))),
@@ -81,22 +106,15 @@ class TestRunSweep:
         serial = run_sweep(cfg, jobs=1)
         assert [r.status for r in serial] == ["invalid", "ok", "invalid", "ok"]
         assert run_sweep(cfg, jobs=2) == serial
+        assert threaded == [2]
 
-    def test_pool_capped_at_cell_count(self, column_file, monkeypatch):
-        sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr("cathist.sweep.ThreadPoolExecutor", RecordingPool)
+    def test_pool_capped_at_cell_count(self, column_file, threaded):
         cfg = config(column_file, rhos=(0.5,))
         assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
-        assert sizes == [2]  # one thread runs the cells in the calling thread, with no pool
+        assert threaded == [2]  # one thread runs the cells in the calling thread, with no pool
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_threads_raise_the_first_failing_cell_in_grid_order(self, column_file, jobs):
+    def test_threads_raise_the_first_failing_cell_in_grid_order(self, column_file, jobs, threaded):
         # Both tiny-epsilon cells overflow. Two threads run the cells 0 and 2
         # in one share and cell 1 in the other, and must raise cell 1's
         # error, as one thread does.
@@ -107,11 +125,12 @@ class TestRunSweep:
                 run_sweep(replace(cfg, epsilons=epsilons))
         with pytest.raises(ValidityError, match=r"epsilon=1e-308 overflow") as serial:
             run_sweep(cfg, jobs=1)
-        with pytest.raises(ValidityError) as threaded:
+        with pytest.raises(ValidityError) as on_threads:
             run_sweep(cfg, jobs=jobs)
-        assert str(threaded.value) == str(serial.value)
+        assert str(on_threads.value) == str(serial.value)
+        assert threaded == [jobs]  # one job runs the cells in the calling thread
 
-    def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch):
+    def test_preloaded_sampler_is_not_reloaded(self, column_file, monkeypatch, threaded):
         cfg = config(column_file)
         expected = run_sweep(cfg)
         sampler = load_domain(cfg.domain)
@@ -122,8 +141,9 @@ class TestRunSweep:
         monkeypatch.setattr("cathist.sweep.load_domain", no_load)
         assert run_sweep(cfg, sampler=sampler) == expected
         assert run_sweep(cfg, jobs=2, sampler=sampler) == expected
+        assert threaded == [2]
 
-    def test_threads_equal_serial_on_a_wordlist(self, column_file, tmp_path):
+    def test_threads_equal_serial_on_a_wordlist(self, column_file, tmp_path, threaded):
         # Four threads share the column and the sampler; a short switch
         # interval makes them interleave often.
         words = tmp_path / "words.txt"
@@ -138,6 +158,7 @@ class TestRunSweep:
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
+        assert threaded == [4]
 
     def test_out_of_domain_refused_once_before_any_cell(self, column_file, monkeypatch):
         # "cat-2" is active but not declared; the 1e-4 cells are invalid.
@@ -198,6 +219,41 @@ class TestRunSweep:
             config(column_file, epsilons=())
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(config(column_file), jobs=0)
+
+
+class TestThreadChoice:
+    """run_sweep starts a pool only when a cell draws THREAD_DRAWS or more
+    active-bin uniforms (repetitions x active bins), and then runs the cells
+    on min(jobs, cells) threads: jobs is an upper bound on the threads. The
+    rows are the same either way."""
+
+    @pytest.fixture()
+    def wide_column_file(self, tmp_path):
+        # Just enough active bins for 20 repetitions to reach the bound.
+        k = -(-cathist.sweep.THREAD_DRAWS // 20)
+        path = tmp_path / "wide.csv"
+        path.write_text("v\n" + "".join(f"cat-{i}\n" * (1 + i % 7) for i in range(k)), encoding="utf-8")
+        return str(path)
+
+    def test_cells_below_the_bound_start_no_pool(self, column_file, pools):
+        cfg = config(column_file)
+        assert cfg.repetitions * 3 < cathist.sweep.THREAD_DRAWS
+        rows = [run_sweep(cfg, jobs=jobs) for jobs in (1, 2, 4)]
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert pools == []
+
+    def test_cells_above_the_bound_use_a_thread_per_job(self, wide_column_file, pools):
+        cfg = config(wide_column_file, domain=SizeOnly(size=10**5))
+        rows = [run_sweep(cfg, jobs=jobs) for jobs in (1, 2, 4, 8)]
+        assert all(row == rows[0] for row in rows)
+        assert pools == [2, 4, 4]  # min(jobs, 4 cells); one job starts no pool
+
+    @pytest.mark.parametrize("bound, sizes", [(60, [2]), (61, [])])
+    def test_the_bound_counts_repetitions_times_active_bins(self, column_file, pools, monkeypatch, bound, sizes):
+        monkeypatch.setattr("cathist.sweep.THREAD_DRAWS", bound)
+        cfg = config(column_file)  # 20 repetitions x 3 active bins
+        assert run_sweep(cfg, jobs=2) == run_sweep(cfg, jobs=1)
+        assert pools == sizes
 
 
 def release_rows(cfg):
@@ -367,6 +423,46 @@ class TestCellsMatchReleases:
             run_sweep(cfg)
 
 
+def random_lists(seed, count):
+    """count lists of 1 to 100 values: fidelity-like values in [0, 1], and
+    signed values of one random scale from 1e-200 to 1e200."""
+    rng = random.Random(seed)
+    lists = []
+    for i in range(count):
+        size = rng.randint(1, 100)
+        if i % 2:
+            lists.append([rng.random() for _ in range(size)])
+        else:
+            scale = 10.0 ** rng.uniform(-200, 200)
+            lists.append([(rng.random() - 0.3) * scale for _ in range(size)])
+    return lists
+
+
+class TestPstdev:
+    """A cell's stddev_f is the correctly rounded square root of the exact
+    population variance, on every Python: bit for bit the oracle's."""
+
+    @pytest.mark.parametrize("values", [
+        [0.7],
+        [0.3] * 50,
+        [0.0] * 5,
+        [0.0, 1.0],
+        [5e-324],
+        [0.0, 5e-324],  # the root is half the least subnormal: a tie, to 0.0
+        [5e-324, 1e-323, 2.5e-310, 0.0, 2.2250738585072014e-308],
+        [1e-300, 1.0],
+        [1e-300, 1.0, 1e-300, 0.5, 0.0],
+        [1.0, 2.0**-60, 2.0**60],
+        [0.1] * 99 + [0.1000000000000001],
+    ])
+    def test_edge_cases_equal_the_exact_oracle(self, values):
+        assert _pstdev(values).hex() == pstdev_oracle(values).hex()
+
+    def test_random_lists_equal_the_exact_oracle(self):
+        for values in random_lists(20251021, 400):
+            assert _pstdev(values).hex() == pstdev_oracle(values).hex(), values
+
+
 class TestWriteSweepCsv:
     def test_header_and_plain_csv(self, column_file, tmp_path):
         rows = run_sweep(config(column_file))
@@ -396,9 +492,10 @@ class TestWriteSweepCsv:
         assert parsed[1][2:6] == ["", "", "", ""]
         assert parsed[1][7] == "invalid"
 
-    def test_byte_identical_reruns(self, column_file, tmp_path):
+    def test_byte_identical_reruns(self, column_file, tmp_path, threaded):
         cfg = config(column_file)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(run_sweep(cfg, jobs=1), a)
         write_sweep_csv(run_sweep(cfg, jobs=2), b)
         assert a.read_bytes() == b.read_bytes()
+        assert threaded == [2]
