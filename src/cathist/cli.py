@@ -345,6 +345,10 @@ def _csv_lines(labels: Iterable[str]) -> list[str]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     output = _require(args, "output")
     _check_seed(args)
+    # Checked up front, as the seed is: run_sweep would refuse it only once
+    # the domain is loaded.
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     domain = _resolve_domain(args)
     selector = _selector(args)
     config = SweepConfig(

@@ -34,13 +34,15 @@ survived, their noisy counts and the injected weights. As the labels come
 last, a sweep cell reads every other draw without picking them.
 
 One cached plan per (epsilon, rho, n, trials) holds what those draws need:
-the threshold and sample_binomial's inversion table. cat_hist draws a
-release, and _draw_batch a sweep cell's repetitions, from that plan and
-through the same helpers (_weights for a count and its weights, then one
-random call for the active-bin uniforms), so the layout has one definition
-and a cell's first repetition is a release. Both take plain values: the
-caller passes the generator and reads the histogram's active columns, and
-picks any labels from the generator after the draws.
+the threshold and sample_binomial's inversion table. _draw_batch draws a
+sweep cell's repetitions from that plan: one random(reps) call for every
+injected count, one random call for all their weights, then the active-bin
+uniforms in blocks of rows. A release is a cell of one repetition, and
+cat_hist draws it from the same plan with scalar calls that give the same
+doubles (_weights for its count and weights, then one random(k) call for
+its active-bin uniforms). Both take plain values: the caller passes the
+generator and reads the histogram's active columns, and picks any labels
+from the generator after the draws.
 
 Unit sensitivity: neighboring datasets differ by adding or removing one
 record, so one bin's count changes by one and the Laplace scale is
@@ -123,11 +125,11 @@ def cat_hist(config: CatHistConfig, h: Histogram, sampler: DomainSampler | None 
     Deterministic given (config, h): the same seed reproduces the same
     release. A pre-loaded sampler for config.domain may be passed to avoid
     re-reading wordlist files in tight loops. The release is _draw_batch's
-    one repetition, drawn through the same helpers from the same cached
-    plan: its injected count and weights (_weights), then its k active-bin
-    uniforms as one random(k) call, then its injected labels. A sweep cell
-    reads the same draws for all of its repetitions without building
-    releases (see sweep.py).
+    draws at reps = 1, made from the same cached plan by calls that give
+    the same doubles: its injected count and weights (_weights), then its k
+    active-bin uniforms as one random(k) call, then its injected labels. A
+    sweep cell draws every repetition's count, then all their weights, and
+    builds no releases (see sweep.py).
 
     Below ARRAY_NOISE_BINS active bins the survivors are kept as lists and
     checked there: a kept count is >= threshold and > 0, so only one that
@@ -179,12 +181,10 @@ def _thread_rng(seed: int) -> Rng:
 
 class _Plan(NamedTuple):
     """What the draws of a release of (epsilon, rho, n, trials) need: the
-    threshold, the mean injected count trials * p, with p the inclusion
-    probability, and sample_binomial's inversion table for Binomial(trials,
-    p), None when there is no count to draw."""
+    threshold and sample_binomial's inversion table for Binomial(trials, p),
+    with p the inclusion probability, None when there is no count to draw."""
 
     threshold: float
-    mean: float
     cdf: tuple[float, ...] | None
 
 
@@ -198,7 +198,7 @@ def _plan(epsilon: float, rho: float, n: int, trials: int) -> _Plan:
     exp(-epsilon * threshold) underflows, every count is 0 with no draw."""
     threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
-    return _Plan(threshold, trials * p, _binomial_cdf(trials, p) if trials > 0 and p > 0.0 else None)
+    return _Plan(threshold, _binomial_cdf(trials, p) if trials > 0 and p > 0.0 else None)
 
 
 # Releases of fewer active bins than this are noised bin by bin, wider ones
@@ -261,44 +261,43 @@ BLOCK_DRAWS = 1 << 20
 def _draw_batch(
     rng: Rng, epsilon: float, rho: float, n: int, trials: int, reps: int, k: int
 ) -> tuple[float, list[int], np.ndarray, Iterable[np.ndarray]]:
-    """What reps releases of k active bins draw: a sweep cell's, of which
-    the first is cat_hist's release. Returns (threshold, counts, weights,
+    """What reps releases of k active bins draw: a sweep cell's, of which a
+    release is the case reps = 1. Returns (threshold, counts, weights,
     blocks).
 
     The draws come from rng, which must be at make_rng(seed)'s state. The
-    threshold, p and binomial table are the cached _plan(epsilon, rho, n,
+    threshold and binomial table are the cached _plan(epsilon, rho, n,
     trials), which cat_hist reads too, and which refuses a bad epsilon or
-    rho, an undefined tau and a mean count past the envelope. counts holds
-    each repetition's injected count m, and weights the uniforms of their
-    injected weights as one array: the first repetition's m, then the
-    second's, and so on. blocks gives the reps x k active-bin uniforms as
-    blocks of rows; when there are several blocks, each is drawn as it is
-    read. Once every block is read, rng is positioned at the labels of the
-    first repetition.
+    rho, an undefined tau and a mean count past the envelope. One
+    random(reps) call gives every repetition's injected count m, each read
+    as sample_binomial reads its uniform: bisect_right in the table, below
+    its last entry, which one searchsorted(side="right") clipped at the last
+    count gives. One random call then gives the uniforms of all their
+    injected weights, the first repetition's m, then the second's, and so
+    on. blocks gives the reps x k active-bin uniforms as blocks of rows;
+    when there are several blocks, each is drawn as it is read. Once every
+    block is read, rng is positioned at the labels of the first repetition.
+    With no count to draw (no trials, or p = 0), every m is 0 and neither
+    call is made.
 
     trials is _absent_slots' count, which the caller works out once per
     release or per sweep: only the absent in-domain slots can be injected,
-    so m never exceeds them. No uniform handed out is 0.0: each one is replaced,
-    in row-major order, by the stream's next nonzero draw, the redraw
-    sample_laplace and sample_shifted_exponential make. A caller that never
-    picks labels makes the same draws as one that does, because the labels
-    come last on the stream.
-
-    The first repetition draws its count and weights with _weights, as a
-    release does. The others take theirs from one random call (see
-    _later_weights), which gives the same doubles as successive _weights
-    calls.
+    so m never exceeds them. No weight or active-bin uniform is 0.0: each
+    one is replaced, in row-major order, by the stream's next nonzero draw
+    after its call, the redraw sample_laplace and sample_shifted_exponential
+    make. A count uniform of 0.0 is kept, as sample_binomial keeps it. A
+    caller that never picks labels makes the same draws as one that does,
+    because the labels come last on the stream.
     """
     plan = _plan(epsilon, rho, n, trials)
     # No draw depends on the active counts, so the injection draws (counts
     # and weights here, labels after the noise) depend only on the seed and
     # the active set.
-    weights = _weights(rng, plan)
-    counts = [weights.size]
-    if reps > 1:
-        later_counts, later = _later_weights(rng, plan, reps - 1)
-        counts += later_counts
-        weights = np.concatenate((weights, later))
+    counts, weights = [0] * reps, _NO_DRAWS
+    if plan.cdf is not None:
+        last = len(plan.cdf) - 1
+        counts = np.minimum(np.searchsorted(np.array(plan.cdf), rng.random(reps), "right"), last).tolist()
+        weights = _nonzero(rng, rng.random(sum(counts)))
     return plan.threshold, counts, weights, _uniform_blocks(rng, reps, k)
 
 
@@ -307,56 +306,14 @@ _NO_DRAWS = np.empty(0)
 
 
 def _weights(rng: Rng, plan: _Plan) -> np.ndarray:
-    """One repetition's weight uniforms: its count m, sample_binomial's
-    bisection of one uniform in the plan's table, then one random(m) call."""
+    """A release's weight uniforms, as _draw_batch draws them at reps = 1:
+    its count m, sample_binomial's bisection of one uniform in the plan's
+    table, then one random(m) call."""
     cdf = plan.cdf
     if cdf is None:
         return _NO_DRAWS
     m = bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
     return _nonzero(rng, rng.random(m)) if m else _NO_DRAWS
-
-
-def _later_weights(rng: Rng, plan: _Plan, reps: int) -> tuple[list[int], np.ndarray]:
-    """What reps calls of _weights draw, from one rng.random call: their
-    counts, and their weight uniforms as one array in repetition order.
-
-    The call is sized from the mean count, and drawn again if it runs short.
-    One searchsorted of the uniforms in the plan's table, clipped at its
-    last entry, gives the count each uniform is bisected to if read as one;
-    a walk over those counts takes each repetition's count m and skips its
-    weights, the next m uniforms. Then the stream is put back to its state
-    before the call and advanced past the uniforms used, so the draws after
-    it are those after reps _weights calls. If a used uniform is 0.0, which
-    _nonzero would redraw, the stream is put back and _weights drawn reps
-    times instead.
-    """
-    cdf = plan.cdf
-    if cdf is None:  # every count is 0, with no draw
-        return [0] * reps, _NO_DRAWS
-    last = len(cdf) - 1  # the largest count, so a repetition draws at most last + 1 uniforms
-    table, mean = np.array(cdf), plan.mean
-    before = rng.bit_generator.state
-    u, read_as, at, counts, places = _NO_DRAWS, [], 0, [], []
-    while len(counts) < reps:
-        left = reps - len(counts)
-        more = rng.random(int(left * (1 + mean) + 4 * math.sqrt(left * mean)) + last + 1)
-        u = np.concatenate((u, more))
-        # bisect_right(cdf, v, 0, last) for each uniform v.
-        read_as += np.minimum(np.searchsorted(table, more, "right"), last).tolist()
-        # A count read before end has its weights drawn.
-        end = u.size - last
-        while at < end and len(counts) < reps:
-            m = read_as[at]
-            counts.append(m)
-            places.append(at)
-            at += 1 + m
-    rng.bit_generator.state = before
-    used = u[:at]
-    if np.count_nonzero(used) < at:
-        weights = [_weights(rng, plan) for _ in range(reps)]
-        return [w.size for w in weights], np.concatenate(weights)
-    rng.bit_generator.advance(at)
-    return counts, np.delete(used, places)
 
 
 def _uniform_blocks(rng: Rng, reps: int, k: int) -> Iterable[np.ndarray]:

@@ -4,20 +4,21 @@ Each grid cell runs the mechanism `repetitions` times against the same input
 column and reports mean/stddev fidelity plus mean injected and surviving bin
 counts. A cell's repetitions draw what mechanism._draw_batch draws for
 them: one seed, derived from (base_seed, epsilon index, rho index), and one
-random stream shared by all of them, laid out as a release's (cat_hist
-draws its one repetition through the same helpers, from the same cached
-plan). The cell hands _draw_batch plain values, its generator, epsilon,
-rho, the domain size and the two counts, and reads the column's active
-counts itself; it builds no release config, and a bad grid value is refused
-where the plan works out the threshold. So every cell is reproducible in
+random stream shared by all of them, which holds every repetition's
+injected count, then all their injected weights, then their active-bin
+uniforms (a release is a cell of one repetition, and cat_hist draws it from
+the same cached plan). The cell hands _draw_batch plain values, its
+generator, epsilon, rho, the domain size and the two counts, and reads the
+column's active counts itself; it builds no release config, and a bad grid
+value is refused where the plan works out the threshold. So every cell is reproducible in
 isolation and the CSV is byte-identical however many threads ran the cells,
 in whatever order. Cells of fewer than THREAD_DRAWS active-bin draws
 (repetitions x active bins) run one after another in the calling thread,
 whatever the jobs: their numpy calls are too short to share the interpreter
-lock. Larger ones run on min(jobs, cells) threads, each thread one task, a
-strided share of the cells. The cells only read what they share: the
-column, the loaded domain and the count of absent domain slots that the
-sweep's one membership check gives.
+lock. Larger ones go to a pool of min(jobs, cells) threads by one ordered
+map, whose results come back in grid order. The cells only read what they
+share: the column, the loaded domain and the count of absent domain slots
+that the sweep's one membership check gives.
 
 A cell builds no releases. Injected labels are drawn outside the active set,
 so a release meets the column in its surviving active bins S only, and its
@@ -26,7 +27,7 @@ fidelity is
     F = true_mass(S) * noisy_mass(S) / (noisy_mass(S) + m*tau + sum of m Exp)
 
 with m injected bins weighted tau + Exponential(epsilon). The cell takes
-_draw_batch's draws (each repetition's m, all their weight uniforms as one
+_draw_batch's draws (every repetition's m, all their weight uniforms as one
 array, then the active-bin uniforms) and computes F for all repetitions as
 whole-array work, in blocks of rows; it never picks labels, which come last
 on the stream. Its rows are what metrics.fidelity gives on the releases of
@@ -48,7 +49,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter, mul
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -218,13 +219,13 @@ def run_sweep(
     checked against it once per sweep, before any cell runs, and only if
     some cell is valid; a pre-loaded sampler for config.domain may be passed
     to skip the load. jobs is an upper bound on the threads: cells of
-    THREAD_DRAWS or more active-bin draws (repetitions x active bins) run on
-    min(jobs, cells) threads, each thread one task that runs every
-    threads-th cell, as their array work releases the GIL. Smaller cells,
-    and any cells at one job, run in the calling thread, with no pool. The
-    rows are identical for any jobs and any hash seed, so the CSV is too, and
-    a failing sweep raises the error of its first failing cell in grid
-    order, as on one thread.
+    THREAD_DRAWS or more active-bin draws (repetitions x active bins) go to
+    a pool of min(jobs, cells) threads by one ordered map, as their array
+    work releases the GIL. Smaller cells, and any cells at one job, run in
+    the calling thread, with no pool. The rows are identical for any jobs
+    and any hash seed, so the CSV is too. The map's results are read in grid
+    order, so a failing sweep raises the error of its first failing cell in
+    grid order, as on one thread.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -242,29 +243,9 @@ def run_sweep(
     if threads == 1:
         rows = list(map(run, *zip(*cells)))
     else:
-        # One task per thread: a strided share of the cells, run in grid order.
-        indexed = list(enumerate(cells))
         with ThreadPoolExecutor(threads) as pool:
-            shares = list(pool.map(partial(_run_share, run), (indexed[i::threads] for i in range(threads))))
-        failures = [failure for _, failure in shares if failure is not None]
-        if failures:  # the first cell in grid order that raises, as on one thread
-            raise min(failures, key=itemgetter(0))[1]
-        rows = [row for share, _ in shares for row in share]
+            rows = list(pool.map(run, *zip(*cells)))
     return sorted(rows, key=lambda row: (row.epsilon, row.rho))
-
-
-def _run_share(run, share: list[tuple[int, tuple[int, int]]]) -> tuple[list[SweepRow], tuple[int, Exception] | None]:
-    """Run a share's (grid index, cell) pairs in turn, up to the first cell
-    that raises. Returns the rows and that cell's (grid index, exception),
-    or None: every cell of a share before it ran, so the least grid index
-    over the shares is that of the first failing cell."""
-    rows = []
-    for index, cell in share:
-        try:
-            rows.append(run(*cell))
-        except Exception as exc:
-            return rows, (index, exc)
-    return rows, None
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:

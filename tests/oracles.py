@@ -144,11 +144,12 @@ def sample_binomial_by_walk(rng, n, p):
 
 def draw_batch_per_rep(rng, epsilon, rho, n, trials, reps, k):
     """_draw_batch as one loop over the repetitions: each draws its injected
-    count with sample_binomial and then its m weight uniforms with one
-    random(m) call; then one random((reps, k)) call draws every active-bin
-    uniform (one block while reps * k is at most BLOCK_DRAWS). Each 0.0 of a
-    call is replaced, in row-major order, by the stream's next nonzero draw.
-    Returns (threshold, weights, uniforms)."""
+    count with sample_binomial; then one random call draws the weight
+    uniforms of every repetition in turn, and one random((reps, k)) call
+    every active-bin uniform (one block while reps * k is at most
+    BLOCK_DRAWS). Each 0.0 of those two calls is replaced, in row-major
+    order, by the stream's next nonzero draw. Returns (threshold, weights
+    split per repetition, uniforms)."""
 
     def nonzero(u):
         for i in np.flatnonzero(u == 0.0).tolist():
@@ -160,10 +161,8 @@ def draw_batch_per_rep(rng, epsilon, rho, n, trials, reps, k):
 
     threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
-    weights = []
-    for _ in range(reps):
-        m = sample_binomial(rng, trials, p) if trials > 0 else 0
-        weights.append(nonzero(rng.random(m)) if m else np.empty(0))
+    counts = [sample_binomial(rng, trials, p) if trials > 0 else 0 for _ in range(reps)]
+    weights = np.split(nonzero(rng.random(sum(counts))), np.cumsum(counts)[:-1])
     return threshold, weights, nonzero(rng.random((reps, k)))
 
 
@@ -287,9 +286,9 @@ def cat_hist_per_bin(config, h, sampler):
 
 def cat_hist_per_rep(config, h, sampler, reps):
     """reps cat_hist_per_bin releases, one per repetition, all of them
-    drawing from one generator: every repetition's count and weights first,
-    then every repetition's active-bin noise, then every repetition's
-    labels. This is the stream layout of a sweep cell's repetitions, and at
+    drawing from one generator: every repetition's injected count first,
+    then every repetition's weights, then every repetition's active-bin
+    noise, then every repetition's labels. This is the stream layout of a sweep cell's repetitions, and at
     reps = 1 that of a release.
 
     Labels are picked by sample_distinct_by_rejection, one scalar
@@ -305,12 +304,8 @@ def cat_hist_per_rep(config, h, sampler, reps):
     p = inclusion_probability(epsilon, threshold)
     trials = sampler.size - len(active)
     rng = make_rng(config.seed)
-    weights_per_rep = []
-    for _ in range(reps):
-        num_injected = sample_binomial(rng, trials, p) if trials > 0 else 0
-        weights_per_rep.append(
-            [sample_shifted_exponential(rng, epsilon, threshold) for _ in range(num_injected)]
-        )
+    counts = [sample_binomial(rng, trials, p) if trials > 0 else 0 for _ in range(reps)]
+    weights_per_rep = [[sample_shifted_exponential(rng, epsilon, threshold) for _ in range(m)] for m in counts]
     survivors_per_rep = []
     for _ in range(reps):
         survivors = []

@@ -454,6 +454,18 @@ class TestSweep:
         assert "usage error: --seed must be >= 0, got -1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error_before_reading_input(self, capsys, tmp_path, jobs):
+        # Neither the wordlist nor the input exists: a run that read either
+        # would exit 3.
+        args = self.sweep_args(tmp_path, **{"--input": str(tmp_path / "nope.csv")})
+        i = args.index("--domain-size")
+        args[i:i + 4] = ["--domain-words", str(tmp_path / "nope.txt")]  # and --domain-prefix
+        code, _, err = run(capsys, "sweep", *args, "--jobs", jobs)
+        assert code == 1
+        assert f"usage error: --jobs must be >= 1, got {jobs}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv"]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--epsilons", "0.1,abc", "could not convert string to float: 'abc'"),
         ("--rhos", "0.5,,x", "could not convert string to float: 'x'"),
@@ -702,7 +714,7 @@ class TestGoldenOutputs:
         "fidelity": "78431aff97add85e0afef232b97affbfd4596700c23a0a0f61a8b970f4cb8d99",
         "fidelity_pointwise": "8e03a2f50cc74878ef61a2d9322941c381be14168b08f3438fbdb44649df585e",
     }
-    SWEEP_DIGEST = "9facb15f35d0e17a1ea731aa219c1663e3d1a0bc51d7020c7daf9efc230f879f"
+    SWEEP_DIGEST = "b2b598f621d8a66486eafb8baf5d0e552ce40ea73c8ee307a71f0fba4d1500fc"
 
     @staticmethod
     def column_and_domain(tmp_path):
