@@ -25,6 +25,7 @@ import functools
 import hashlib
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -89,11 +90,14 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def threshold_defined(rho: float, n: int) -> bool:
-    """True when the threshold formula is defined, i.e. rho**(1/n) >= 1/2."""
+    """True when the threshold formula is defined, i.e. rho**(1/n) >= 1/2.
+    The formula divides by n as a double, so n is at most the largest one."""
     if not (0 < rho < 1):
         raise ValidityError(f"rho must be in (0, 1), got {rho}")
     if n < 1:
         raise ValidityError(f"domain size must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValidityError(f"domain size must be at most the largest double, {sys.float_info.max!r}, got {n}")
     return math.log(rho) / n >= _LN_HALF
 
 

@@ -32,8 +32,9 @@ array, then the active-bin uniforms) and computes F for all repetitions as
 whole-array work, in blocks of rows; it never picks labels, which come last
 on the stream. Its rows are what metrics.fidelity gives on the releases of
 those draws, each repetition's labels picked in turn after them, up to the
-rounding of the sums. Its stddev_f is the correctly rounded square root of
-the exact population variance of the F values (_pstdev), on every Python.
+rounding of the sums. Its stddev_f is numpy's population standard deviation
+of the F values (ndarray.std), identical for any jobs and any Python on one
+machine and one numpy.
 
 One case parts from that. A cell whose noisy or injected mass overflows (a
 tiny epsilon) fails with ValidityError, as a release with a non-finite count
@@ -44,12 +45,10 @@ their sum is not, which a release does not refuse.
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -158,56 +157,18 @@ def _run_cell(
     # surviving bins only; an empty release scores 0.
     release_mass = noisy_mass + injected_mass
     synth_mass = np.divide(noisy_mass, release_mass, out=np.zeros_like(release_mass), where=release_mass > 0)
-    fs = (np.concatenate(true_mass) * synth_mass).tolist()
+    fs = np.concatenate(true_mass) * synth_mass
     return SweepRow(
         epsilon=epsilon,
         rho=rho,
-        mean_f=statistics.fmean(fs),
-        stddev_f=_pstdev(fs),
+        mean_f=statistics.fmean(fs.tolist()),
+        # A Python float: repr of a numpy 2 scalar is np.float64(...).
+        stddev_f=float(fs.std()),
         mean_injected=statistics.fmean(injected.tolist()),
         mean_surviving=statistics.fmean(np.concatenate(surviving).tolist()),
         repetitions=config.repetitions,
         status="ok",
     )
-
-
-def _pstdev(values: list[float]) -> float:
-    """The population standard deviation of finite values: the correctly
-    rounded square root of their exact variance, which is statistics.pstdev's
-    result on Python 3.11 and later (3.10's pstdev rounds the variance to a
-    double first).
-
-    Each value is its frexp mantissa times 2**53, an integer, times
-    2**(exponent - 53); shifted to the least exponent, the values are
-    integers over one power-of-two denominator, whose sum and sum of squares
-    are exact as Python ints."""
-    parts = list(map(math.frexp, values))
-    low = min(min(exponent for _, exponent in parts), 53)  # a zero's exponent is 0
-    ints = [int(mantissa * 2.0**53) << (exponent - low) for mantissa, exponent in parts]
-    count, total = len(ints), sum(ints)
-    # variance = (count * sum of squares - total**2) / (count * 2**(53 - low))**2
-    return _sqrt_of_ratio(count * sum(map(mul, ints, ints)) - total * total, count * count << 2 * (53 - low))
-
-
-# Bits of the integer square root that _sqrt_of_ratio rounds to odd: twice a
-# double's 53 and 3 more, so one more rounding to a double is correct.
-_SQRT_BITS = 2 * 53 + 3
-
-
-def _sqrt_of_ratio(n: int, m: int) -> float:
-    """The square root of n / m, for n >= 0 and m > 0, correctly rounded to
-    a double: the integer square root of n / m scaled by a power of four to
-    at least _SQRT_BITS bits, rounded to odd, then divided by the scale's
-    root in one correctly rounded division (Python 3.11's statistics, after
-    bpo msg407078)."""
-    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
-    if q >= 0:
-        m <<= 2 * q
-        root = math.isqrt(n // m)
-        return float((root | (root * root * m != n)) << q)
-    n <<= -2 * q
-    root = math.isqrt(n // m)
-    return (root | (root * root * m != n)) / (1 << -q)
 
 
 def run_sweep(

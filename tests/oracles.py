@@ -2,8 +2,7 @@
 
 The mpmath oracles compute expected values straight from the defining
 formulas at 60 significant digits, sharing no code with the package under
-test, and the exact standard deviation from the definition in fractions.
-The loop references below them are the plain per-row, per-bin and
+test. The loop references below them are the plain per-row, per-bin and
 per-call forms of code the package runs in bulk or from a cache; the tests
 require the two to give identical results. Then comes the brute-force
 reference the mechanism must equal in distribution, then the exact law
@@ -19,9 +18,7 @@ import io
 import itertools
 import math
 import re
-import struct
 import weakref
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -85,37 +82,6 @@ def survival_oracle(count: float, epsilon: float, rho: float, n: int) -> float:
         if gap >= 0:
             return float(1 - mp.exp(-gap) / 2)
         return float(mp.exp(gap) / 2)
-
-
-def pstdev_oracle(values):
-    """The population standard deviation of values as the double nearest
-    the square root of their variance, ties to the even double. The variance
-    is a Fraction, the mean of the squared deviations from the exact mean.
-    From a guess near the root, the walk steps to the neighbouring double
-    while a midpoint between them, squared exactly, shows the root lies on
-    its side."""
-    xs = [Fraction(x) for x in values]
-    mean = sum(xs) / len(xs)
-    variance = sum((x - mean) ** 2 for x in xs) / len(xs)
-    if not variance:
-        return 0.0
-    # Scaled by a power of four into the normal range for the guess.
-    j = (variance.denominator.bit_length() - variance.numerator.bit_length()) // 2
-    root = math.ldexp(math.sqrt(float(variance * Fraction(4) ** j)), -j)
-
-    def mid_squared(a, b):
-        return ((Fraction(a) + Fraction(b)) / 2) ** 2
-
-    while root > 0.0 and mid_squared(math.nextafter(root, 0.0), root) > variance:
-        root = math.nextafter(root, 0.0)
-    while mid_squared(root, math.nextafter(root, math.inf)) < variance:
-        root = math.nextafter(root, math.inf)
-    odd = struct.unpack("<q", struct.pack("<d", root))[0] & 1
-    if odd and root > 0.0 and mid_squared(math.nextafter(root, 0.0), root) == variance:
-        return math.nextafter(root, 0.0)
-    if odd and mid_squared(root, math.nextafter(root, math.inf)) == variance:
-        return math.nextafter(root, math.inf)
-    return root
 
 
 def sample_binomial_by_walk(rng, n, p):

@@ -83,6 +83,19 @@ class TestTau:
         assert code == 2
         assert "tau undefined" in err
 
+    @pytest.mark.parametrize("exponent", [309, 400])
+    def test_domain_size_past_the_largest_double_exits_two(self, capsys, exponent):
+        code, out, err = run(capsys, "tau", "--epsilon", "1", "--rho", "0.5", "--n", str(10**exponent))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: domain size must be at most the largest double, 1.7976931348623157e+308")
+        assert err.count("\n") == 1
+
+    def test_domain_size_up_to_the_largest_double_runs(self, capsys):
+        code, out, _ = run(capsys, "tau", "--epsilon", "1", "--rho", "0.5", "--n", str(10**308))
+        assert code == 0
+        assert parse_report(out)["zero_injection_probability"] == pytest.approx(0.5, rel=1e-12)
+
     def test_missing_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "tau", "--epsilon", "1", "--n", "5")
         assert code == 1

@@ -487,17 +487,24 @@ class TestBatch:
             if reps == 1:
                 assert releases[0] == cat_hist(cfg, h, sampler=sampler)
 
-    @pytest.mark.parametrize("bins", [ARRAY_NOISE_BINS - 1, ARRAY_NOISE_BINS, 1_200])
-    def test_wide_column_over_several_blocks_matches_per_rep_loop(self, bins, monkeypatch, wordlist_path):
+    @pytest.mark.parametrize("bins, block_draws", [
+        (ARRAY_NOISE_BINS - 1, 3 * (ARRAY_NOISE_BINS - 1)),
+        (ARRAY_NOISE_BINS, 3 * ARRAY_NOISE_BINS),
+        (1_200, 3_600),
+        (1_200, 1_000),
+    ])
+    def test_wide_column_over_several_blocks_matches_per_rep_loop(
+        self, bins, block_draws, monkeypatch, wordlist_path
+    ):
         # cat_hist noises fewer than ARRAY_NOISE_BINS active bins bin by bin,
         # more as one array. Blocks of three rows spread ten repetitions over
-        # four blocks.
+        # four blocks; a row longer than BLOCK_DRAWS is a block of its own.
         domain = WordList(wordlist_path)
         sampler = load_domain(domain)
         rng = np.random.default_rng(bins)
         words = sampler.decode(rng.choice(sampler.size, size=bins, replace=False))
         h = Histogram(zip(words, rng.integers(1, 40, size=bins).tolist()))
-        monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", 3 * bins)
+        monkeypatch.setattr("cathist.mechanism.BLOCK_DRAWS", block_draws)
         surviving = injected = 0
         for seed in range(3):
             cfg = config_for(0.5, 0.3, domain, seed=seed)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +87,16 @@ class TestThreshold:
             noisy_threshold(1.0, 0.9, 0)
         with pytest.raises(ValidityError):
             threshold_defined(1.2, 10)
+
+    def test_domain_size_past_the_largest_double_refused(self):
+        largest = int(sys.float_info.max)
+        for n in (10**308, largest):
+            assert 0 < noisy_threshold(1.0, 0.5, n) < math.inf
+        for n in (largest + 1, 10**309, 10**400):
+            with pytest.raises(ValidityError, match="domain size must be at most the largest double"):
+                noisy_threshold(1.0, 0.5, n)
+            with pytest.raises(ValidityError, match="domain size must be at most the largest double"):
+                threshold_defined(0.5, n)
 
 
 class TestInclusionProbability:

@@ -1,5 +1,4 @@
 import csv
-import random
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,13 +18,12 @@ from cathist.sweep import (
     DEFAULT_RHOS,
     SWEEP_CSV_HEADER,
     SweepConfig,
-    _pstdev,
     run_sweep,
     write_sweep_csv,
 )
 
 from conftest import WORKCLASS_COUNTS, write_census
-from oracles import cat_hist_per_rep, pstdev_oracle
+from oracles import cat_hist_per_rep
 
 
 @pytest.fixture()
@@ -421,46 +419,6 @@ class TestCellsMatchReleases:
         cfg = SweepConfig(column=ColumnSelector(str(path), "v"), domain=SizeOnly(size=1_000), repetitions=3)
         with pytest.raises(ValidityError, match="empty distribution"):
             run_sweep(cfg)
-
-
-def random_lists(seed, count):
-    """count lists of 1 to 100 values: fidelity-like values in [0, 1], and
-    signed values of one random scale from 1e-200 to 1e200."""
-    rng = random.Random(seed)
-    lists = []
-    for i in range(count):
-        size = rng.randint(1, 100)
-        if i % 2:
-            lists.append([rng.random() for _ in range(size)])
-        else:
-            scale = 10.0 ** rng.uniform(-200, 200)
-            lists.append([(rng.random() - 0.3) * scale for _ in range(size)])
-    return lists
-
-
-class TestPstdev:
-    """A cell's stddev_f is the correctly rounded square root of the exact
-    population variance, on every Python: bit for bit the oracle's."""
-
-    @pytest.mark.parametrize("values", [
-        [0.7],
-        [0.3] * 50,
-        [0.0] * 5,
-        [0.0, 1.0],
-        [5e-324],
-        [0.0, 5e-324],  # the root is half the least subnormal: a tie, to 0.0
-        [5e-324, 1e-323, 2.5e-310, 0.0, 2.2250738585072014e-308],
-        [1e-300, 1.0],
-        [1e-300, 1.0, 1e-300, 0.5, 0.0],
-        [1.0, 2.0**-60, 2.0**60],
-        [0.1] * 99 + [0.1000000000000001],
-    ])
-    def test_edge_cases_equal_the_exact_oracle(self, values):
-        assert _pstdev(values).hex() == pstdev_oracle(values).hex()
-
-    def test_random_lists_equal_the_exact_oracle(self):
-        for values in random_lists(20251021, 400):
-            assert _pstdev(values).hex() == pstdev_oracle(values).hex(), values
 
 
 class TestWriteSweepCsv:
