@@ -91,8 +91,9 @@ class TestTau:
         assert err.startswith("error: domain size must be at most the largest double, 1.7976931348623157e+308")
         assert err.count("\n") == 1
 
-    def test_domain_size_up_to_the_largest_double_runs(self, capsys):
-        code, out, _ = run(capsys, "tau", "--epsilon", "1", "--rho", "0.5", "--n", str(10**308))
+    @pytest.mark.parametrize("n", [10**308, int(sys.float_info.max)])
+    def test_domain_size_up_to_the_largest_double_runs(self, capsys, n):
+        code, out, _ = run(capsys, "tau", "--epsilon", "1", "--rho", "0.5", "--n", str(n))
         assert code == 0
         assert parse_report(out)["zero_injection_probability"] == pytest.approx(0.5, rel=1e-12)
 

@@ -421,6 +421,49 @@ class TestCellsMatchReleases:
             run_sweep(cfg)
 
 
+class TestStddev:
+    """A cell's stddev_f is numpy's population standard deviation of its
+    fidelities, kept as a Python float."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_a_python_float_written_as_its_repr(self, column_file, tmp_path, threaded, jobs):
+        # repr of a numpy 2 scalar is np.float64(...), which must not reach the CSV.
+        rows = run_sweep(config(column_file), jobs=jobs)
+        out = tmp_path / "sweep.csv"
+        write_sweep_csv(rows, out)
+        with open(out, encoding="utf-8", newline="") as fh:
+            parsed = list(csv.reader(fh))[1:]
+        for raw, row in zip(parsed, rows):
+            assert type(row.stddev_f) is float
+            assert raw[3] == repr(row.stddev_f)
+
+    @pytest.mark.parametrize("repetitions", [2, 3])
+    def test_population_not_sample_deviation(self, column_file, repetitions):
+        cfg = config(column_file, repetitions=repetitions)
+        for row, want in zip(run_sweep(cfg), release_rows(cfg)):
+            assert row.stddev_f == pytest.approx(want["stddev_f"], rel=0, abs=1e-12)
+        assert any(want["stddev_f"] > 1e-6 for want in release_rows(cfg))
+
+    def test_one_repetition_is_exactly_zero(self, column_file):
+        rows = run_sweep(config(column_file, repetitions=1))
+        assert [row.stddev_f for row in rows] == [0.0] * len(rows)
+
+    def test_repetitions_that_score_alike_are_exactly_zero(self, column_file):
+        # No label to inject and every bin far above the threshold: each
+        # repetition scores exactly 1.
+        domain = ExplicitList(labels=("cat-0", "cat-1", "cat-2"))
+        rows = run_sweep(config(column_file, domain=domain, epsilons=(1.0, 5.0), repetitions=50))
+        assert [(row.mean_f, row.stddev_f) for row in rows] == [(1.0, 0.0)] * len(rows)
+
+    def test_within_the_bound_for_fidelities_in_the_unit_interval(self, column_file):
+        # Values in [0, 1] with mean m have variance at most m * (1 - m).
+        rows = run_sweep(config(column_file, epsilons=DEFAULT_EPSILONS, rhos=DEFAULT_RHOS))
+        assert any(row.stddev_f > 0 for row in rows)
+        for row in rows:
+            assert 0.0 <= row.stddev_f <= 0.5
+            assert row.stddev_f**2 <= row.mean_f * (1 - row.mean_f) + 1e-15
+
+
 class TestWriteSweepCsv:
     def test_header_and_plain_csv(self, column_file, tmp_path):
         rows = run_sweep(config(column_file))
