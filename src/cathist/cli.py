@@ -266,7 +266,6 @@ def cmd_tau(args: argparse.Namespace) -> int:
     epsilon = _require(args, "epsilon")
     rho = _require(args, "rho")
     n = _require(args, "n")
-    PrivacyParams(epsilon, rho)
     threshold = noisy_threshold(epsilon, rho, n)
     p = inclusion_probability(epsilon, threshold)
     round_trip = math.exp(n * math.log1p(-p))

@@ -41,14 +41,14 @@ from typing import IO, Any, BinaryIO, Collection, Iterable, Iterator
 import numpy as np
 
 from .core import Histogram, IngestError, NoisyHistogram, Origin, ValidityError, _checked
-from .domain import _ASCII_BLANKS, _TALLY_BYTES, _DistinctLines, _hashed
+from .domain import _ASCII_BLANKS, _DistinctLines
 
 CSV_HEADER = ("category", "count", "origin")
 _ORIGINS = {origin.value for origin in Origin}
 
-# Bytes read per block by the line count once it groups lines by hash: about
-# 2**16 lines of a wordlist column's 7 or 8 bytes, whose per-line arrays stay
-# a few MB. The count's memory grows with the distinct lines, not the rows.
+# Bytes read per block by the line count: about 2**16 lines of a wordlist
+# column's 7 or 8 bytes, whose per-line arrays stay a few MB. The count's
+# memory grows with the distinct lines, not the rows.
 _BLOCK_BYTES = 1 << 19
 # Characters read per block by the row reader when checking a CSV source for
 # NUL and bad bytes.
@@ -250,25 +250,20 @@ def _line_blocks(fh: BinaryIO) -> Iterator[tuple[bytearray, int]]:
     """The rest of fh in blocks of whole lines, each line ended by "\n": a
     block is buffer[:end], and buffer holds at least 7 bytes more.
 
-    Each block is read into the same buffer, so it holds until the next is
-    read, after the unfinished last line of the read before. The buffer
-    starts at _TALLY_BYTES, the bytes a dict counts at once (or at
-    _BLOCK_BYTES if that is less), and grows to _BLOCK_BYTES after a block
-    grouped by hash, whose cost is mostly per block. A line longer than the
-    buffer doubles it. The file's last line gets its "\n".
+    Each block is read into the same buffer of _BLOCK_BYTES (and the 8 more),
+    so it holds until the next is read, after the unfinished last line of
+    the read before. A line longer than the buffer doubles it. The file's
+    last line gets its "\n".
     """
-    buffer = bytearray(min(_TALLY_BYTES, _BLOCK_BYTES) + 8)
+    buffer = bytearray(_BLOCK_BYTES + 8)
     held = 0  # bytes of the unfinished line at the buffer's start
     while read := fh.readinto(memoryview(buffer)[held:len(buffer) - 8]):
         held += read
         end = buffer.rfind(b"\n", 0, held) + 1
         if end:
             yield buffer, end
-            grow = len(buffer) - 8 < _BLOCK_BYTES and _hashed(buffer, end)
             buffer[:held - end] = buffer[end:held]
             held -= end
-            if grow:
-                buffer = buffer[:held] + bytes(_BLOCK_BYTES + 8 - held)
         elif held == len(buffer) - 8:
             buffer = buffer[:held] + bytes(len(buffer))
     if held:

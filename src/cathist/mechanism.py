@@ -182,7 +182,8 @@ def _thread_rng(seed: int) -> Rng:
 class _Plan(NamedTuple):
     """What the draws of a release of (epsilon, rho, n, trials) need: the
     threshold and sample_binomial's inversion table for Binomial(trials, p),
-    with p the inclusion probability, None when there is no count to draw."""
+    with p the inclusion probability, None when there is no count to draw.
+    A count is the number of the table's entries at or below its uniform."""
 
     threshold: float
     cdf: tuple[float, ...] | None
@@ -272,11 +273,10 @@ def _draw_batch(
     trials), which cat_hist reads too, and which refuses a bad epsilon or
     rho, an undefined tau and a mean count past the envelope. One
     random(reps) call gives every repetition's injected count m, each read
-    as sample_binomial reads its uniform: bisect_right in the table, below
-    its last entry, which one searchsorted(side="right") clipped at the last
-    count gives. One random call then gives the uniforms of all their
-    injected weights, the first repetition's m, then the second's, and so
-    on. blocks gives the reps x k active-bin uniforms as blocks of rows;
+    as sample_binomial reads its uniform: the number of table entries at or
+    below it, which one searchsorted(side="right") gives. One random call
+    then gives the uniforms of all their injected weights, the first
+    repetition's m, then the second's, and so on. blocks gives the reps x k active-bin uniforms as blocks of rows;
     when there are several blocks, each is drawn as it is read. Once every
     block is read, rng is positioned at the labels of the first repetition.
     With no count to draw (no trials, or p = 0), every m is 0 and neither
@@ -297,8 +297,7 @@ def _draw_batch(
     # the active set.
     counts, weights = [0] * reps, _NO_DRAWS
     if plan.cdf is not None:
-        last = len(plan.cdf) - 1
-        counts = np.minimum(np.searchsorted(np.array(plan.cdf), rng.random(reps), "right"), last).tolist()
+        counts = np.searchsorted(np.array(plan.cdf), rng.random(reps), "right").tolist()
         weights = _nonzero(rng, rng.random(sum(counts)))
     return plan.threshold, counts, weights, _uniform_blocks(rng, reps, k)
 
@@ -311,10 +310,9 @@ def _weights(rng: Rng, plan: _Plan) -> np.ndarray:
     """A release's weight uniforms, as _draw_batch draws them at reps = 1:
     its count m, sample_binomial's bisection of one uniform in the plan's
     table, then one random(m) call."""
-    cdf = plan.cdf
-    if cdf is None:
+    if plan.cdf is None:
         return _NO_DRAWS
-    m = bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
+    m = bisect.bisect_right(plan.cdf, rng.random())
     return _nonzero(rng, rng.random(m)) if m else _NO_DRAWS
 
 

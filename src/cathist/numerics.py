@@ -40,8 +40,8 @@ _LN_HALF = math.log(0.5)
 
 # Expected injected-bin count above this is refused rather than sampled. A
 # release never asks for more: (n - a) * p <= n * p <= -ln(rho) < 745 for any
-# positive double rho. It also bounds a cached inversion table to 1 353
-# entries (1 052 at n*p = 745).
+# positive double rho. It also bounds a cached inversion table to 1 352
+# entries (1 051 at n*p = 745).
 BINOMIAL_MEAN_ENVELOPE = 1e3
 
 # BLAKE2b's personalization tag for seed hashing: it keys the map from seed
@@ -101,22 +101,27 @@ def threshold_defined(rho: float, n: int) -> bool:
     return math.log(rho) / n >= _LN_HALF
 
 
-# A loop of releases asks for the same few thresholds over and over.
-@functools.lru_cache(maxsize=256)
 def noisy_threshold(epsilon: float, rho: float, n: int) -> float:
     """Threshold calibrated so P(no injected bins) = rho over a size-n domain.
 
     Raises ValidityError when rho**(1/n) < 1/2, reporting both values.
+    Where ln(rho)/n underflows to 0 (rho near 1, n near the largest
+    double), expm1 of it is ln(rho)/n itself, so the threshold is taken as
+    (ln(n) - ln(-2 ln(rho))) / epsilon.
     """
     if epsilon <= 0 or not math.isfinite(epsilon):
         raise ValidityError(f"epsilon must be finite and > 0, got {epsilon}")
-    if not threshold_defined(rho, n):
-        log_root = math.log(rho) / n
+    defined = threshold_defined(rho, n)
+    log_root = math.log(rho) / n
+    if not defined:
         raise ValidityError(
             f"tau undefined: rho^(1/n) < 1/2 "
             f"(rho^(1/n) = {math.exp(log_root):.17g}, 1/2 = 0.5; rho={rho}, n={n})"
         )
-    t = -math.log(-2.0 * math.expm1(math.log(rho) / n)) / epsilon
+    if log_root:
+        t = -math.log(-2.0 * math.expm1(log_root)) / epsilon
+    else:
+        t = (math.log(n) - math.log(-2.0 * math.log(rho))) / epsilon
     if not math.isfinite(t):
         raise ValidityError(f"threshold not finite for epsilon={epsilon}, rho={rho}, n={n}")
     # Rounding can leave a tiny negative (or -0.0) at the rho**(1/n) = 1/2 boundary.
@@ -163,9 +168,10 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
         P(k+1)/P(k) = ((n - k) / (k + 1)) * (p / (1 - p))
     from log P(0) = n*log1p(-p), carried in log space so the walk stays exact
     even when P(0) underflows. The walk's running CDF sums are kept per
-    (n, p): the first call for a pair walks in O(n*p), later calls bisect the
-    table in O(log(n*p)). Either way one uniform is drawn and the same k
-    returned. n*p above BINOMIAL_MEAN_ENVELOPE is refused.
+    (n, p) (see _binomial_cdf): the first call for a pair walks in O(n*p),
+    later calls read the table in O(log(n*p)). One uniform u is drawn, and
+    the count is the number of table entries at or below u, the k at which
+    the walk stops. n*p above BINOMIAL_MEAN_ENVELOPE is refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -173,19 +179,18 @@ def sample_binomial(rng: Rng, n: int, p: float) -> int:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0
-    cdf = _binomial_cdf(n, p)
-    # The walk returns the first k with u < cdf[k], or its stopping k, the
-    # table's last index, when no earlier entry exceeds u.
-    return bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
+    return bisect.bisect_right(_binomial_cdf(n, p), rng.random())
 
 
 # A loop of releases, or a sweep cell's repetitions, asks for one (n, p) again
 # and again.
 @functools.lru_cache(maxsize=256)
 def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
-    """The running CDF sums of sample_binomial's walk, k = 0 up to the k
-    where the walk stops whatever the uniform. Refuses, and keeps no table
-    for, a mean n*p above BINOMIAL_MEAN_ENVELOPE."""
+    """The running CDF sums of sample_binomial's walk, k = 0 up to the
+    one before the k where the walk stops whatever the uniform: the walk
+    returns the first k with u < cdf[k], and its stopping k, len(cdf), when
+    no entry exceeds u, so the sum at that k is never read. Refuses, and
+    keeps no table for, a mean n*p above BINOMIAL_MEAN_ENVELOPE."""
     mean = n * p
     if mean > BINOMIAL_MEAN_ENVELOPE:
         raise ValidityError(
@@ -197,12 +202,11 @@ def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
     cdf = []
     total = 0.0
     k = 0
-    while True:
+    # At k = n the support ends. Past the mode with pmf far below the
+    # resolution of a uniform, the remaining tail mass is unreachable.
+    while not (k >= n or (k > mean and log_pmf < -60.0)):
         total += math.exp(log_pmf)
         cdf.append(total)
-        # At k = n the support ends. Past the mode with pmf far below the
-        # resolution of a uniform, the remaining tail mass is unreachable.
-        if k >= n or (k > mean and log_pmf < -60.0):
-            return tuple(cdf)
         log_pmf += math.log((n - k) / (k + 1)) + log_p - log_q
         k += 1
+    return tuple(cdf)

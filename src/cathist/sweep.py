@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainSpec, Histogram, ValidityError
+from .core import DomainSpec, Histogram, ValidityError, shares
 from .domain import DomainSampler, load_domain
 from .ingest import ColumnSelector, read_histogram
 from .mechanism import _absent_slots, _draw_batch, _thread_rng
@@ -194,9 +194,7 @@ def run_sweep(
     sampler = load_domain(config.domain) if sampler is None else sampler
     trials = 0
     if any(threshold_defined(rho, sampler.size) for rho in config.rhos):
-        # As fidelity would: a column with no records cannot be scored.
-        if hist.total <= 0:
-            raise ValidityError("empty distribution: nothing to normalize")
+        shares(hist)  # refuses, as fidelity would, a column with no records
         trials = _absent_slots(config.domain, hist, sampler)
     cells = [(ei, ri) for ei in range(len(config.epsilons)) for ri in range(len(config.rhos))]
     threads = min(jobs, len(cells)) if config.repetitions * len(hist._positive[0]) >= THREAD_DRAWS else 1

@@ -86,11 +86,20 @@ def survival_oracle(count: float, epsilon: float, rho: float, n: int) -> float:
 
 def sample_binomial_by_walk(rng, n, p):
     """sample_binomial as a plain inverse-CDF walk on every call: one uniform,
-    then the PMF recurrence from k = 0 in log space until the running CDF
-    exceeds it. The walk stops at k = n, or past the mean once the log-pmf is
-    below -60."""
-    mean = n * p
+    then the running CDF sums of binomial_walk until one exceeds it, or the
+    k where the walk stops."""
     u = rng.random()
+    for k, cdf in enumerate(binomial_walk(n, p)):
+        if u < cdf:
+            break
+    return k
+
+
+def binomial_walk(n, p):
+    """The running CDF sums of Binomial(n, p), by the PMF recurrence from
+    k = 0 in log space, up to and with the sum at the k where the walk
+    stops: k = n, or past the mean once the log-pmf is below -60."""
+    mean = n * p
     log_p = math.log(p)
     log_q = math.log1p(-p)
     log_pmf = n * log_q
@@ -98,12 +107,9 @@ def sample_binomial_by_walk(rng, n, p):
     k = 0
     while True:
         cdf += math.exp(log_pmf)
-        if u < cdf:
-            return k
-        if k >= n:
-            return int(n)
-        if k > mean and log_pmf < -60.0:
-            return k
+        yield cdf
+        if k >= n or (k > mean and log_pmf < -60.0):
+            return
         log_pmf += math.log((n - k) / (k + 1)) + log_p - log_q
         k += 1
 

@@ -97,6 +97,12 @@ class TestTau:
         assert code == 0
         assert parse_report(out)["zero_injection_probability"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_root_exponent_underflowing_to_zero_runs(self, capsys):
+        # ln(rho)/n underflows to 0 here, and the threshold is still finite.
+        code, out, err = run(capsys, "tau", "--epsilon", "1", "--rho", "0.9999999999999999", "--n", str(10**308))
+        assert code == 0 and "Traceback" not in err
+        assert parse_report(out)["tau"] == pytest.approx(745.2398620312832, rel=1e-12)
+
     def test_missing_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "tau", "--epsilon", "1", "--n", "5")
         assert code == 1

@@ -399,14 +399,24 @@ class TestLineCount:
         bins, skipped = read_histogram_per_row(path, "v")
         assert read_histogram(ColumnSelector(str(path), "v")).bins == bins
 
-    def test_short_and_long_blocks_keep_first_appearance_order(self, tmp_path, monkeypatch, rows_read):
+    @pytest.mark.parametrize("runs, cycles, block", [
+        ([["a", "b", "c"], ["a longer label", "another long one", "b"], ["d", "a", "e"],
+          ["another long one", "yet another label", "d"]], 10, 64),
+        # At the default block size, each run of lines 8 bytes or shorter on
+        # average, or longer, fills two whole blocks: a cycle of 3 lines is
+        # at least 20 bytes.
+        ([["a longer label", "another long one", "b"], ["a", "b", "another long one"]],
+         2 * ingest._BLOCK_BYTES // 20, ingest._BLOCK_BYTES),
+        ([["a", "b", "another long one"], ["a longer label", "another long one", "b"]],
+         2 * ingest._BLOCK_BYTES // 20, ingest._BLOCK_BYTES),
+    ], ids=["small-blocks", "long-then-short", "short-then-long"])
+    def test_short_and_long_blocks_keep_first_appearance_order(
+            self, tmp_path, monkeypatch, rows_read, runs, cycles, block):
         # Blocks of lines of at most 8 bytes and blocks of longer lines are
         # grouped apart; the labels of each first appear in the others.
-        runs = [["a", "b", "c"], ["a longer label", "another long one", "b"], ["d", "a", "e"],
-                ["another long one", "yet another label", "d"]]
-        rows = [[run[i % 3]] for run in runs for i in range(30)]
+        rows = [[label] for run in runs for label in run * cycles]
         path = write_csv(tmp_path / "t.csv", [["v"], *rows, ["f"], ["yet another label"]])
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
         bins, skipped = read_histogram_per_row(path, "v")
         assert read_histogram(ColumnSelector(path, "v")).bins == bins
         assert rows_read == []

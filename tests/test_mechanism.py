@@ -48,6 +48,7 @@ from conftest import WORKCLASS_COUNTS
 import oracles
 from oracles import (
     ORACLE_MAX_DOMAIN,
+    binomial_walk,
     cat_hist_per_bin,
     cat_hist_per_rep,
     draw_batch_per_rep,
@@ -660,8 +661,8 @@ class TestDrawsMatchPerRepLoop:
     def test_planted_uniform_drawn_as_per_rep_loop(self, rho, value, where):
         # A 0.0 among the weights is redrawn; one read as a count is kept,
         # as sample_binomial keeps it. At rho = 1e-5 the binomial table's
-        # last sum is below the largest uniform, which draws the table's
-        # last count. Repetition r's count is drawn at r, and the weights
+        # last entry is below the largest uniform, which draws the walk's
+        # stopping count. Repetition r's count is drawn at r, and the weights
         # from reps on.
         epsilon, n, reps = 1.0, 1_000, 37
         doubles = make_rng(4).random(5_000)
@@ -674,16 +675,20 @@ class TestDrawsMatchPerRepLoop:
         self.assert_same(lambda: ListStream(doubles), epsilon, rho, n, n - 9, reps)
 
     @pytest.mark.parametrize("reps", [1, 2, 37])
-    @pytest.mark.parametrize("entry", [0, 1, -2, -1])
+    @pytest.mark.parametrize("entry", [0, 1, -1, "walk end"])
     def test_a_count_uniform_equal_to_a_table_entry(self, reps, entry):
-        # bisect_right reads a uniform equal to cdf[i] as the count i + 1,
-        # and the last entry's as the last count.
+        # A uniform equal to cdf[i] counts the i + 1 entries at or below it.
+        # The walk's sum where it stops is no entry: a uniform equal to it,
+        # or to the last entry, draws the stopping count, len(cdf).
         epsilon, rho, n = 1.0, 0.01, 1_000
         cdf = mechanism._plan(epsilon, rho, n, n - 9).cdf
+        p = inclusion_probability(epsilon, noisy_threshold(epsilon, rho, n))
+        *sums, end = binomial_walk(n - 9, p)
+        assert tuple(sums) == cdf
         doubles = make_rng(6).random(5_000)
-        doubles[reps - 1] = cdf[entry]  # the last repetition's count
+        doubles[reps - 1] = end if entry == "walk end" else cdf[entry]  # the last repetition's count
         weights = self.assert_same(lambda: ListStream(doubles), epsilon, rho, n, n - 9, reps)
-        assert weights[-1].size == min(entry % len(cdf) + 1, len(cdf) - 1)
+        assert weights[-1].size == {0: 1, 1: 2, -1: len(cdf), "walk end": len(cdf)}[entry]
 
     def test_counts_near_the_table_end(self):
         # Uniforms near 1 give counts far above the mean.

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
@@ -97,6 +98,16 @@ class TestThreshold:
                 noisy_threshold(1.0, 0.5, n)
             with pytest.raises(ValidityError, match="domain size must be at most the largest double"):
                 threshold_defined(0.5, n)
+
+    def test_root_exponent_underflowing_to_zero(self):
+        # ln(rho)/n is about -1.1e-324, which rounds to 0: the threshold is
+        # still -ln(-2 * expm1(ln(rho)/n)), here evaluated at 60 digits.
+        rho, n = 0.9999999999999999, 10**308
+        assert math.log(rho) / n == 0.0
+        with mp.workdps(60):
+            want = float(-mp.log(-2 * mp.expm1(mp.log(mp.mpf(rho)) / n)))
+        assert noisy_threshold(1.0, rho, n) == pytest.approx(want, rel=1e-12)
+        assert noisy_threshold(0.5, rho, n) == pytest.approx(2 * want, rel=1e-12)
 
 
 class TestInclusionProbability:
